@@ -129,9 +129,11 @@ class CodedStore:
 
     base_features/base_response hold the encoded-input rows (projected
     features when a projection is in use) of every non-dropped training
-    sample, in shard order; slot_of maps a sample id to its (uncoded shard,
-    within-shard row).  Coded shard j always equals the ascending-order sum
-    of g[i, j] times the surviving rows of uncoded shard i.
+    sample, in shard order, with the rows of unlearned samples zeroed;
+    slot_of maps a sample id to its (uncoded shard, within-shard row).
+    Coded shard j always equals the ascending-order sum of g[i, j] times the
+    surviving rows of uncoded shard i, so it can be rebuilt from the base
+    rows alone (from_base).
 
     Concurrent reads are safe; unlearning mutation requires exclusive access.
     """
@@ -147,20 +149,56 @@ class CodedStore:
     dropped_ids: list[int]
     unlearned_ids: set[int] = field(default_factory=set)
 
+    @classmethod
+    def from_base(cls, base_features: np.ndarray, base_response: np.ndarray,
+                  ids: np.ndarray, generator: GeneratorMatrix,
+                  dropped_ids: list[int], unlearned_ids=()) -> CodedStore:
+        """Store whose coded shards are encoded from the given base rows,
+        which fill the s uncoded shards exactly and are kept, not copied."""
+        s = generator.uncoded_shards
+        nbar = ids.shape[0] // s
+        shards_X = [base_features[i * nbar:(i + 1) * nbar] for i in range(s)]
+        shards_y = [base_response[i * nbar:(i + 1) * nbar] for i in range(s)]
+        G = generator.entries
+        return cls(
+            coded_features=[_combine(shards_X, G[:, j])
+                            for j in range(generator.coded_shards)],
+            coded_response=[_combine(shards_y, G[:, j])
+                            for j in range(generator.coded_shards)],
+            shard_size=nbar,
+            generator=generator,
+            base_features=base_features,
+            base_response=base_response,
+            ids=ids,
+            slot_of={u: divmod(p, nbar) for p, u in enumerate(ids.tolist())},
+            dropped_ids=dropped_ids,
+            unlearned_ids=set(unlearned_ids),
+        )
+
     def _base_row(self, shard: int, row: int) -> int:
         return shard * self.shard_size + row
 
+    def erase(self, u: int) -> tuple[int, int]:
+        """Mark sample u unlearned and zero its base row; its (shard, row)."""
+        shard, row = self.slot_of[u]
+        self.unlearned_ids.add(u)
+        base = self._base_row(shard, row)
+        self.base_features[base] = 0.0
+        self.base_response[base] = 0.0
+        return shard, row
+
     def surviving_shard(self, i: int) -> tuple[np.ndarray, np.ndarray]:
-        """Uncoded shard i with unlearned rows zeroed out."""
+        """Uncoded shard i with unlearned rows zeroed out.
+
+        Masks by id rather than trusting the zeroed base rows, so verify
+        checks the rows independently of how unlearn erased them."""
         lo = i * self.shard_size
         hi = lo + self.shard_size
-        X = self.base_features[lo:hi].copy()
-        y = self.base_response[lo:hi].copy()
-        for row in range(self.shard_size):
-            if int(self.ids[lo + row]) in self.unlearned_ids:
-                X[row] = 0.0
-                y[row] = 0.0
-        return X, y
+        gone = np.isin(self.ids[lo:hi],
+                       np.fromiter(self.unlearned_ids, dtype=np.int64,
+                                   count=len(self.unlearned_ids)))
+        return (np.where(gone[:, None], 0.0, self.base_features[lo:hi]),
+                np.where(gone, 0.0, self.base_response[lo:hi]))
 
     def rebuild_coded_shard(self, j: int) -> tuple[np.ndarray, np.ndarray]:
         """Recompute coded shard j from surviving samples, ascending order."""
@@ -199,30 +237,11 @@ def encode(features, response, ids, G: GeneratorMatrix) -> CodedStore:
     if features.ndim != 2 or features.shape[0] != response.shape[0] \
             or ids.shape[0] != features.shape[0]:
         raise DimensionMismatch("features, response, and ids must align")
-    s, r = G.uncoded_shards, G.coded_shards
+    s = G.uncoded_shards
     n = features.shape[0]
     if n < s:
         raise TooFewSamples(f"{n} samples cannot fill {s} shards")
-    nbar = n // s
-    used = nbar * s
-    dropped = [int(v) for v in ids[used:]]
-    shards_X = [features[i * nbar:(i + 1) * nbar] for i in range(s)]
-    shards_y = [response[i * nbar:(i + 1) * nbar] for i in range(s)]
-    coded_X = [_combine(shards_X, G.entries[:, j]) for j in range(r)]
-    coded_y = [_combine(shards_y, G.entries[:, j]) for j in range(r)]
-    slot_of = {
-        int(ids[i * nbar + k]): (i, k)
-        for i in range(s)
-        for k in range(nbar)
-    }
-    return CodedStore(
-        coded_features=coded_X,
-        coded_response=coded_y,
-        shard_size=nbar,
-        generator=G,
-        base_features=features[:used].copy(),
-        base_response=response[:used].copy(),
-        ids=ids[:used].copy(),
-        slot_of=slot_of,
-        dropped_ids=dropped,
-    )
+    used = n // s * s
+    return CodedStore.from_base(
+        features[:used].copy(), response[:used].copy(), ids[:used].copy(),
+        G, dropped_ids=[int(v) for v in ids[used:]])

@@ -132,7 +132,8 @@ def unlearn(model: EnsembleModel, store: CodedStore, ids,
             ) -> tuple[EnsembleModel, CodedStore, AffectedReport]:
     """Remove the listed samples and retrain only the affected learners.
 
-    For every sample: locate its (uncoded shard, row), find the nonzero
+    For every sample: zero its base row (so its values never reach a saved
+    session), locate its (uncoded shard, row), find the nonzero
     generator-row columns, and remove its contribution from the matching
     coded row of each of those shards.  The touched rows are recomputed from
     their surviving contributors in the same ascending order used at encode
@@ -151,8 +152,7 @@ def unlearn(model: EnsembleModel, store: CodedStore, ids,
     G = store.generator
     touched: set[tuple[int, int]] = set()   # (coded shard, row)
     for u in ids:
-        store.unlearned_ids.add(u)
-        shard, row = store.slot_of[u]
+        shard, row = store.erase(u)
         for j in G.nonzero_columns(shard):
             touched.add((int(j), row))
     for j, row in sorted(touched):

@@ -90,50 +90,3 @@ def binary_rank(G) -> int:
         if rank == min(m, n):
             break
     return rank
-
-
-def _check_2d(a, name: str) -> np.ndarray:
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 2:
-        raise DimensionMismatch(f"{name} must be 2-d, got shape {a.shape}")
-    return a
-
-
-def mat_vec(A, x) -> np.ndarray:
-    A = _check_2d(A, "A")
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1 or A.shape[1] != x.shape[0]:
-        raise DimensionMismatch(f"mat_vec: {A.shape} by {x.shape}")
-    return A @ x
-
-
-def mat_mat(A, B) -> np.ndarray:
-    A = _check_2d(A, "A")
-    B = _check_2d(B, "B")
-    if A.shape[1] != B.shape[0]:
-        raise DimensionMismatch(f"mat_mat: {A.shape} by {B.shape}")
-    return A @ B
-
-
-def transpose(A) -> np.ndarray:
-    return _check_2d(A, "A").T
-
-
-def scale(A, c: float) -> np.ndarray:
-    return np.asarray(A, dtype=float) * c
-
-
-def add(A, B) -> np.ndarray:
-    A = np.asarray(A, dtype=float)
-    B = np.asarray(B, dtype=float)
-    if A.shape != B.shape:
-        raise DimensionMismatch(f"add: {A.shape} vs {B.shape}")
-    return A + B
-
-
-def subtract(A, B) -> np.ndarray:
-    A = np.asarray(A, dtype=float)
-    B = np.asarray(B, dtype=float)
-    if A.shape != B.shape:
-        raise DimensionMismatch(f"subtract: {A.shape} vs {B.shape}")
-    return A - B

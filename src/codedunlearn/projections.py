@@ -22,7 +22,6 @@ class ProjectionMap:
     directions: np.ndarray  # (input_dim, output_dim)
     offsets: np.ndarray     # (output_dim,)
     seed: int | None = None
-    activation: str = "cos"
 
     def __post_init__(self):
         if self.directions.shape != (self.input_dim, self.output_dim):
@@ -52,22 +51,27 @@ def project(pmap: ProjectionMap, X) -> np.ndarray:
     return np.cos(X @ pmap.directions + pmap.offsets)
 
 
-def save_projection(pmap: ProjectionMap, path) -> None:
-    """Persist the full map (seed included) so later sessions reload it exactly."""
-    with open(path, "wb") as fh:
-        np.savez(
-            fh,
-            input_dim=pmap.input_dim,
-            output_dim=pmap.output_dim,
-            directions=pmap.directions,
-            offsets=pmap.offsets,
-            seed=-1 if pmap.seed is None else pmap.seed,
-        )
+def save_projection(pmap: ProjectionMap, file) -> None:
+    """Persist the full map (seed included) so later sessions reload it
+    exactly.  `file` is a path or a writable binary file; the bytes written
+    depend only on the map."""
+    if not hasattr(file, "write"):
+        with open(file, "wb") as fh:   # np.savez would append ".npz"
+            save_projection(pmap, fh)
+        return
+    np.savez(
+        file,
+        input_dim=pmap.input_dim,
+        output_dim=pmap.output_dim,
+        directions=pmap.directions,
+        offsets=pmap.offsets,
+        seed=-1 if pmap.seed is None else pmap.seed,
+    )
 
 
-def load_projection(path) -> ProjectionMap:
-    with open(path, "rb") as fh:
-        data = np.load(fh)
+def load_projection(file) -> ProjectionMap:
+    """Inverse of save_projection; `file` is a path or a binary file."""
+    with np.load(file, allow_pickle=False) as data:
         seed = int(data["seed"])
         return ProjectionMap(
             int(data["input_dim"]),

@@ -1,26 +1,42 @@
-"""On-disk session directories for the CLI.
+"""On-disk session directories for the CLI (format version 2).
 
 Layout:
-    manifest.json       resolved config, seed, and artifact hashes
-    generator.json      {s, r, rho, seed, rows}
-    projection.bin      npz with the frozen feature map (when used)
-    shards/shard_<j>.csv   coded shard j (features..., response)
-    base.csv            encoded-input rows of the retained training set
-    model.csv           weak-learner weight columns plus the aggregate
-    store.json          sample-id map, dropped ids, unlearned ids
-    unlearn_log.jsonl   append-only audit of unlearn requests
+    manifest.json               format version, resolved config, and the
+                                name and sha256 of every data file below
+    generator-<h>.json          {s, r, rho, seed, rows}
+    projection-<h>.bin          npz with the frozen feature map (when used)
+    store-<h>.json              dropped ids, unlearned ids, lambda
+    base_features-<h>.npy       encoded-input rows of the retained training
+    base_response-<h>.npy       set, their responses and their sample ids,
+    ids-<h>.npy                 in shard order
+    weights-<h>.npy             weak-learner weight columns
+    agg-<h>.npy                 the aggregate weights
+    unlearn_log.jsonl           append-only audit of unlearn requests
 
-Floats are written with repr so every array round-trips bit-exactly; a
-verify run on a freshly loaded session therefore reports discrepancy zero
-when nothing was unlearned.
+<h> is the first 12 hex digits of the file's sha256, so a save never
+overwrites a file the current manifest names.  It writes only the files
+whose content is new (each through a temporary name and os.replace), then
+swaps in manifest.json with os.replace, and only then deletes the data
+files the new manifest does not name.  A save interrupted at any point
+leaves the previous session loadable; load_session refuses any file whose
+hash does not match the manifest.
+
+Coded shards are not stored: load_session re-encodes them from the base
+rows in the ascending order used at training time.  Unlearning zeroes a
+sample's base row (ensemble.unlearn), so the rebuilt shards are bitwise the
+ones the model was trained on, and a forgotten sample's values never reach
+the disk.  Arrays are .npy files written and read with allow_pickle=False;
+they round-trip bit-exactly, so verify on a freshly loaded session reports
+discrepancy zero.
 """
 
 from __future__ import annotations
 
-import csv
 import hashlib
+import io
 import json
 import os
+import re
 import time
 from contextlib import contextmanager
 from pathlib import Path
@@ -32,7 +48,13 @@ from .ensemble import EnsembleModel
 from .errors import SessionError
 from .projections import load_projection, save_projection
 
-HASHED_FILES = ("generator.json", "model.csv", "base.csv", "store.json")
+FORMAT_VERSION = 2
+
+ARRAYS = ("base_features", "base_response", "ids", "weights", "agg")
+ROLES = ("generator", "store", *ARRAYS)   # plus "projection" when used
+_DATA_FILE = re.compile(
+    r"(generator|projection|store|%s)-[0-9a-f]{12}\.(json|bin|npy)(\.tmp)?"
+    % "|".join(ARRAYS))
 
 
 @contextmanager
@@ -51,131 +73,144 @@ def session_lock(directory: Path):
         lock.unlink(missing_ok=True)
 
 
-def _write_matrix_csv(path: Path, header: list[str], matrix: np.ndarray) -> None:
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in np.atleast_2d(matrix):
-            writer.writerow([repr(float(v)) for v in row])
+def _json_bytes(obj) -> bytes:
+    return (json.dumps(obj, indent=2) + "\n").encode()
 
 
-def _read_matrix_csv(path: Path) -> np.ndarray:
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        return np.array([[float(c) for c in row] for row in reader])
+def _npy_bytes(array: np.ndarray) -> bytes:
+    buf = io.BytesIO()
+    np.save(buf, array, allow_pickle=False)
+    return buf.getvalue()
 
 
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+def _serialize(model: EnsembleModel,
+               store: CodedStore) -> dict[str, tuple[str, bytes]]:
+    """role -> (file suffix, content) for every data file of a session."""
+    G = model.generator
+    files = {
+        "generator": (".json", _json_bytes({
+            "s": G.uncoded_shards,
+            "r": G.coded_shards,
+            "rho": G.density,
+            "seed": G.seed if isinstance(G.seed, int) else None,
+            "rows": G.entries.tolist(),
+        })),
+        "store": (".json", _json_bytes({
+            "dropped_ids": store.dropped_ids,
+            "unlearned_ids": sorted(store.unlearned_ids),
+            "lambda": model.lam,
+        })),
+    }
+    arrays = {
+        "base_features": store.base_features,
+        "base_response": store.base_response,
+        "ids": store.ids,
+        "weights": model.weights,
+        "agg": model.agg,
+    }
+    files.update((role, (".npy", _npy_bytes(a))) for role, a in arrays.items())
+    if model.projection is not None:
+        buf = io.BytesIO()
+        save_projection(model.projection, buf)
+        files["projection"] = (".bin", buf.getvalue())
+    return files
+
+
+def _write_durably(path: Path, data: bytes) -> None:
+    """Write `data` to a temporary file, flush it to disk, rename it to
+    `path`."""
+    tmp = path.with_name(path.name + ".tmp")
+    with open(tmp, "wb") as fh:
+        fh.write(data)
+        fh.flush()
+        os.fsync(fh.fileno())
+    os.replace(tmp, path)
 
 
 def save_session(directory, model: EnsembleModel, store: CodedStore,
                  config: dict) -> None:
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    (directory / "shards").mkdir(exist_ok=True)
 
-    G = model.generator
-    (directory / "generator.json").write_text(json.dumps({
-        "s": G.uncoded_shards,
-        "r": G.coded_shards,
-        "rho": G.density,
-        "seed": G.seed if isinstance(G.seed, int) else None,
-        "rows": G.entries.tolist(),
-    }, indent=2) + "\n")
+    files = {}
+    for role, (suffix, data) in _serialize(model, store).items():
+        digest = hashlib.sha256(data).hexdigest()
+        name = f"{role}-{digest[:12]}{suffix}"
+        if not (directory / name).exists():
+            _write_durably(directory / name, data)
+        files[role] = {"name": name, "sha256": digest}
 
-    if model.projection is not None:
-        save_projection(model.projection, directory / "projection.bin")
-
-    width = store.base_features.shape[1]
-    feat_cols = [f"f{j}" for j in range(width)]
-    for j in range(G.coded_shards):
-        _write_matrix_csv(
-            directory / "shards" / f"shard_{j}.csv",
-            feat_cols + ["y"],
-            np.column_stack([store.coded_features[j], store.coded_response[j]]),
-        )
-    _write_matrix_csv(
-        directory / "base.csv",
-        ["id"] + feat_cols + ["y"],
-        np.column_stack([store.ids.astype(float), store.base_features,
-                         store.base_response]),
-    )
-    _write_matrix_csv(
-        directory / "model.csv",
-        [f"w{j}" for j in range(G.coded_shards)] + ["agg"],
-        np.column_stack([model.weights, model.agg]),
-    )
-    (directory / "store.json").write_text(json.dumps({
-        "shard_size": store.shard_size,
-        "dropped_ids": store.dropped_ids,
-        "unlearned_ids": sorted(store.unlearned_ids),
-        "lambda": model.lam,
-    }, indent=2) + "\n")
-
-    manifest = {
+    _write_durably(directory / "manifest.json", _json_bytes({
+        "format_version": FORMAT_VERSION,
         "config": config,
         "saved_at": time.strftime("%Y-%m-%dT%H:%M:%S"),
-        "hashes": {name: _sha256(directory / name) for name in HASHED_FILES},
-    }
-    manifest["hashes"].update({
-        f"shards/shard_{j}.csv": _sha256(directory / "shards" / f"shard_{j}.csv")
-        for j in range(G.coded_shards)
-    })
-    (directory / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
+        "files": files,
+    }))
+    fd = os.open(directory, os.O_RDONLY)
+    try:
+        os.fsync(fd)   # make the rename itself durable
+    finally:
+        os.close(fd)
+
+    keep = {f["name"] for f in files.values()}
+    for path in directory.iterdir():
+        if _DATA_FILE.fullmatch(path.name) and path.name not in keep:
+            path.unlink()
+
+
+def _read_manifest(directory: Path) -> dict:
+    path = directory / "manifest.json"
+    if not path.exists():
+        raise SessionError(f"no session at {directory}")
+    try:
+        manifest = json.loads(path.read_text())
+    except ValueError as exc:
+        raise SessionError(f"unreadable manifest in {directory}: {exc}") \
+            from None
+    version = manifest.get("format_version", 1)
+    if version != FORMAT_VERSION:
+        raise SessionError(
+            f"session {directory} has format version {version}; this "
+            f"codedunlearn reads version {FORMAT_VERSION} only (train a new "
+            "session to convert)")
+    missing = [role for role in ROLES if role not in manifest.get("files", {})]
+    if missing:
+        raise SessionError(f"manifest in {directory} names no file for "
+                           f"{', '.join(missing)}")
+    return manifest
+
+
+def _read_checked(directory: Path, entry: dict) -> bytes:
+    path = directory / entry["name"]
+    data = path.read_bytes() if path.exists() else None
+    if data is None or hashlib.sha256(data).hexdigest() != entry["sha256"]:
+        raise SessionError(
+            f"stale session: {entry['name']} does not match manifest")
+    return data
 
 
 def load_session(directory) -> tuple[EnsembleModel, CodedStore, dict]:
     directory = Path(directory)
-    manifest_path = directory / "manifest.json"
-    if not manifest_path.exists():
-        raise SessionError(f"no session at {directory}")
-    manifest = json.loads(manifest_path.read_text())
-    for name, digest in manifest["hashes"].items():
-        target = directory / name
-        if not target.exists() or _sha256(target) != digest:
-            raise SessionError(f"stale session: {name} does not match manifest")
+    manifest = _read_manifest(directory)
+    data = {role: _read_checked(directory, entry)
+            for role, entry in manifest["files"].items()}
+    arrays = {role: np.load(io.BytesIO(data[role]), allow_pickle=False)
+              for role in ARRAYS}
 
-    gen = json.loads((directory / "generator.json").read_text())
+    gen = json.loads(data["generator"])
     G = GeneratorMatrix(gen["s"], gen["r"], np.array(gen["rows"]),
                         gen["rho"], gen["seed"])
-    meta = json.loads((directory / "store.json").read_text())
-
-    base = _read_matrix_csv(directory / "base.csv")
-    ids = base[:, 0].astype(int)
-    base_features = base[:, 1:-1]
-    base_response = base[:, -1]
-    nbar = int(meta["shard_size"])
-    slot_of = {int(ids[i * nbar + k]): (i, k)
-               for i in range(G.uncoded_shards) for k in range(nbar)}
-
-    coded_features, coded_response = [], []
-    for j in range(G.coded_shards):
-        data = _read_matrix_csv(directory / "shards" / f"shard_{j}.csv")
-        coded_features.append(data[:, :-1])
-        coded_response.append(data[:, -1])
-
-    store = CodedStore(
-        coded_features=coded_features,
-        coded_response=coded_response,
-        shard_size=nbar,
-        generator=G,
-        base_features=base_features,
-        base_response=base_response,
-        ids=ids,
-        slot_of=slot_of,
+    meta = json.loads(data["store"])
+    store = CodedStore.from_base(
+        arrays["base_features"], arrays["base_response"], arrays["ids"], G,
         dropped_ids=list(meta["dropped_ids"]),
-        unlearned_ids=set(meta["unlearned_ids"]),
+        unlearned_ids=meta["unlearned_ids"],
     )
-
-    wm = _read_matrix_csv(directory / "model.csv")
-    pmap = None
-    if (directory / "projection.bin").exists():
-        pmap = load_projection(directory / "projection.bin")
+    pmap = (load_projection(io.BytesIO(data["projection"]))
+            if "projection" in data else None)
     model = EnsembleModel(
-        weights=wm[:, :-1],
-        agg=wm[:, -1],
+        weights=arrays["weights"],
+        agg=arrays["agg"],
         lam=float(meta["lambda"]),
         generator=G,
         projection=pmap,

@@ -72,8 +72,10 @@ class TestGenData:
 class TestSessionWorkflow:
     def test_train_then_verify(self, tmp_path, runner, data_csv):
         session = train_session(runner, tmp_path, data_csv)
-        assert (session / "manifest.json").exists()
-        assert (session / "shards" / "shard_0.csv").exists()
+        manifest = json.loads((session / "manifest.json").read_text())
+        assert manifest["format_version"] == 2
+        assert all((session / f["name"]).exists()
+                   for f in manifest["files"].values())
         result = runner.invoke(main, ["verify", "--session", str(session)])
         assert result.exit_code == 0, result.output
         assert "discrepancy: 0.000e+00" in result.output
@@ -115,8 +117,11 @@ class TestSessionWorkflow:
 
     def test_stale_session_detected(self, tmp_path, runner, data_csv):
         session = train_session(runner, tmp_path, data_csv)
-        model = session / "model.csv"
-        model.write_text(model.read_text().replace("0", "1", 1))
+        manifest = json.loads((session / "manifest.json").read_text())
+        weights = session / manifest["files"]["weights"]["name"]
+        data = bytearray(weights.read_bytes())
+        data[-1] ^= 1   # flip one bit of the last weight
+        weights.write_bytes(bytes(data))
         result = runner.invoke(main, ["verify", "--session", str(session)])
         assert result.exit_code == 3
         assert "stale" in result.output
@@ -124,7 +129,8 @@ class TestSessionWorkflow:
     def test_projection_session(self, tmp_path, runner, data_csv):
         session = train_session(runner, tmp_path, data_csv,
                                 extra=["--proj-dim", "8"])
-        assert (session / "projection.bin").exists()
+        manifest = json.loads((session / "manifest.json").read_text())
+        assert (session / manifest["files"]["projection"]["name"]).exists()
         result = runner.invoke(main, [
             "unlearn", "--session", str(session), "--ids", "3",
         ])

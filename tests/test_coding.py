@@ -176,3 +176,30 @@ class TestStructuralProperties:
                 rho = max(1.0 / r, float(rng.uniform(0.3, 0.75)))
                 G = rand_matrix(s, r, rho, seed)
             check_conditions(G)
+
+
+def surviving_shard_by_loop(store, i):
+    """Row-by-row reference for CodedStore.surviving_shard."""
+    lo = i * store.shard_size
+    X = store.base_features[lo:lo + store.shard_size].copy()
+    y = store.base_response[lo:lo + store.shard_size].copy()
+    for row in range(store.shard_size):
+        if int(store.ids[lo + row]) in store.unlearned_ids:
+            X[row] = 0.0
+            y[row] = 0.0
+    return X, y
+
+
+class TestSurvivingShard:
+    @pytest.mark.parametrize("unlearned", [set(), {0}, {3, 4, 11, 19}])
+    def test_matches_loop_reference_bitwise(self, unlearned):
+        ds = make_train(21, 3, seed=4)
+        store = encode(ds.features, ds.response, ds.ids,
+                       rand_matrix(4, 2, 0.7, 1))
+        # mark ids unlearned without zeroing their rows: the mask is by id
+        store.unlearned_ids = set(unlearned)
+        for i in range(4):
+            X, y = store.surviving_shard(i)
+            X_ref, y_ref = surviving_shard_by_loop(store, i)
+            assert X.tobytes() == X_ref.tobytes()
+            assert y.tobytes() == y_ref.tobytes()

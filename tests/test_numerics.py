@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from codedunlearn import DimensionMismatch, SingularSystem, binary_rank, ridge_solve
-from codedunlearn.numerics import add, mat_mat, mat_vec, scale, subtract, transpose
 
 
 def ridge_loss_grad(X, y, lam, w):
@@ -134,40 +133,3 @@ class TestBinaryRank:
     def test_rejects_nonbinary(self):
         with pytest.raises(ValueError):
             binary_rank([[2, 0], [0, 1]])
-
-
-class TestDenseKernels:
-    def test_identity_product(self):
-        A = np.random.default_rng(1).normal(size=(4, 4))
-        assert (mat_mat(A, np.eye(4)) == A).all()
-
-    def test_double_transpose(self):
-        A = np.random.default_rng(1).normal(size=(3, 5))
-        assert (transpose(transpose(A)) == A).all()
-
-    def test_product_vs_triple_loop(self):
-        rng = np.random.default_rng(4)
-        A = rng.normal(size=(4, 3))
-        B = rng.normal(size=(3, 2))
-        expected = np.zeros((4, 2))
-        for i in range(4):
-            for j in range(2):
-                acc = 0.0
-                for k in range(3):
-                    acc += A[i, k] * B[k, j]
-                expected[i, j] = acc
-        np.testing.assert_allclose(mat_mat(A, B), expected, rtol=1e-15)
-
-    def test_add_subtract_scale(self):
-        A = np.ones((2, 2))
-        assert (add(A, A) == 2 * A).all()
-        assert (subtract(A, A) == 0).all()
-        assert (scale(A, 3.0) == 3 * A).all()
-
-    def test_shape_errors(self):
-        with pytest.raises(DimensionMismatch):
-            mat_vec(np.eye(3), np.zeros(2))
-        with pytest.raises(DimensionMismatch):
-            mat_mat(np.eye(3), np.zeros((2, 2)))
-        with pytest.raises(DimensionMismatch):
-            add(np.eye(2), np.eye(3))

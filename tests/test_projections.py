@@ -73,3 +73,16 @@ def test_serialization_round_trip(tmp_path):
     assert back.input_dim == 5 and back.output_dim == 12 and back.seed == 99
     assert (back.directions == pmap.directions).all()
     assert (back.offsets == pmap.offsets).all()
+
+
+def test_serialized_bytes_depend_only_on_the_map(tmp_path, monkeypatch):
+    # sessions name the file by its hash, so an unchanged map must give
+    # unchanged bytes, whatever the clock says
+    import time
+
+    paths = []
+    for clock in (0.0, 1.7e9):
+        monkeypatch.setattr(time, "time", lambda: clock)
+        paths.append(tmp_path / f"{clock}.bin")
+        save_projection(make_projection(4, 6, 1), paths[-1])
+    assert paths[0].read_bytes() == paths[1].read_bytes()
