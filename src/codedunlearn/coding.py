@@ -191,21 +191,26 @@ class CodedStore:
         """Uncoded shard i with unlearned rows zeroed out.
 
         Masks by id rather than trusting the zeroed base rows, so verify
-        checks the rows independently of how unlearn erased them."""
+        checks the rows independently of how unlearn erased them.  The mask
+        is one set lookup per row; np.isin would first copy the whole id
+        set into an array, a cost that grows with every unlearn."""
         lo = i * self.shard_size
         hi = lo + self.shard_size
-        gone = np.isin(self.ids[lo:hi],
-                       np.fromiter(self.unlearned_ids, dtype=np.int64,
-                                   count=len(self.unlearned_ids)))
+        gone = np.fromiter(map(self.unlearned_ids.__contains__,
+                               self.ids[lo:hi].tolist()),
+                           dtype=bool, count=self.shard_size)
         return (np.where(gone[:, None], 0.0, self.base_features[lo:hi]),
                 np.where(gone, 0.0, self.base_response[lo:hi]))
 
     def rebuild_coded_shard(self, j: int) -> tuple[np.ndarray, np.ndarray]:
-        """Recompute coded shard j from surviving samples, ascending order."""
-        G = self.generator.entries
-        xs, ys = zip(*(self.surviving_shard(i)
-                       for i in range(self.generator.uncoded_shards)))
-        return _combine(list(xs), G[:, j]), _combine(list(ys), G[:, j])
+        """Recompute coded shard j from surviving samples, ascending order.
+
+        Only the uncoded shards with a nonzero generator entry are built;
+        _combine would skip the others anyway."""
+        g = self.generator.entries[:, j]
+        used = np.flatnonzero(g)
+        xs, ys = zip(*(self.surviving_shard(i) for i in used))
+        return _combine(list(xs), g[used]), _combine(list(ys), g[used])
 
     def rebuild_coded_row(self, j: int, row: int) -> tuple[np.ndarray, float]:
         """Recompute one coded row from surviving contributors."""

@@ -1,9 +1,13 @@
 import json
+import re
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from codedunlearn import SessionError, load_csv
 from codedunlearn.cli import main
+from codedunlearn.session import load_session
 
 
 @pytest.fixture
@@ -162,6 +166,77 @@ class TestSessionWorkflow:
         ])
         assert result.exit_code == 3
         assert "locked" in result.output
+
+
+_NUMBER = re.compile(rb"-?(?:\d+\.\d*|\d*\.\d+|\d+)(?:[eE][-+]?\d+)?")
+
+
+def values_on_disk(session) -> np.ndarray:
+    """Every float in the session: .npy/.npz arrays decoded, number tokens
+    parsed from every other file."""
+    found = [np.empty(0)]
+    for path in session.rglob("*"):
+        if not path.is_file():
+            continue
+        data = path.read_bytes()
+        if data.startswith(b"\x93NUMPY"):
+            found.append(np.load(path, allow_pickle=False).ravel())
+        elif data.startswith(b"PK"):
+            with np.load(path, allow_pickle=False) as archive:
+                found.extend(archive[k].ravel() for k in archive.files)
+        else:
+            found.append(np.array(_NUMBER.findall(data)).astype(float))
+    return np.concatenate([a.astype(float) for a in found])
+
+
+class TestSessionFormat:
+    @pytest.mark.parametrize("extra", [(), ("--proj-dim", "8")])
+    def test_forgotten_sample_absent_from_every_file(self, tmp_path, runner,
+                                                     data_csv, extra):
+        session = train_session(runner, tmp_path, data_csv, extra)
+        k = 17
+        _, store, _ = load_session(session)
+        base = store.slot_of[k][0] * store.shard_size + store.slot_of[k][1]
+        stored = np.append(store.base_features[base], store.base_response[base])
+        raw = load_csv(data_csv, "y").features[k]
+        assert np.isin(stored, values_on_disk(session)).all()
+
+        result = runner.invoke(main, ["unlearn", "--session", str(session),
+                                      "--ids", str(k)])
+        assert result.exit_code == 0, result.output
+        on_disk = values_on_disk(session)
+        assert not np.isin(raw, on_disk).any()
+        assert not np.isin(stored, on_disk).any()
+        result = runner.invoke(main, ["verify", "--session", str(session)])
+        assert result.exit_code == 0, result.output
+
+    def test_tampered_projection_is_stale(self, tmp_path, runner, data_csv):
+        session = train_session(runner, tmp_path, data_csv,
+                                extra=["--proj-dim", "8"])
+        manifest = json.loads((session / "manifest.json").read_text())
+        projection = session / manifest["files"]["projection"]["name"]
+        data = bytearray(projection.read_bytes())
+        data[-1] ^= 1
+        projection.write_bytes(bytes(data))
+        for cmd in (["verify"], ["predict", "--data", str(data_csv)]):
+            result = runner.invoke(main, [*cmd, "--session", str(session)])
+            assert result.exit_code == 3, result.output
+            assert "stale" in result.output
+
+    @pytest.mark.parametrize("manifest,version", [
+        ({"config": {}, "saved_at": "2020-01-01T00:00:00",
+          "hashes": {"model.csv": "0" * 64, "base.csv": "0" * 64}}, 1),
+        ({"format_version": 3, "files": {}}, 3),
+    ])
+    def test_other_format_versions_refused(self, tmp_path, runner, manifest,
+                                           version):
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        (tmp_path / "model.csv").write_text("w0,agg\n0.5,0.5\n")
+        with pytest.raises(SessionError, match=f"format version {version}"):
+            load_session(tmp_path)
+        result = runner.invoke(main, ["verify", "--session", str(tmp_path)])
+        assert result.exit_code == 3
+        assert f"format version {version}" in result.output
 
 
 class TestBenchCommands:
