@@ -117,9 +117,8 @@ def rand_matrix_minimal(s: int, r: int, seed=None) -> GeneratorMatrix:
 def _combine(shards: list[np.ndarray], coeffs: np.ndarray) -> np.ndarray:
     """Sum coeffs[i] * shards[i] over ascending i; fixed order on purpose."""
     acc = np.zeros_like(shards[0])
-    for i in range(len(shards)):
-        if coeffs[i]:
-            acc = acc + coeffs[i] * shards[i]
+    for i in np.flatnonzero(coeffs):
+        acc = acc + coeffs[i] * shards[i]
     return acc
 
 
@@ -178,14 +177,12 @@ class CodedStore:
     def _base_row(self, shard: int, row: int) -> int:
         return shard * self.shard_size + row
 
-    def erase(self, u: int) -> tuple[int, int]:
-        """Mark sample u unlearned and zero its base row; its (shard, row)."""
-        shard, row = self.slot_of[u]
-        self.unlearned_ids.add(u)
-        base = self._base_row(shard, row)
+    def erase(self, u: int) -> None:
+        """Zero the base row of sample u, so its values never reach a saved
+        session; marking u unlearned is the caller's job."""
+        base = self._base_row(*self.slot_of[u])
         self.base_features[base] = 0.0
         self.base_response[base] = 0.0
-        return shard, row
 
     def surviving_shard(self, i: int) -> tuple[np.ndarray, np.ndarray]:
         """Uncoded shard i with unlearned rows zeroed out.

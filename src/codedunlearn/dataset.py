@@ -7,7 +7,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import (
     BadSplitSize,
@@ -242,6 +241,10 @@ def gen_synthetic(spec: SyntheticSpec) -> Dataset:
         return Dataset(feats, y, np.arange(spec.n))
 
     if spec.kind == "mlp":
+        # imported here: scipy.special costs most of the CLI's start-up,
+        # and only this generator needs it
+        from scipy.special import expit
+
         if not spec.layer_widths:
             raise InvalidSpec("mlp kind requires nonempty layer_widths")
         X = rng.lognormal(spec.mu, np.sqrt(spec.sigma2), (spec.n, spec.d))

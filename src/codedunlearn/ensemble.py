@@ -139,6 +139,10 @@ def unlearn(model: EnsembleModel, store: CodedStore, ids,
     their surviving contributors in the same ascending order used at encode
     time, so the reconstruction invariant stays bitwise exact.  One retrain
     per unique affected learner, regardless of batch size.
+
+    Transactional: base rows are zeroed and the new weights assigned only
+    after every solve has succeeded; if a step raises, the touched coded
+    rows and the unlearned-id set are restored before the error propagates.
     """
     ids = [int(u) for u in ids]
     for u in ids:
@@ -150,33 +154,46 @@ def unlearn(model: EnsembleModel, store: CodedStore, ids,
         raise AlreadyUnlearned("duplicate ids in one unlearn request")
 
     G = store.generator
-    touched: set[tuple[int, int]] = set()   # (coded shard, row)
-    for u in ids:
-        shard, row = store.erase(u)
-        for j in G.nonzero_columns(shard):
-            touched.add((int(j), row))
-    for j, row in sorted(touched):
-        x, yv = store.rebuild_coded_row(j, row)
-        store.coded_features[j][row] = x
-        store.coded_response[j][row] = yv
-
+    touched = sorted({(int(j), row)         # (coded shard, row)
+                      for shard, row in map(store.slot_of.get, ids)
+                      for j in G.nonzero_columns(shard)})
     affected = sorted({j for j, _ in touched})
+    # Prior values of the coded rows this call overwrites, restored if a
+    # step raises (e.g. SingularSystem) so model and store stay as they were.
+    saved = [(store.coded_features[j][row].copy(), store.coded_response[j][row])
+             for j, row in touched]
     retrain_seconds: dict[int, float] = {}
-    total = 0.0
-    for j in affected:
-        t0 = time.perf_counter()
-        model.weights[:, j] = ridge_solve(
-            store.coded_features[j], store.coded_response[j], model.lam
-        )
-        dt = time.perf_counter() - t0
-        retrain_seconds[j] = dt
-        total += dt
+    fresh: dict[int, np.ndarray] = {}
+    store.unlearned_ids.update(ids)
+    try:
+        for j, row in touched:
+            x, yv = store.rebuild_coded_row(j, row)
+            store.coded_features[j][row] = x
+            store.coded_response[j][row] = yv
+        for j in affected:
+            t0 = time.perf_counter()
+            fresh[j] = ridge_solve(
+                store.coded_features[j], store.coded_response[j], model.lam
+            )
+            retrain_seconds[j] = time.perf_counter() - t0
+    except BaseException:
+        store.unlearned_ids.difference_update(ids)
+        for (j, row), (x, yv) in zip(touched, saved):
+            store.coded_features[j][row] = x
+            store.coded_response[j][row] = yv
+        raise
+    # rebuild_coded_row skips unlearned ids without reading their base rows,
+    # so the rows are zeroed only once nothing can fail.
+    for u in ids:
+        store.erase(u)
+    for j, w in fresh.items():
+        model.weights[:, j] = w
     model.agg = model.weights.mean(axis=1)
     report = AffectedReport(
         unlearned_ids=ids,
         affected_learners=affected,
         retrain_seconds=retrain_seconds,
-        total_seconds=total,
+        total_seconds=sum(retrain_seconds.values()),
     )
     return model, store, report
 

@@ -2,6 +2,12 @@
 
 All operations are pure functions of their arguments; arrays are treated as
 immutable and never modified in place.
+
+The binary rank is exact over the rationals.  It is first certified by
+vectorised elimination modulo the prime 2**31 - 1: a minor that is nonzero
+mod p is nonzero over Q, so the rank mod p is a lower bound on the rank over
+Q, which is at most min(m, n).  When the two bounds meet the rank is known;
+otherwise fraction-free (Bareiss) elimination on Python integers decides it.
 """
 
 from __future__ import annotations
@@ -57,17 +63,62 @@ def ridge_solve(X, y, lam: float) -> np.ndarray:
     return w
 
 
+# Modulus of the rank certificate: a prime below 2**31, so the product of two
+# residues fits in int64.
+_PRIME = 2**31 - 1
+
+
 def binary_rank(G) -> int:
     """Rank of a 0/1 matrix over the rationals, computed exactly.
 
-    Fraction-free (Bareiss) elimination on Python integers; no floating-point
-    tolerance is involved, so the result is deterministic.
+    The rank modulo the prime 2**31 - 1 never exceeds the rank over Q, which
+    never exceeds min(m, n); when the rank mod p reaches min(m, n) it is
+    returned.  Otherwise fraction-free (Bareiss) elimination on Python
+    integers gives the exact rank.  No floating-point tolerance is involved,
+    so the result is deterministic.
     """
     G = np.asarray(G)
     if G.ndim != 2:
         raise DimensionMismatch("binary_rank expects a 2-d matrix")
     if not np.isin(G, (0, 1)).all():
         raise ValueError("entries must be 0 or 1")
+    full = min(G.shape)
+    if _rank_mod_p(G) == full:
+        return full
+    return _bareiss_rank(G)
+
+
+def _rank_mod_p(G: np.ndarray) -> int:
+    """Rank of an integer matrix over GF(_PRIME), by int64 elimination.
+
+    Pivots run over the shorter side, and each pivot updates only the rows
+    with a nonzero entry in its column, so sparse (one-hot) matrices stay
+    sparse and cost one pass per pivot."""
+    p = _PRIME
+    A = np.array(G.T if G.shape[1] > G.shape[0] else G, dtype=np.int64) % p
+    n = A.shape[1]
+    rank = 0
+    for col in range(n):
+        nz = rank + np.flatnonzero(A[rank:, col])
+        if nz.size == 0:
+            continue
+        if nz[0] != rank:
+            A[[rank, nz[0]]] = A[[nz[0], rank]]
+        # Rows above `rank` are never read again, so the scaled pivot row
+        # need not be stored back.
+        pivot = A[rank, col:] * pow(int(A[rank, col]), p - 2, p) % p
+        rows = nz[1:]
+        if rows.size:
+            A[rows, col:] = (A[rows, col:] - A[rows, col, None] * pivot) % p
+        rank += 1
+        if rank == n:
+            break
+    return rank
+
+
+def _bareiss_rank(G: np.ndarray) -> int:
+    """Exact rank over Q by fraction-free (Bareiss) elimination on Python
+    integers; the reference the mod-p certificate falls back to."""
     rows = [[int(v) for v in row] for row in G]
     m = len(rows)
     n = len(rows[0]) if m else 0

@@ -1,10 +1,15 @@
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import codedunlearn
 from codedunlearn import SessionError, load_csv
 from codedunlearn.cli import main
 from codedunlearn.session import load_session
@@ -285,3 +290,17 @@ class TestBenchCommands:
         payload = json.loads(out.read_text())
         assert len(payload["records"]) == 4
         assert payload["config"]["percentiles"] == [0, 10]
+
+
+def test_cli_import_skips_scipy_special():
+    # unlearn, predict and verify generate no data, so CLI start-up must not
+    # pay for scipy.special
+    src = str(Path(codedunlearn.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(
+               filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, codedunlearn.cli; print('scipy.special' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "False"

@@ -4,6 +4,8 @@ import pytest
 from codedunlearn import (
     AlreadyUnlearned,
     Dataset,
+    GeneratorMatrix,
+    SingularSystem,
     UnknownSample,
     learn,
     make_projection,
@@ -144,6 +146,34 @@ class TestUnlearn:
         after = verify_perfect_unlearning(model, store)
         assert before.passed and after.passed
         assert before.max_discrepancy == after.max_discrepancy == 0.0
+
+    def test_failed_unlearn_leaves_state_untouched(self):
+        # lam=0 with an identity code: forgetting every row of shard 0
+        # empties coded shard 0, so its solve raises SingularSystem
+        ds = make_train(40, 3, seed=14)
+        G = GeneratorMatrix(4, 4, np.eye(4, dtype=int), 0.25)
+        model, store, _ = learn(ds, 4, 4, "minimal", 0.0, generator=G)
+        unlearn(model, store, [25])
+        shard0_ids = [u for u, (i, _) in store.slot_of.items() if i == 0]
+
+        def state():
+            return [store.base_features.copy(), store.base_response.copy(),
+                    *[c.copy() for c in store.coded_features],
+                    *[c.copy() for c in store.coded_response],
+                    model.weights.copy(), model.agg.copy()]
+
+        before, ids_before = state(), set(store.unlearned_ids)
+        with pytest.raises(SingularSystem):
+            unlearn(model, store, shard0_ids)
+        for a, b in zip(state(), before, strict=True):
+            assert a.tobytes() == b.tobytes()
+        assert store.unlearned_ids == ids_before
+        assert verify_perfect_unlearning(model, store).max_discrepancy == 0.0
+        other = next(u for u, (i, _) in store.slot_of.items() if i == 1
+                     and u not in store.unlearned_ids)
+        _, _, report = unlearn(model, store, [other])
+        assert report.affected_learners == [1]
+        assert verify_perfect_unlearning(model, store).max_discrepancy == 0.0
 
 
 class TestVerify:

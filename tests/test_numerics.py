@@ -3,7 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from codedunlearn import DimensionMismatch, SingularSystem, binary_rank, ridge_solve
+from codedunlearn import (
+    DimensionMismatch,
+    SingularSystem,
+    binary_rank,
+    rand_matrix_minimal,
+    ridge_solve,
+)
+from codedunlearn import numerics
 
 
 def ridge_loss_grad(X, y, lam, w):
@@ -133,3 +140,35 @@ class TestBinaryRank:
     def test_rejects_nonbinary(self):
         with pytest.raises(ValueError):
             binary_rank([[2, 0], [0, 1]])
+
+    def test_fallback_exact_when_certificate_falls_short(self, monkeypatch):
+        # det 2: rank 2 mod 2 but 3 over Q, so only the fallback gets it right
+        monkeypatch.setattr(numerics, "_PRIME", 2)
+        G = np.array([[1, 1, 0], [0, 1, 1], [1, 0, 1]])
+        assert numerics._rank_mod_p(G) == 2
+        assert binary_rank(G) == 3
+
+    def test_matches_bareiss(self):
+        rng = np.random.default_rng(17)
+        for _ in range(300):
+            m, n = rng.integers(1, 31, size=2)
+            G = (rng.random((m, n)) < rng.uniform(0.05, 0.95)).astype(int)
+            kind = rng.integers(4)
+            if kind == 1 and m > 1:      # duplicated row
+                G[rng.integers(1, m)] = G[0]
+            elif kind == 2 and n > 1:    # duplicated column
+                G[:, rng.integers(1, n)] = G[:, 0]
+            elif kind == 3:
+                G[:] = 0
+            expected = numerics._bareiss_rank(G)
+            assert binary_rank(G) == expected
+            # seeded, so this cannot flake: p divides none of these minors
+            assert numerics._rank_mod_p(G) == expected
+
+    def test_full_rank_one_hot_skips_fallback(self, monkeypatch):
+        def refuse(G):
+            raise AssertionError("Bareiss fallback called")
+
+        monkeypatch.setattr(numerics, "_bareiss_rank", refuse)
+        G = rand_matrix_minimal(2000, 400, seed=3)
+        assert binary_rank(G.entries) == 400
