@@ -56,6 +56,7 @@ from .errors import (
     MissingColumn,
     NonTermination,
     ParseError,
+    RankDeficient,
     SessionError,
     SingularSystem,
     TooFewSamples,

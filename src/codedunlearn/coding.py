@@ -9,6 +9,7 @@ invariant is bitwise checkable despite floating-point non-associativity.
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -18,7 +19,9 @@ from .errors import (
     DensityOutOfRange,
     DimensionMismatch,
     NonTermination,
+    RankDeficient,
     TooFewSamples,
+    UnknownSample,
 )
 from .numerics import binary_rank
 
@@ -41,22 +44,24 @@ class GeneratorMatrix:
         s, r = self.uncoded_shards, self.coded_shards
         if not 1 <= r <= s:
             raise ValueError(f"need 1 <= r <= s, got s={s}, r={r}")
-        G = np.asarray(self.entries, dtype=np.int64)
-        object.__setattr__(self, "entries", G)
-        if G.shape != (s, r):
-            raise DimensionMismatch(f"entries shape {G.shape}, expected {(s, r)}")
-        if not np.isin(G, (0, 1)).all():
+        E = np.asarray(self.entries)
+        if E.shape != (s, r):
+            raise DimensionMismatch(f"entries shape {E.shape}, expected {(s, r)}")
+        # checked before the cast, which would truncate e.g. 1.7 to 1
+        if not ((E == 0) | (E == 1)).all():
             raise ValueError("entries must be 0 or 1")
+        G = np.asarray(E, dtype=np.int64)
+        object.__setattr__(self, "entries", G)
         if (G.sum(axis=1) == 0).any():
             raise ValueError("generator matrix has an all-zero row")
         if binary_rank(G) != r:
-            raise ValueError("generator matrix is not full column rank")
+            raise RankDeficient("generator matrix is not full column rank")
 
     def row_weight(self, i: int) -> int:
         return int(self.entries[i].sum())
 
     def nonzero_columns(self, i: int) -> np.ndarray:
-        return np.flatnonzero(self.entries[i])
+        return self.entries[i].nonzero()[0]
 
 
 def rate(G: GeneratorMatrix) -> Fraction:
@@ -67,30 +72,24 @@ def rate(G: GeneratorMatrix) -> Fraction:
 def rand_matrix(s: int, r: int, rho: float, seed=None,
                 guard: int = RESAMPLE_GUARD) -> GeneratorMatrix:
     """i.i.d. Bernoulli(rho) draws, whole-matrix resampled until no row is
-    all-zero, then resampled again until the rank is exactly r.
+    all-zero and the rank is exactly r.
 
-    The two rejection loops are nested: the zero-row condition is restored
-    first on every rank failure.  Densities below 1/r are refused since the
-    no-zero-row condition then fails in expectation.
+    A draw with an all-zero row is rejected before its rank is computed;
+    GeneratorMatrix itself is the one rank check.  Densities below 1/r are
+    refused since the no-zero-row condition then fails in expectation.
     """
     if not 1 <= r <= s:
         raise ValueError(f"need 1 <= r <= s, got s={s}, r={r}")
     if not 1.0 / r <= rho <= 1.0:
         raise DensityOutOfRange(f"rho={rho} outside [1/{r}, 1]")
     rng = np.random.default_rng(seed)
-    draws = 0
-    while True:  # outer: full column rank
-        while True:  # inner: no all-zero rows
-            draws += 1
-            if draws > guard:
-                raise NonTermination(
-                    f"no valid {s}x{r} matrix with rho={rho} after {guard} draws"
-                )
-            G = (rng.random((s, r)) < rho).astype(np.int64)
-            if not (G.sum(axis=1) == 0).any():
-                break
-        if binary_rank(G) == r:
-            return GeneratorMatrix(s, r, G, rho, seed)
+    for _ in range(guard):
+        G = (rng.random((s, r)) < rho).astype(np.int64)
+        if not (G.sum(axis=1) == 0).any():
+            with suppress(RankDeficient):   # redraw
+                return GeneratorMatrix(s, r, G, rho, seed)
+    raise NonTermination(
+        f"no valid {s}x{r} matrix with rho={rho} after {guard} draws")
 
 
 def rand_matrix_minimal(s: int, r: int, seed=None) -> GeneratorMatrix:
@@ -114,11 +113,12 @@ def rand_matrix_minimal(s: int, r: int, seed=None) -> GeneratorMatrix:
     return GeneratorMatrix(s, r, G, 1.0 / r, seed)
 
 
-def _combine(shards: list[np.ndarray], coeffs: np.ndarray) -> np.ndarray:
-    """Sum coeffs[i] * shards[i] over ascending i; fixed order on purpose."""
+def _combine(shards, coeffs: np.ndarray) -> np.ndarray:
+    """Sum coeffs[i] * shards[i] over ascending i; fixed order on purpose.
+    coeffs are 0/1 and 1 * x is exactly x, so shards[i] is added as is."""
     acc = np.zeros_like(shards[0])
-    for i in np.flatnonzero(coeffs):
-        acc = acc + coeffs[i] * shards[i]
+    for i in coeffs.nonzero()[0]:
+        acc = acc + shards[i]
     return acc
 
 
@@ -128,11 +128,12 @@ class CodedStore:
 
     base_features/base_response hold the encoded-input rows (projected
     features when a projection is in use) of every non-dropped training
-    sample, in shard order, with the rows of unlearned samples zeroed;
-    slot_of maps a sample id to its (uncoded shard, within-shard row).
-    Coded shard j always equals the ascending-order sum of g[i, j] times the
-    surviving rows of uncoded shard i, so it can be rebuilt from the base
-    rows alone (from_base).
+    sample and ids their sample ids, in shard order: position p is row
+    p % shard_size of uncoded shard p // shard_size.  Unlearning ids[p] sets
+    alive[p] False and zeroes base row p; locate finds p through a sorted
+    index of ids that is never persisted.  Coded shard j always equals the
+    ascending-order sum of g[i, j] times the surviving rows of uncoded shard
+    i, so it can be rebuilt from the base rows alone (from_base).
 
     Concurrent reads are safe; unlearning mutation requires exclusive access.
     """
@@ -144,16 +145,20 @@ class CodedStore:
     base_features: np.ndarray
     base_response: np.ndarray
     ids: np.ndarray
-    slot_of: dict[int, tuple[int, int]]
     dropped_ids: list[int]
-    unlearned_ids: set[int] = field(default_factory=set)
+    alive: np.ndarray
+    _order: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self._order = np.argsort(self.ids, kind="stable")
 
     @classmethod
     def from_base(cls, base_features: np.ndarray, base_response: np.ndarray,
                   ids: np.ndarray, generator: GeneratorMatrix,
-                  dropped_ids: list[int], unlearned_ids=()) -> CodedStore:
+                  dropped_ids: list[int], alive=None) -> CodedStore:
         """Store whose coded shards are encoded from the given base rows,
-        which fill the s uncoded shards exactly and are kept, not copied."""
+        which fill the s uncoded shards exactly and are kept, not copied.
+        alive defaults to every sample retained."""
         s = generator.uncoded_shards
         nbar = ids.shape[0] // s
         shards_X = [base_features[i * nbar:(i + 1) * nbar] for i in range(s)]
@@ -169,35 +174,32 @@ class CodedStore:
             base_features=base_features,
             base_response=base_response,
             ids=ids,
-            slot_of={u: divmod(p, nbar) for p, u in enumerate(ids.tolist())},
             dropped_ids=dropped_ids,
-            unlearned_ids=set(unlearned_ids),
+            alive=np.ones(len(ids), dtype=bool) if alive is None else alive,
         )
 
-    def _base_row(self, shard: int, row: int) -> int:
-        return shard * self.shard_size + row
-
-    def erase(self, u: int) -> None:
-        """Zero the base row of sample u, so its values never reach a saved
-        session; marking u unlearned is the caller's job."""
-        base = self._base_row(*self.slot_of[u])
-        self.base_features[base] = 0.0
-        self.base_response[base] = 0.0
+    def locate(self, ids) -> np.ndarray:
+        """Base-row positions of the given sample ids; UnknownSample names
+        the first id the store does not hold."""
+        keys = np.asarray(ids)
+        pos = self._order.take(
+            np.searchsorted(self.ids, keys, sorter=self._order), mode="clip")
+        missing = self.ids[pos] != keys
+        if missing.any():
+            raise UnknownSample(f"sample {keys[missing.argmax()]} is not in "
+                                "the learned training set")
+        return pos
 
     def surviving_shard(self, i: int) -> tuple[np.ndarray, np.ndarray]:
         """Uncoded shard i with unlearned rows zeroed out.
 
-        Masks by id rather than trusting the zeroed base rows, so verify
-        checks the rows independently of how unlearn erased them.  The mask
-        is one set lookup per row; np.isin would first copy the whole id
-        set into an array, a cost that grows with every unlearn."""
+        Masks by alive rather than trusting the zeroed base rows, so verify
+        checks the rows independently of how unlearn erased them."""
         lo = i * self.shard_size
         hi = lo + self.shard_size
-        gone = np.fromiter(map(self.unlearned_ids.__contains__,
-                               self.ids[lo:hi].tolist()),
-                           dtype=bool, count=self.shard_size)
-        return (np.where(gone[:, None], 0.0, self.base_features[lo:hi]),
-                np.where(gone, 0.0, self.base_response[lo:hi]))
+        keep = self.alive[lo:hi]
+        return (np.where(keep[:, None], self.base_features[lo:hi], 0.0),
+                np.where(keep, self.base_response[lo:hi], 0.0))
 
     def rebuild_coded_shard(self, j: int) -> tuple[np.ndarray, np.ndarray]:
         """Recompute coded shard j from surviving samples, ascending order.
@@ -205,25 +207,18 @@ class CodedStore:
         Only the uncoded shards with a nonzero generator entry are built;
         _combine would skip the others anyway."""
         g = self.generator.entries[:, j]
-        used = np.flatnonzero(g)
+        used = g.nonzero()[0]
         xs, ys = zip(*(self.surviving_shard(i) for i in used))
         return _combine(list(xs), g[used]), _combine(list(ys), g[used])
 
     def rebuild_coded_row(self, j: int, row: int) -> tuple[np.ndarray, float]:
-        """Recompute one coded row from surviving contributors."""
-        G = self.generator.entries
-        x = np.zeros(self.base_features.shape[1])
-        y = np.zeros(())
-        for i in range(self.generator.uncoded_shards):
-            g = G[i, j]
-            if not g:
-                continue
-            base = self._base_row(i, row)
-            if int(self.ids[base]) in self.unlearned_ids:
-                continue
-            x = x + g * self.base_features[base]
-            y = y + g * self.base_response[base]
-        return x, float(y)
+        """Recompute one coded row from surviving contributors: row `row` of
+        every uncoded shard with a nonzero entry in column j, ascending."""
+        used = self.generator.entries[:, j].nonzero()[0]
+        rows = used * self.shard_size + row
+        keep = self.alive[rows]
+        return (_combine(self.base_features[rows], keep),
+                float(_combine(self.base_response[rows], keep)))
 
 
 def encode(features, response, ids, G: GeneratorMatrix) -> CodedStore:

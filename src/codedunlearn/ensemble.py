@@ -19,7 +19,7 @@ import numpy as np
 from . import coding
 from .coding import MINIMAL, CodedStore, GeneratorMatrix, encode
 from .dataset import Dataset
-from .errors import AlreadyUnlearned, DimensionMismatch, UnknownSample
+from .errors import AlreadyUnlearned, DimensionMismatch
 from .numerics import ridge_solve
 from .projections import ProjectionMap, project
 
@@ -132,31 +132,32 @@ def unlearn(model: EnsembleModel, store: CodedStore, ids,
             ) -> tuple[EnsembleModel, CodedStore, AffectedReport]:
     """Remove the listed samples and retrain only the affected learners.
 
-    For every sample: zero its base row (so its values never reach a saved
-    session), locate its (uncoded shard, row), find the nonzero
-    generator-row columns, and remove its contribution from the matching
-    coded row of each of those shards.  The touched rows are recomputed from
-    their surviving contributors in the same ascending order used at encode
-    time, so the reconstruction invariant stays bitwise exact.  One retrain
-    per unique affected learner, regardless of batch size.
+    For every sample: locate its base row through the store's id index,
+    find the nonzero generator-row columns of its uncoded shard, and remove
+    its contribution from the matching coded row of each of those shards.
+    The touched rows are recomputed from their surviving contributors in the
+    same ascending order used at encode time, so the reconstruction
+    invariant stays bitwise exact.  One retrain per unique affected learner,
+    regardless of batch size.
 
-    Transactional: base rows are zeroed and the new weights assigned only
-    after every solve has succeeded; if a step raises, the touched coded
-    rows and the unlearned-id set are restored before the error propagates.
+    Transactional: base rows are zeroed (so the samples' values never reach
+    a saved session) and the new weights assigned only after every solve
+    has succeeded; if a step raises, the touched coded rows and the alive
+    mask are restored before the error propagates.
     """
     ids = [int(u) for u in ids]
-    for u in ids:
-        if u in store.unlearned_ids:
-            raise AlreadyUnlearned(f"sample {u} was already unlearned")
-        if u not in store.slot_of:
-            raise UnknownSample(f"sample {u} is not in the learned training set")
+    pos = store.locate(ids)
+    live = store.alive[pos]
+    if not live.all():
+        raise AlreadyUnlearned(
+            f"sample {ids[live.argmin()]} was already unlearned")
     if len(set(ids)) != len(ids):
         raise AlreadyUnlearned("duplicate ids in one unlearn request")
 
     G = store.generator
-    touched = sorted({(int(j), row)         # (coded shard, row)
-                      for shard, row in map(store.slot_of.get, ids)
-                      for j in G.nonzero_columns(shard)})
+    touched = sorted({(int(j), p % store.shard_size)   # (coded shard, row)
+                      for p in pos.tolist()
+                      for j in G.nonzero_columns(p // store.shard_size)})
     affected = sorted({j for j, _ in touched})
     # Prior values of the coded rows this call overwrites, restored if a
     # step raises (e.g. SingularSystem) so model and store stay as they were.
@@ -164,7 +165,7 @@ def unlearn(model: EnsembleModel, store: CodedStore, ids,
              for j, row in touched]
     retrain_seconds: dict[int, float] = {}
     fresh: dict[int, np.ndarray] = {}
-    store.unlearned_ids.update(ids)
+    store.alive[pos] = False
     try:
         for j, row in touched:
             x, yv = store.rebuild_coded_row(j, row)
@@ -177,15 +178,15 @@ def unlearn(model: EnsembleModel, store: CodedStore, ids,
             )
             retrain_seconds[j] = time.perf_counter() - t0
     except BaseException:
-        store.unlearned_ids.difference_update(ids)
+        store.alive[pos] = True
         for (j, row), (x, yv) in zip(touched, saved):
             store.coded_features[j][row] = x
             store.coded_response[j][row] = yv
         raise
-    # rebuild_coded_row skips unlearned ids without reading their base rows,
-    # so the rows are zeroed only once nothing can fail.
-    for u in ids:
-        store.erase(u)
+    # rebuild_coded_row skips the rows alive marks unlearned, so the rows
+    # are zeroed only once nothing can fail.
+    store.base_features[pos] = 0.0
+    store.base_response[pos] = 0.0
     for j, w in fresh.items():
         model.weights[:, j] = w
     model.agg = model.weights.mean(axis=1)

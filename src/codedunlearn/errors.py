@@ -41,6 +41,10 @@ class NonTermination(CodedUnlearnError):
     """Resampling guard tripped before a valid generator matrix was found."""
 
 
+class RankDeficient(ValueError):
+    """Generator matrix is not of full column rank."""
+
+
 class TooFewSamples(CodedUnlearnError):
     """Fewer training samples than uncoded shards."""
 

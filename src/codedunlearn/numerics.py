@@ -80,7 +80,7 @@ def binary_rank(G) -> int:
     G = np.asarray(G)
     if G.ndim != 2:
         raise DimensionMismatch("binary_rank expects a 2-d matrix")
-    if not np.isin(G, (0, 1)).all():
+    if not ((G == 0) | (G == 1)).all():
         raise ValueError("entries must be 0 or 1")
     full = min(G.shape)
     if _rank_mod_p(G) == full:

@@ -97,7 +97,7 @@ def _serialize(model: EnsembleModel,
         })),
         "store": (".json", _json_bytes({
             "dropped_ids": store.dropped_ids,
-            "unlearned_ids": sorted(store.unlearned_ids),
+            "unlearned_ids": np.sort(store.ids[~store.alive]).tolist(),
             "lambda": model.lam,
         })),
     }
@@ -201,10 +201,11 @@ def load_session(directory) -> tuple[EnsembleModel, CodedStore, dict]:
     G = GeneratorMatrix(gen["s"], gen["r"], np.array(gen["rows"]),
                         gen["rho"], gen["seed"])
     meta = json.loads(data["store"])
+    ids = arrays["ids"]
     store = CodedStore.from_base(
-        arrays["base_features"], arrays["base_response"], arrays["ids"], G,
+        arrays["base_features"], arrays["base_response"], ids, G,
         dropped_ids=list(meta["dropped_ids"]),
-        unlearned_ids=meta["unlearned_ids"],
+        alive=~np.isin(ids, meta["unlearned_ids"]),
     )
     pmap = (load_projection(io.BytesIO(data["projection"]))
             if "projection" in data else None)

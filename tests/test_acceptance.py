@@ -84,16 +84,15 @@ def test_criterion_4_affected_learner_accounting(desk_results):
     ok = True
     for lam, s, r, tau, rho, k, victims, store, G, rep, _ in desk_results:
         expected = set()
-        for u in victims:
-            shard, _ = store.slot_of[u]
+        shards = store.locate(victims) // store.shard_size
+        for shard in shards:
             expected.update(int(j) for j in G.nonzero_columns(shard))
         if set(rep.affected_learners) != expected:
             ok = False
         if rho == "minimal" and k == 1 and rep.num_affected != 1:
             ok = False
         if k == 1:
-            shard, _ = store.slot_of[victims[0]]
-            if rep.num_affected != G.row_weight(shard):
+            if rep.num_affected != G.row_weight(shards[0]):
                 ok = False
     report(4, "retrain count equals generator-row support "
               "(exactly 1 at minimal density)", ok)

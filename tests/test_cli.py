@@ -201,7 +201,7 @@ class TestSessionFormat:
         session = train_session(runner, tmp_path, data_csv, extra)
         k = 17
         _, store, _ = load_session(session)
-        base = store.slot_of[k][0] * store.shard_size + store.slot_of[k][1]
+        base = store.locate([k])[0]
         stored = np.append(store.base_features[base], store.base_response[base])
         raw = load_csv(data_csv, "y").features[k]
         assert np.isin(stored, values_on_disk(session)).all()

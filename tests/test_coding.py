@@ -8,12 +8,14 @@ from codedunlearn import (
     DensityOutOfRange,
     NonTermination,
     TooFewSamples,
+    UnknownSample,
     binary_rank,
     encode,
     rand_matrix,
     rand_matrix_minimal,
     rate,
 )
+from codedunlearn import coding
 from codedunlearn.coding import GeneratorMatrix
 
 
@@ -41,6 +43,22 @@ class TestRandMatrix:
         # rho=1 forces rank 1, so the rank loop can never succeed for r >= 2
         with pytest.raises(NonTermination):
             rand_matrix(4, 2, 1.0, 0, guard=200)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_one_rank_check_per_draw(self, monkeypatch, seed):
+        # A draw with an all-zero row is rejected before any rank check,
+        # and a 50x10 Bernoulli(0.5) draw without one is full rank, so the
+        # accepted draw is the only one whose rank is computed.
+        calls = []
+
+        def counting_rank(G):
+            calls.append(G.shape)
+            return binary_rank(G)
+
+        monkeypatch.setattr(coding, "binary_rank", counting_rank)
+        G = rand_matrix(50, 10, 0.5, seed)
+        assert calls == [(50, 10)]
+        check_conditions(G)
 
     def test_density_below_minimum_rejected(self):
         with pytest.raises(DensityOutOfRange):
@@ -76,6 +94,11 @@ class TestGeneratorMatrix:
     def test_rejects_nonbinary(self):
         with pytest.raises(ValueError):
             GeneratorMatrix(2, 2, np.array([[1, 0], [0, 2]]), 0.5)
+
+    def test_rejects_fraction_before_int_cast(self):
+        # cast first, 1.7 would be accepted as 1
+        with pytest.raises(ValueError, match="0 or 1"):
+            GeneratorMatrix(2, 2, [[1.7, 0], [0, 1]], 0.5)
 
 
 class TestRate:
@@ -135,7 +158,9 @@ class TestEncode:
         store = encode(ds.features, ds.response, ds.ids, G)
         assert store.shard_size == 3
         assert store.dropped_ids == [9]
-        assert set(store.slot_of) == set(range(9))
+        assert store.locate(range(9)).tolist() == list(range(9))
+        with pytest.raises(UnknownSample):
+            store.locate([9])
 
     def test_identity_generator_degenerates_to_uncoded(self):
         ds = make_train(9, 2)
@@ -184,7 +209,7 @@ def surviving_shard_by_loop(store, i):
     X = store.base_features[lo:lo + store.shard_size].copy()
     y = store.base_response[lo:lo + store.shard_size].copy()
     for row in range(store.shard_size):
-        if int(store.ids[lo + row]) in store.unlearned_ids:
+        if not store.alive[lo + row]:
             X[row] = 0.0
             y[row] = 0.0
     return X, y
@@ -196,8 +221,8 @@ class TestSurvivingShard:
         ds = make_train(21, 3, seed=4)
         store = encode(ds.features, ds.response, ds.ids,
                        rand_matrix(4, 2, 0.7, 1))
-        # mark ids unlearned without zeroing their rows: the mask is by id
-        store.unlearned_ids = set(unlearned)
+        # mark ids unlearned without zeroing their rows: the mask is alive
+        store.alive[store.locate(sorted(unlearned))] = False
         for i in range(4):
             X, y = store.surviving_shard(i)
             X_ref, y_ref = surviving_shard_by_loop(store, i)

@@ -93,7 +93,7 @@ class TestUnlearn:
         ds = make_train(40, 3, seed=3)
         model, store, G = learn(ds, 8, 4, 0.6, 1e-3, seed=10)
         victim = 17
-        shard, _ = store.slot_of[victim]
+        shard = store.locate([victim])[0] // store.shard_size
         _, _, report = unlearn(model, store, [victim])
         assert report.num_affected == G.row_weight(shard)
 
@@ -118,6 +118,15 @@ class TestUnlearn:
         with pytest.raises(UnknownSample):
             unlearn(model, store, [999])
 
+    @pytest.mark.parametrize("u", [-1, 20, 2**70])
+    def test_unknown_sample_in_batch_marks_nothing(self, u):
+        # ids below, above and beyond the int64 range of the sorted index
+        ds = make_train(20, 2)
+        model, store, _ = learn(ds, 4, 2, "minimal", 1e-3, seed=1)
+        with pytest.raises(UnknownSample, match=str(u)):
+            unlearn(model, store, [3, u])
+        assert store.alive.all()
+
     def test_already_unlearned(self):
         ds = make_train(20, 2)
         model, store, _ = learn(ds, 4, 2, "minimal", 1e-3, seed=1)
@@ -139,8 +148,7 @@ class TestUnlearn:
         model, store, _ = learn(ds, 5, 5, "minimal", 1e-3, seed=2)
         unlearn(model, store, [7])
         before = verify_perfect_unlearning(model, store)
-        base = store.slot_of[7]
-        row = base[0] * store.shard_size + base[1]
+        row = store.locate([7])[0]
         store.base_features[row] = 1e9
         store.base_response[row] = -1e9
         after = verify_perfect_unlearning(model, store)
@@ -154,23 +162,23 @@ class TestUnlearn:
         G = GeneratorMatrix(4, 4, np.eye(4, dtype=int), 0.25)
         model, store, _ = learn(ds, 4, 4, "minimal", 0.0, generator=G)
         unlearn(model, store, [25])
-        shard0_ids = [u for u, (i, _) in store.slot_of.items() if i == 0]
+        nbar = store.shard_size
+        shard0_ids = store.ids[:nbar].tolist()
 
         def state():
-            return [store.base_features.copy(), store.base_response.copy(),
+            return [store.alive.copy(),
+                    store.base_features.copy(), store.base_response.copy(),
                     *[c.copy() for c in store.coded_features],
                     *[c.copy() for c in store.coded_response],
                     model.weights.copy(), model.agg.copy()]
 
-        before, ids_before = state(), set(store.unlearned_ids)
+        before = state()
         with pytest.raises(SingularSystem):
             unlearn(model, store, shard0_ids)
         for a, b in zip(state(), before, strict=True):
             assert a.tobytes() == b.tobytes()
-        assert store.unlearned_ids == ids_before
         assert verify_perfect_unlearning(model, store).max_discrepancy == 0.0
-        other = next(u for u, (i, _) in store.slot_of.items() if i == 1
-                     and u not in store.unlearned_ids)
+        other = int(store.ids[nbar:2 * nbar][store.alive[nbar:2 * nbar]][0])
         _, _, report = unlearn(model, store, [other])
         assert report.affected_learners == [1]
         assert verify_perfect_unlearning(model, store).max_discrepancy == 0.0
@@ -192,7 +200,7 @@ class TestVerify:
     def test_unlearning_entire_shard(self):
         ds = make_train(24, 3, seed=12)
         model, store, G = learn(ds, 4, 2, 0.75, 1e-2, seed=13)
-        shard0_ids = [u for u, (i, _) in store.slot_of.items() if i == 0]
+        shard0_ids = store.ids[:store.shard_size].tolist()
         unlearn(model, store, shard0_ids)
         assert verify_perfect_unlearning(model, store).passed
         # affected coded rows now equal the sum of remaining contributors

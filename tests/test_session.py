@@ -48,8 +48,11 @@ class TestRoundTrip:
                 == store.coded_response[j].tobytes()
         assert back.weights.tobytes() == model.weights.tobytes()
         assert back.agg.tobytes() == model.agg.tobytes()
-        assert back_store.unlearned_ids == {3, 50, 77, 100}
-        assert back_store.slot_of == store.slot_of
+        assert set(back_store.ids[~back_store.alive].tolist()) \
+            == {3, 50, 77, 100}
+        assert back_store.alive.tobytes() == store.alive.tobytes()
+        assert back_store.ids.tobytes() == store.ids.tobytes()
+        assert back_store.shard_size == store.shard_size
         assert back_store.dropped_ids == store.dropped_ids == [200, 201, 202]
         assert verify_perfect_unlearning(back, back_store).max_discrepancy \
             == 0.0
@@ -79,9 +82,9 @@ class TestErasure:
         model, store, _ = learn(ds, 4, 2, 0.5, 1e-3, seed=2)
         unlearn(model, store, [9, 33])
         for u in (9, 33):
-            i, row = store.slot_of[u]
-            assert (store.base_features[i * store.shard_size + row] == 0).all()
-            assert store.base_response[i * store.shard_size + row] == 0
+            p = store.locate([u])[0]
+            assert (store.base_features[p] == 0).all()
+            assert store.base_response[p] == 0
         assert (ds.features[9] != 0).all()   # the caller's data is untouched
 
 
@@ -114,7 +117,7 @@ class TestCrashSafety:
             assert (tmp_path / name).read_bytes() == data
         back, back_store, _ = load_session(tmp_path)
         assert back.weights.tobytes() == weights_before.tobytes()
-        assert back_store.unlearned_ids == set()
+        assert back_store.alive.all()
         assert verify_perfect_unlearning(back, back_store).max_discrepancy \
             == 0.0
 
@@ -123,7 +126,7 @@ class TestCrashSafety:
         names = {f["name"] for f in manifest_of(tmp_path)["files"].values()}
         assert {p.name for p in tmp_path.iterdir()} == names | {"manifest.json"}
         _, back_store, _ = load_session(tmp_path)
-        assert back_store.unlearned_ids == {7, 30}
+        assert set(back_store.ids[~back_store.alive].tolist()) == {7, 30}
 
 
 class TestRefusal:
