@@ -7,18 +7,17 @@ bench-influence.  Exit codes: 0 success, 2 usage, 3 data error,
 
 from __future__ import annotations
 
-import csv
 import json
 import sys
 from dataclasses import asdict
 from pathlib import Path
 
 import click
-import numpy as np
 
 from . import bench
 from .dataset import (
     SyntheticSpec,
+    _read_numeric_csv,
     gen_synthetic,
     load_csv,
     write_csv,
@@ -151,13 +150,6 @@ def cmd_train(data, response_column, s, r, tau, rho, lam, proj_dim, seed,
                f"session at {session_dir}")
 
 
-def _read_feature_csv(path) -> np.ndarray:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        return np.array([[float(c) for c in row] for row in reader])
-
-
 @main.command("predict")
 @click.option("--session", "session_dir", required=True,
               type=click.Path(exists=True))
@@ -168,7 +160,8 @@ def cmd_predict(session_dir, data, out):
     """Predict through the aggregate model of a trained session."""
     try:
         model, _, _ = load_session(session_dir)
-        preds = predict(model, _read_feature_csv(data))
+        _, features = _read_numeric_csv(data)
+        preds = predict(model, features)
     except (CodedUnlearnError, ValueError) as exc:
         _fail(exc)
     lines = "prediction\n" + "\n".join(repr(float(p)) for p in preds) + "\n"

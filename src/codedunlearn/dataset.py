@@ -79,12 +79,8 @@ class NormalizationRecord:
         return resp * (self.response_max - self.response_min) + self.response_min
 
 
-def load_csv(path, response_column) -> Dataset:
-    """Read an all-numeric CSV with one header row.
-
-    response_column selects the response by header name or zero-based index;
-    remaining columns become features in file order.
-    """
+def _read_numeric_csv(path) -> tuple[list[str], np.ndarray]:
+    """Header and data rows of an all-numeric CSV with one header row."""
     path = Path(path)
     with path.open(newline="") as fh:
         reader = csv.reader(fh)
@@ -92,19 +88,6 @@ def load_csv(path, response_column) -> Dataset:
             header = next(reader)
         except StopIteration:
             raise ParseError(f"{path}: empty file") from None
-        if isinstance(response_column, int):
-            if not 0 <= response_column < len(header):
-                raise MissingColumn(
-                    f"{path}: column index {response_column} out of range"
-                )
-            resp_idx = response_column
-        else:
-            try:
-                resp_idx = header.index(str(response_column))
-            except ValueError:
-                raise MissingColumn(
-                    f"{path}: no column named {response_column!r}"
-                ) from None
         rows = []
         for lineno, row in enumerate(reader, start=2):
             if len(row) != len(header):
@@ -123,10 +106,32 @@ def load_csv(path, response_column) -> Dataset:
             rows.append(parsed)
     if not rows:
         raise ParseError(f"{path}: no data rows")
-    data = np.array(rows, dtype=float)
+    return header, np.array(rows, dtype=float)
+
+
+def load_csv(path, response_column) -> Dataset:
+    """Read an all-numeric CSV with one header row.
+
+    response_column selects the response by header name or zero-based index;
+    remaining columns become features in file order.
+    """
+    header, data = _read_numeric_csv(path)
+    if isinstance(response_column, int):
+        if not 0 <= response_column < len(header):
+            raise MissingColumn(
+                f"{path}: column index {response_column} out of range"
+            )
+        resp_idx = response_column
+    else:
+        try:
+            resp_idx = header.index(str(response_column))
+        except ValueError:
+            raise MissingColumn(
+                f"{path}: no column named {response_column!r}"
+            ) from None
     response = data[:, resp_idx]
     features = np.delete(data, resp_idx, axis=1)
-    return Dataset(features, response, np.arange(len(rows)))
+    return Dataset(features, response, np.arange(len(data)))
 
 
 def write_csv(ds: Dataset, path, response_name: str = "y",
@@ -241,10 +246,6 @@ def gen_synthetic(spec: SyntheticSpec) -> Dataset:
         return Dataset(feats, y, np.arange(spec.n))
 
     if spec.kind == "mlp":
-        # imported here: scipy.special costs most of the CLI's start-up,
-        # and only this generator needs it
-        from scipy.special import expit
-
         if not spec.layer_widths:
             raise InvalidSpec("mlp kind requires nonempty layer_widths")
         X = rng.lognormal(spec.mu, np.sqrt(spec.sigma2), (spec.n, spec.d))
@@ -252,7 +253,8 @@ def gen_synthetic(spec: SyntheticSpec) -> Dataset:
         for width in spec.layer_widths:
             W = rng.standard_normal((h.shape[1], width))
             b = rng.standard_normal(width)
-            h = expit(h @ W + b)
+            # logistic sigmoid; unlike 1 / (1 + exp(-z)) it cannot overflow
+            h = 0.5 + 0.5 * np.tanh(0.5 * (h @ W + b))
         w_out = rng.standard_normal(h.shape[1])
         b_out = rng.standard_normal()
         y = h @ w_out + b_out + rng.standard_normal(spec.n)

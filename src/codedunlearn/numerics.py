@@ -1,7 +1,9 @@
 """Dense numeric substrate: closed-form ridge solver and exact binary rank.
 
 All operations are pure functions of their arguments; arrays are treated as
-immutable and never modified in place.
+immutable and never modified in place.  Only numpy is used.  An
+unregularized ridge solve is refused when the exact condition number of X'X
+exceeds COND_LIMIT.
 
 The binary rank is exact over the rationals.  It is first certified by
 vectorised elimination modulo the prime 2**31 - 1: a minor that is nonzero
@@ -13,11 +15,10 @@ otherwise fraction-free (Bareiss) elimination on Python integers decides it.
 from __future__ import annotations
 
 import numpy as np
-from scipy import linalg as sla
 
 from .errors import DimensionMismatch, SingularSystem
 
-# Condition-number estimate above which an unregularized solve is refused.
+# Condition number of X'X above which an unregularized solve is refused.
 COND_LIMIT = 1e12
 
 
@@ -34,9 +35,11 @@ def ridge_solve(X, y, lam: float) -> np.ndarray:
     The squared-error term is averaged over the n rows, so the regularized
     normal equations carry n*lam:  w = (X'X + n*lam*I)^{-1} X'y.
 
-    With lam == 0 the system is solved through a column-pivoted QR
-    factorization of X and refused (SingularSystem) when the condition
-    estimate of X'X exceeds COND_LIMIT.
+    With lam > 0 the d x d system is solved by LU (np.linalg.solve).  With
+    lam == 0 it is solved by least squares (np.linalg.lstsq) and refused
+    (SingularSystem) unless X has d > 0 nonzero singular values sv and the
+    exact condition number of X'X, (max(sv) / min(sv))**2, is at most
+    COND_LIMIT (tested unsquared, so it cannot overflow).
     """
     X = _check_finite(X, "X")
     y = _check_finite(y, "y")
@@ -48,18 +51,12 @@ def ridge_solve(X, y, lam: float) -> np.ndarray:
         raise ValueError("lam must be nonnegative")
     n, d = X.shape
     if lam > 0:
-        a = X.T @ X + (n * lam) * np.eye(d)
-        c, low = sla.cho_factor(a, lower=True)
-        return sla.cho_solve((c, low), X.T @ y)
-    q, r, piv = sla.qr(X, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(r))
-    if diag.size == 0 or diag[-1] == 0 or (diag[0] / diag[-1]) ** 2 > COND_LIMIT:
+        return np.linalg.solve(X.T @ X + (n * lam) * np.eye(d), X.T @ y)
+    w, _, _, sv = np.linalg.lstsq(X, y, rcond=None)
+    if d == 0 or sv.size < d or sv[-1] == 0 or sv[0] > COND_LIMIT**0.5 * sv[-1]:
         raise SingularSystem(
             "X'X is numerically singular; use lam > 0 or a full-rank design"
         )
-    w_piv = sla.solve_triangular(r, q.T @ y, lower=False)
-    w = np.empty(d)
-    w[piv] = w_piv
     return w
 
 

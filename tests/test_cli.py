@@ -147,6 +147,40 @@ class TestSessionWorkflow:
         result = runner.invoke(main, ["verify", "--session", str(session)])
         assert result.exit_code == 0, result.output
 
+    def test_underdetermined_shards_refused(self, tmp_path, runner):
+        # 40 rows in s = r = 10 minimal shards: 4-row shards, 6 features, and
+        # the default lam 0 leave each learner's normal equations singular
+        data = tmp_path / "wide.csv"
+        result = runner.invoke(main, [
+            "gen-data", "--kind", "gaussian-linear", "--n", "40", "--d", "6",
+            "--out", str(data),
+        ])
+        assert result.exit_code == 0, result.output
+        result = runner.invoke(main, [
+            "train", "--data", str(data), "--s", "10", "--r", "10",
+            "--session", str(tmp_path / "session"),
+        ])
+        assert result.exit_code == 3, result.output
+        assert "numerically singular" in result.output
+
+    @pytest.mark.parametrize("text,message", [
+        ("", "empty file"),
+        ("x0,x1,x2,x3\n", "no data rows"),
+        ("x0,x1,x2,x3\n1,2,3,4\n1,2,3\n", "row 3 has 3 cells, expected 4"),
+        ("x0,x1,x2,x3\n1,2,abc,4\n",
+         "row 2, column 'x2': non-numeric cell 'abc'"),
+    ], ids=["empty", "header-only", "ragged", "non-numeric"])
+    def test_predict_rejects_malformed_csv(self, tmp_path, runner, data_csv,
+                                           text, message):
+        session = train_session(runner, tmp_path, data_csv)
+        feats = tmp_path / "feats.csv"
+        feats.write_text(text)
+        result = runner.invoke(main, [
+            "predict", "--session", str(session), "--data", str(feats),
+        ])
+        assert result.exit_code == 3, result.output
+        assert f"error: {feats}: {message}" in result.output
+
     def test_config_file_with_flag_override(self, tmp_path, runner, data_csv):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({
@@ -292,15 +326,39 @@ class TestBenchCommands:
         assert payload["config"]["percentiles"] == [0, 10]
 
 
-def test_cli_import_skips_scipy_special():
-    # unlearn, predict and verify generate no data, so CLI start-up must not
-    # pay for scipy.special
+_WITHOUT_SCIPY = """
+import sys
+sys.modules["scipy"] = None   # every import of scipy now raises ImportError
+from click.testing import CliRunner
+from codedunlearn.cli import main
+
+def run(*args):
+    result = CliRunner().invoke(main, list(args))
+    assert result.exit_code == 0, (args, result.output, result.exception)
+    return result.output
+
+run("gen-data", "--kind", "mlp", "--n", "200", "--d", "3", "--sigma2", "0.25",
+    "--seed", "5", "--out", "mlp.csv")
+for lam in ("0", "0.001"):
+    session = "session-" + lam
+    run("train", "--data", "mlp.csv", "--s", "4", "--r", "2", "--lam", lam,
+        "--session", session)
+    run("unlearn", "--session", session, "--ids", "3,50,77,120")
+    print(run("verify", "--session", session).splitlines()[0])
+"""
+
+
+def test_cli_runs_without_scipy(tmp_path):
+    # the package needs numpy and click only: with scipy blocked, gen-data
+    # --kind mlp, train with lam 0 and lam > 0, unlearn and verify all run,
+    # and verify reports a discrepancy of exactly 0
     src = str(Path(codedunlearn.__file__).resolve().parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(
                filter(None, [src, os.environ.get("PYTHONPATH")]))}
     out = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, codedunlearn.cli; print('scipy.special' in sys.modules)"],
-        env=env, capture_output=True, text=True, check=True, timeout=120)
-    assert out.stdout.strip() == "False"
+        [sys.executable, "-c", _WITHOUT_SCIPY], cwd=tmp_path, env=env,
+        capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines() == [
+        "max relative discrepancy: 0.000e+00 (tolerance 1e-08)"] * 2

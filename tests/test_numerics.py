@@ -87,6 +87,32 @@ class TestRidgeSolve:
         with pytest.raises(SingularSystem):
             ridge_solve(X, np.array([1.0, 2.0, 3.0]), 0.0)
 
+    @pytest.mark.parametrize("X", [
+        np.random.default_rng(2).normal(size=(3, 5)),   # fewer rows than columns
+        np.diag([1.0, 1e-160]),   # cond(X'X) = 1e320 overflows when squared
+    ], ids=["underdetermined", "cond-overflows-when-squared"])
+    def test_unregularized_refusals(self, X):
+        with pytest.raises(SingularSystem):
+            ridge_solve(X, np.ones(X.shape[0]), 0.0)
+
+    @pytest.mark.parametrize("cond,refused", [(1e11, False), (1e13, True)])
+    def test_condition_limit_boundary(self, cond, refused):
+        # X = U diag(sv) V' with cond(X'X) = (sv[0] / sv[-1])**2 = cond,
+        # either side of COND_LIMIT = 1e12
+        rng = np.random.default_rng(13)
+        n, d = 40, 6
+        U, _ = np.linalg.qr(rng.normal(size=(n, d)))
+        V, _ = np.linalg.qr(rng.normal(size=(d, d)))
+        sv = np.logspace(0, -0.5 * np.log10(cond), d)
+        X = (U * sv) @ V.T
+        y = rng.normal(size=n)
+        if refused:
+            with pytest.raises(SingularSystem):
+                ridge_solve(X, y, 0.0)
+        else:
+            g = ridge_loss_grad(X, y, 0.0, ridge_solve(X, y, 0.0))
+            assert np.linalg.norm(g) < 1e-8 * (1 + np.linalg.norm(y))
+
     def test_shape_mismatch(self):
         with pytest.raises(DimensionMismatch):
             ridge_solve(np.eye(3), np.zeros(4), 0.0)
