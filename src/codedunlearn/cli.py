@@ -192,7 +192,7 @@ def cmd_unlearn(session_dir, ids, ids_file):
             append_unlearn_log(directory, {
                 "ids": report.unlearned_ids,
                 "affected_learners": report.affected_learners,
-                "retrain_seconds": report.total_seconds,
+                "total_seconds": report.total_seconds,
             })
     except CodedUnlearnError as exc:
         _fail(exc)

@@ -3,8 +3,10 @@
 A generator matrix maps s uncoded shards onto r coded shards (r <= s).  Every
 accepted matrix has binary entries, no all-zero row, and exact integer rank r.
 Coded shard j is the entrywise sum over uncoded shards i (ascending) of
-g[i, j] * shard_i; the ascending order is fixed so the reconstruction
-invariant is bitwise checkable despite floating-point non-associativity.
+g[i, j] * shard_i, with unlearned rows zeroed; the ascending order is fixed so
+the reconstruction invariant is bitwise checkable despite floating-point
+non-associativity.  The r coded shards are stacked into one (r, nbar, D)
+feature array and one (r, nbar) response array.
 """
 
 from __future__ import annotations
@@ -113,43 +115,64 @@ def rand_matrix_minimal(s: int, r: int, seed=None) -> GeneratorMatrix:
     return GeneratorMatrix(s, r, G, 1.0 / r, seed)
 
 
-def _combine(shards, coeffs: np.ndarray) -> np.ndarray:
-    """Sum coeffs[i] * shards[i] over ascending i; fixed order on purpose.
-    coeffs are 0/1 and 1 * x is exactly x, so shards[i] is added as is."""
-    acc = np.zeros_like(shards[0])
-    for i in coeffs.nonzero()[0]:
-        acc = acc + shards[i]
-    return acc
+def _encode(features: np.ndarray, response: np.ndarray, alive: np.ndarray,
+            G: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Coded shards for the k columns of G (s, k), as one (k, nbar, D) and
+    one (k, nbar) array.  features, response and alive are in shard order;
+    shard j is the sum, over ascending i with G[i, j] = 1, of uncoded shard
+    i with the rows alive marks unlearned zeroed.  The order is fixed on
+    purpose.  A shard is masked at most once, and only when it holds an
+    unlearned row."""
+    s, k = G.shape
+    X, y, keep = (a.reshape(s, -1, *a.shape[1:])
+                  for a in (features, response, alive))
+    coded_X = np.zeros((k, *X.shape[1:]))
+    coded_y = np.zeros((k, y.shape[1]))
+    for i in G.any(axis=1).nonzero()[0]:
+        xi, yi = X[i], y[i]
+        if not keep[i].all():
+            xi = np.where(keep[i][:, None], xi, 0.0)
+            yi = np.where(keep[i], yi, 0.0)
+        for j in G[i].nonzero()[0]:
+            coded_X[j] += xi
+            coded_y[j] += yi
+    return coded_X, coded_y
 
 
 @dataclass
 class CodedStore:
     """The r coded shards plus the bookkeeping needed to unlearn by id.
 
-    base_features/base_response hold the encoded-input rows (projected
-    features when a projection is in use) of every non-dropped training
-    sample and ids their sample ids, in shard order: position p is row
-    p % shard_size of uncoded shard p // shard_size.  Unlearning ids[p] sets
-    alive[p] False and zeroes base row p; locate finds p through a sorted
-    index of ids that is never persisted.  Coded shard j always equals the
-    ascending-order sum of g[i, j] times the surviving rows of uncoded shard
-    i, so it can be rebuilt from the base rows alone (from_base).
+    coded_features (r, nbar, D) and coded_response (r, nbar) stack the coded
+    shards; nbar is shard_size.  base_features/base_response hold the
+    encoded-input rows (projected features when a projection is in use) of
+    every non-dropped training sample and ids their sample ids, in shard
+    order: position p is row p % shard_size of uncoded shard p // shard_size.
+    Unlearning ids[p] sets alive[p] False and zeroes base row p; locate finds
+    p through a sorted index of ids that is never persisted.  The coded
+    shards are derived state: shard j always equals the ascending-order sum
+    of g[i, j] times uncoded shard i with the rows alive marks unlearned
+    zeroed, so construction encodes them from the base rows, G and alive.
 
     Concurrent reads are safe; unlearning mutation requires exclusive access.
     """
 
-    coded_features: list[np.ndarray]
-    coded_response: list[np.ndarray]
-    shard_size: int
     generator: GeneratorMatrix
     base_features: np.ndarray
     base_response: np.ndarray
     ids: np.ndarray
     dropped_ids: list[int]
     alive: np.ndarray
+    shard_size: int = field(init=False)
+    coded_features: np.ndarray = field(init=False, repr=False)
+    coded_response: np.ndarray = field(init=False, repr=False)
     _order: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
+        self.shard_size = len(self.ids) // self.generator.uncoded_shards
+        self.coded_features, self.coded_response = _encode(
+            self.base_features, self.base_response, self.alive,
+            self.generator.entries)
         self._order = np.argsort(self.ids, kind="stable")
 
     @classmethod
@@ -158,25 +181,10 @@ class CodedStore:
                   dropped_ids: list[int], alive=None) -> CodedStore:
         """Store whose coded shards are encoded from the given base rows,
         which fill the s uncoded shards exactly and are kept, not copied.
-        alive defaults to every sample retained."""
-        s = generator.uncoded_shards
-        nbar = ids.shape[0] // s
-        shards_X = [base_features[i * nbar:(i + 1) * nbar] for i in range(s)]
-        shards_y = [base_response[i * nbar:(i + 1) * nbar] for i in range(s)]
-        G = generator.entries
-        return cls(
-            coded_features=[_combine(shards_X, G[:, j])
-                            for j in range(generator.coded_shards)],
-            coded_response=[_combine(shards_y, G[:, j])
-                            for j in range(generator.coded_shards)],
-            shard_size=nbar,
-            generator=generator,
-            base_features=base_features,
-            base_response=base_response,
-            ids=ids,
-            dropped_ids=dropped_ids,
-            alive=np.ones(len(ids), dtype=bool) if alive is None else alive,
-        )
+        alive defaults to every sample retained; rows it marks unlearned
+        are left out of the coded shards whatever their values."""
+        return cls(generator, base_features, base_response, ids, dropped_ids,
+                   np.ones(len(ids), dtype=bool) if alive is None else alive)
 
     def locate(self, ids) -> np.ndarray:
         """Base-row positions of the given sample ids; UnknownSample names
@@ -191,34 +199,32 @@ class CodedStore:
         return pos
 
     def surviving_shard(self, i: int) -> tuple[np.ndarray, np.ndarray]:
-        """Uncoded shard i with unlearned rows zeroed out.
-
-        Masks by alive rather than trusting the zeroed base rows, so verify
-        checks the rows independently of how unlearn erased them."""
-        lo = i * self.shard_size
-        hi = lo + self.shard_size
-        keep = self.alive[lo:hi]
-        return (np.where(keep[:, None], self.base_features[lo:hi], 0.0),
-                np.where(keep, self.base_response[lo:hi], 0.0))
+        """Uncoded shard i with unlearned rows zeroed out: the encoder
+        applied to the unit column e_i."""
+        e_i = np.arange(self.generator.uncoded_shards)[:, None] == i
+        X, y = _encode(self.base_features, self.base_response, self.alive, e_i)
+        return X[0], y[0]
 
     def rebuild_coded_shard(self, j: int) -> tuple[np.ndarray, np.ndarray]:
         """Recompute coded shard j from surviving samples, ascending order.
 
-        Only the uncoded shards with a nonzero generator entry are built;
-        _combine would skip the others anyway."""
-        g = self.generator.entries[:, j]
-        used = g.nonzero()[0]
-        xs, ys = zip(*(self.surviving_shard(i) for i in used))
-        return _combine(list(xs), g[used]), _combine(list(ys), g[used])
+        Masks by alive rather than trusting the zeroed base rows, so verify
+        checks the rows independently of how unlearn erased them."""
+        G = self.generator.entries[:, [j]]
+        X, y = _encode(self.base_features, self.base_response, self.alive, G)
+        return X[0], y[0]
 
     def rebuild_coded_row(self, j: int, row: int) -> tuple[np.ndarray, float]:
         """Recompute one coded row from surviving contributors: row `row` of
-        every uncoded shard with a nonzero entry in column j, ascending."""
+        every uncoded shard with a nonzero entry in column j, ascending.
+        Sums only the live contributing rows, nbar-fold less than a shard."""
         used = self.generator.entries[:, j].nonzero()[0]
         rows = used * self.shard_size + row
-        keep = self.alive[rows]
-        return (_combine(self.base_features[rows], keep),
-                float(_combine(self.base_response[rows], keep)))
+        x, yv = np.zeros(self.base_features.shape[1]), 0.0
+        for p in rows[self.alive[rows]]:
+            x += self.base_features[p]
+            yv += self.base_response[p]
+        return x, float(yv)
 
 
 def encode(features, response, ids, G: GeneratorMatrix) -> CodedStore:

@@ -37,10 +37,6 @@ class EnsembleModel:
     generator: GeneratorMatrix
     projection: ProjectionMap | None = None
 
-    @property
-    def num_learners(self) -> int:
-        return self.weights.shape[1]
-
     def encode_input(self, X_raw) -> np.ndarray:
         X_raw = np.asarray(X_raw, dtype=float)
         if self.projection is not None:
@@ -105,8 +101,8 @@ def learn(train: Dataset, s: int, r: int, rho, lam: float,
         generator = _make_generator(s, r, rho, seed)
     store = encode(feats, train.response, train.ids, generator)
     weights = np.column_stack([
-        ridge_solve(store.coded_features[j], store.coded_response[j], lam)
-        for j in range(generator.coded_shards)
+        ridge_solve(X, y, lam)
+        for X, y in zip(store.coded_features, store.coded_response)
     ])
     model = EnsembleModel(
         weights=weights,
@@ -161,16 +157,16 @@ def unlearn(model: EnsembleModel, store: CodedStore, ids,
     affected = sorted({j for j, _ in touched})
     # Prior values of the coded rows this call overwrites, restored if a
     # step raises (e.g. SingularSystem) so model and store stay as they were.
-    saved = [(store.coded_features[j][row].copy(), store.coded_response[j][row])
-             for j, row in touched]
+    at = tuple(np.array(touched, dtype=int).reshape(-1, 2).T)
+    saved = store.coded_features[at], store.coded_response[at]
     retrain_seconds: dict[int, float] = {}
     fresh: dict[int, np.ndarray] = {}
     store.alive[pos] = False
     try:
         for j, row in touched:
             x, yv = store.rebuild_coded_row(j, row)
-            store.coded_features[j][row] = x
-            store.coded_response[j][row] = yv
+            store.coded_features[j, row] = x
+            store.coded_response[j, row] = yv
         for j in affected:
             t0 = time.perf_counter()
             fresh[j] = ridge_solve(
@@ -179,9 +175,7 @@ def unlearn(model: EnsembleModel, store: CodedStore, ids,
             retrain_seconds[j] = time.perf_counter() - t0
     except BaseException:
         store.alive[pos] = True
-        for (j, row), (x, yv) in zip(touched, saved):
-            store.coded_features[j][row] = x
-            store.coded_response[j][row] = yv
+        store.coded_features[at], store.coded_response[at] = saved
         raise
     # rebuild_coded_row skips the rows alive marks unlearned, so the rows
     # are zeroed only once nothing can fail.

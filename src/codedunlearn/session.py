@@ -22,12 +22,12 @@ leaves the previous session loadable; load_session refuses any file whose
 hash does not match the manifest.
 
 Coded shards are not stored: load_session re-encodes them from the base
-rows in the ascending order used at training time.  Unlearning zeroes a
-sample's base row (ensemble.unlearn), so the rebuilt shards are bitwise the
-ones the model was trained on, and a forgotten sample's values never reach
-the disk.  Arrays are .npy files written and read with allow_pickle=False;
-they round-trip bit-exactly, so verify on a freshly loaded session reports
-discrepancy zero.
+rows, the generator and the unlearned mask in the ascending order used at
+training time, so the rebuilt shards are bitwise the ones the model was
+trained on.  Unlearning also zeroes a sample's base row (ensemble.unlearn),
+so a forgotten sample's values never reach the disk.  Arrays are .npy files
+written and read with allow_pickle=False; they round-trip bit-exactly, so
+verify on a freshly loaded session reports discrepancy zero.
 """
 
 from __future__ import annotations

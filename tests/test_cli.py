@@ -96,7 +96,10 @@ class TestSessionWorkflow:
         ])
         assert result.exit_code == 0, result.output
         log = (session / "unlearn_log.jsonl").read_text().splitlines()
-        assert json.loads(log[0])["ids"] == [5, 17]
+        entry = json.loads(log[0])
+        assert entry["ids"] == [5, 17]
+        # keys name the AffectedReport fields they hold
+        assert sorted(entry) == ["affected_learners", "ids", "total_seconds"]
         result = runner.invoke(main, ["verify", "--session", str(session)])
         assert result.exit_code == 0, result.output
 

@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import numpy as np
@@ -11,12 +12,14 @@ from codedunlearn import (
     UnknownSample,
     binary_rank,
     encode,
+    learn,
     rand_matrix,
     rand_matrix_minimal,
     rate,
+    unlearn,
 )
 from codedunlearn import coding
-from codedunlearn.coding import GeneratorMatrix
+from codedunlearn.coding import CodedStore, GeneratorMatrix
 
 
 def check_conditions(G):
@@ -228,3 +231,51 @@ class TestSurvivingShard:
             X_ref, y_ref = surviving_shard_by_loop(store, i)
             assert X.tobytes() == X_ref.tobytes()
             assert y.tobytes() == y_ref.tobytes()
+
+
+class TestEncoder:
+    def test_from_base_masks_by_alive_not_by_zeroed_rows(self):
+        ds = make_train(24, 3, seed=6)
+        G = rand_matrix(4, 3, 0.6, 2)
+        dead = [1, 8, 19]
+        alive = np.ones(24, dtype=bool)
+        alive[dead] = False
+        masked = CodedStore.from_base(ds.features, ds.response, ds.ids, G,
+                                      [], alive=alive)
+        X0, y0 = ds.features.copy(), ds.response.copy()
+        X0[dead], y0[dead] = 0.0, 0.0
+        zeroed = CodedStore.from_base(X0, y0, ds.ids, G, [])
+        for j in range(3):
+            assert masked.coded_features[j].tobytes() \
+                == zeroed.coded_features[j].tobytes()
+            assert masked.coded_response[j].tobytes() \
+                == zeroed.coded_response[j].tobytes()
+        assert masked.coded_features.shape == (3, 6, 3)
+        assert masked.coded_response.shape == (3, 6)
+
+    # sha256 of the coded shards, base rows and alive after a seeded learn
+    # and 10 unlearn batches, recorded before the shards were stacked into
+    # one array.  They are fixed-order elementwise sums, so the digest does
+    # not depend on the BLAS; the weights, which do, are left out.
+    @pytest.mark.parametrize("rho,digest", [
+        ("minimal",
+         "dceddb16e3a75cc112307743d36eff0cee96cb8588cb31ac44816623fac39537"),
+        (0.5,
+         "3b954b0754eb7f74d5c5f80376603ce2fb7c7ef5df9fa84ece98fe61e2da0601"),
+    ])
+    def test_store_digest_after_unlearn_batches(self, rho, digest):
+        rng = np.random.default_rng(21)
+        n = 605
+        ds = Dataset(rng.normal(size=(n, 5)), rng.normal(size=n),
+                     rng.permutation(n) * 2 + 1)
+        model, store, _ = learn(ds, 12, 5, rho, 1e-3, seed=8)
+        for k in range(10):
+            batch = rng.choice(store.ids[store.alive], size=[1, 3, 17][k % 3],
+                               replace=False)
+            unlearn(model, store, batch.tolist())
+        h = hashlib.sha256()
+        for a in (np.stack(list(store.coded_features)),
+                  np.stack(list(store.coded_response)),
+                  store.base_features, store.base_response, store.alive):
+            h.update(a.tobytes())
+        assert h.hexdigest() == digest

@@ -57,6 +57,21 @@ class TestRoundTrip:
         assert verify_perfect_unlearning(back, back_store).max_discrepancy \
             == 0.0
 
+    def test_weights_stay_c_contiguous(self, tmp_path):
+        # a Fortran-ordered weights array would change the summation order
+        # of weights.mean(axis=1) and the .npy header
+        def check(m):
+            assert m.weights.flags.c_contiguous
+            assert m.agg.tobytes() == m.weights.mean(axis=1).tobytes()
+
+        model, store, _ = learn(make_train(120, 4, seed=2), 6, 3, 0.5, 1e-3,
+                                seed=1)
+        check(model)
+        unlearn(model, store, [4, 90])
+        check(model)
+        save_session(tmp_path, model, store, {})
+        check(load_session(tmp_path)[0])
+
     def test_unlearn_rewrites_only_what_changed(self, tmp_path):
         ds = make_train(80, 3)
         model, store, _ = learn(ds, 4, 2, "minimal", 1e-3, seed=1)
