@@ -20,7 +20,7 @@ from . import coding
 from .coding import MINIMAL, CodedStore, GeneratorMatrix, encode
 from .dataset import Dataset
 from .errors import AlreadyUnlearned, DimensionMismatch
-from .numerics import ridge_solve
+from .numerics import _solve_normal, ridge_solve
 from .projections import ProjectionMap, project
 
 DEFAULT_TOLERANCE = 1e-8
@@ -136,10 +136,16 @@ def unlearn(model: EnsembleModel, store: CodedStore, ids,
     invariant stays bitwise exact.  One retrain per unique affected learner,
     regardless of batch size.
 
+    With lam > 0 a learner is re-solved from its cached per-slice Gram
+    products (CodedStore.slice_grams), of which only the slices holding
+    touched rows are recomputed; the cache is filled on a learner's first
+    retrain.  The sums are the ones a retrain from scratch forms, so the
+    weights equal ridge_solve on the live coded shard bitwise.
+
     Transactional: base rows are zeroed (so the samples' values never reach
-    a saved session) and the new weights assigned only after every solve
-    has succeeded; if a step raises, the touched coded rows and the alive
-    mask are restored before the error propagates.
+    a saved session) and the new weights and cache entries stored only after
+    every solve has succeeded; if a step raises, the touched coded rows and
+    the alive mask are restored before the error propagates.
     """
     ids = [int(u) for u in ids]
     pos = store.locate(ids)
@@ -154,13 +160,17 @@ def unlearn(model: EnsembleModel, store: CodedStore, ids,
     touched = sorted({(int(j), p % store.shard_size)   # (coded shard, row)
                       for p in pos.tolist()
                       for j in G.nonzero_columns(p // store.shard_size)})
-    affected = sorted({j for j, _ in touched})
+    rows_of: dict[int, list[int]] = {}   # affected learner -> its rows
+    for j, row in touched:
+        rows_of.setdefault(j, []).append(row)
+    affected = list(rows_of)             # ascending, as touched is sorted
     # Prior values of the coded rows this call overwrites, restored if a
     # step raises (e.g. SingularSystem) so model and store stay as they were.
     at = tuple(np.array(touched, dtype=int).reshape(-1, 2).T)
     saved = store.coded_features[at], store.coded_response[at]
     retrain_seconds: dict[int, float] = {}
     fresh: dict[int, np.ndarray] = {}
+    grams: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     store.alive[pos] = False
     try:
         for j, row in touched:
@@ -169,9 +179,13 @@ def unlearn(model: EnsembleModel, store: CodedStore, ids,
             store.coded_response[j, row] = yv
         for j in affected:
             t0 = time.perf_counter()
-            fresh[j] = ridge_solve(
-                store.coded_features[j], store.coded_response[j], model.lam
-            )
+            if model.lam > 0:
+                grams[j] = store.slice_products(j, rows_of[j])
+                fresh[j] = _solve_normal(*grams[j], store.shard_size,
+                                         model.lam)
+            else:
+                fresh[j] = ridge_solve(store.coded_features[j],
+                                       store.coded_response[j], 0.0)
             retrain_seconds[j] = time.perf_counter() - t0
     except BaseException:
         store.alive[pos] = True
@@ -181,6 +195,7 @@ def unlearn(model: EnsembleModel, store: CodedStore, ids,
     # are zeroed only once nothing can fail.
     store.base_features[pos] = 0.0
     store.base_response[pos] = 0.0
+    store.slice_grams.update(grams)
     for j, w in fresh.items():
         model.weights[:, j] = w
     model.agg = model.weights.mean(axis=1)

@@ -48,7 +48,11 @@ def project(pmap: ProjectionMap, X) -> np.ndarray:
         raise DimensionMismatch(
             f"project: X has shape {X.shape}, map expects {pmap.input_dim} columns"
         )
-    return np.cos(X @ pmap.directions + pmap.offsets)
+    # one full-size array, cosine taken in place: the same bits as
+    # np.cos(X @ directions + offsets), which allocates three
+    Z = X @ pmap.directions
+    Z += pmap.offsets
+    return np.cos(Z, out=Z)
 
 
 def save_projection(pmap: ProjectionMap, file) -> None:

@@ -14,6 +14,7 @@ from codedunlearn import (
     unlearn,
     verify_perfect_unlearning,
 )
+from codedunlearn import ensemble, numerics
 
 
 def make_train(n, d, seed=0):
@@ -52,6 +53,24 @@ class TestLearn:
         ds = make_train(40, 3, seed=2)
         model, _, _ = learn(ds, 8, 4, 0.5, 1e-2, seed=1)
         np.testing.assert_array_equal(model.agg, model.weights.mean(axis=1))
+
+
+    @pytest.mark.parametrize("n", [160, 1024, 1200], ids=[
+        "one-partial-slice", "whole-slices", "partial-last-slice"])
+    def test_weights_equal_ridge_solve_bitwise(self, n):
+        # s=4 shards of nbar = n/4 rows against slices of 4*D = 128 rows
+        ds = make_train(n, 32, seed=n)
+        model, store, _ = learn(ds, 4, 2, 0.5, 1e-2, seed=3)
+        for j in range(2):
+            w = ridge_solve(store.coded_features[j], store.coded_response[j],
+                            1e-2)
+            assert model.weights[:, j].tobytes() == w.tobytes()
+
+    def test_overflowing_feature_refused(self):
+        ds = make_train(40, 3, seed=2)
+        ds.features[5, 1] = 1e200
+        with pytest.raises(ValueError, match="overflow"):
+            learn(ds, 4, 2, "minimal", 1e-3, seed=1)
 
 
 class TestPredict:
@@ -227,3 +246,78 @@ class TestVerify:
         assert (pmap.directions == directions).all()
         assert (pmap.offsets == offsets).all()
         assert verify_perfect_unlearning(model, store).passed
+
+
+class TestSliceCache:
+    @staticmethod
+    def unlearned(rho, seed=21):
+        # nbar = 300 rows against slices of 4*D = 128: the last is partial
+        rng = np.random.default_rng(seed)
+        n = 3605
+        ds = Dataset(rng.normal(size=(n, 32)), rng.normal(size=n),
+                     rng.permutation(n) * 2 + 1)
+        model, store, _ = learn(ds, 12, 5, rho, 1e-3, seed=8)
+        for k in range(10):
+            batch = rng.choice(store.ids[store.alive], size=[1, 3, 17][k % 3],
+                               replace=False)
+            unlearn(model, store, batch.tolist())
+        return model, store
+
+    @staticmethod
+    def state(model, store):
+        cache = [a for j in sorted(store.slice_grams)
+                 for a in store.slice_grams[j]]
+        return [a.tobytes() for a in (
+            model.weights, model.agg, store.coded_features,
+            store.coded_response, store.alive, store.base_features,
+            store.base_response, np.array(sorted(store.slice_grams)),
+            *cache)]
+
+    @pytest.mark.parametrize("rho", ["minimal", 0.5])
+    def test_cache_equals_products_of_live_shards(self, rho):
+        model, store = self.unlearned(rho)
+        assert store.slice_grams
+        for j, (grams, rhs) in store.slice_grams.items():
+            X, y = store.coded_features[j], store.coded_response[j]
+            fresh_grams, fresh_rhs = numerics._slice_products(X, y)
+            assert grams.shape == (3, 32, 32)
+            assert grams.tobytes() == fresh_grams.tobytes()
+            assert rhs.tobytes() == fresh_rhs.tobytes()
+            assert model.weights[:, j].tobytes() \
+                == ridge_solve(X, y, 1e-3).tobytes()
+        assert verify_perfect_unlearning(model, store).max_discrepancy == 0.0
+
+    def test_failed_solve_leaves_model_store_and_cache_untouched(
+            self, monkeypatch):
+        rng = np.random.default_rng(4)
+        ds = Dataset(rng.normal(size=(3600, 32)), rng.normal(size=3600),
+                     np.arange(3600))
+        model, store, G = learn(ds, 12, 5, 0.5, 1e-3, seed=8)
+        cols = [set(row.nonzero()[0]) for row in G.entries]
+        nbar = store.shard_size
+        # warm the cache through shard a, then forget from shard b, which
+        # feeds a cached learner and one that is not, so the failing
+        # request mixes both paths
+        a, b = next((a, b) for a in range(12) for b in range(12)
+                    if cols[b] & cols[a] and cols[b] - cols[a])
+        unlearn(model, store, [a * nbar])
+        victim = int(store.ids[b * nbar + 150])   # slice 1 of 3
+        before = self.state(model, store)
+        calls = []
+        solve = ensemble._solve_normal
+
+        def fail_second(*args):
+            calls.append(1)
+            if len(calls) == 2:
+                raise FloatingPointError("injected")
+            return solve(*args)
+
+        monkeypatch.setattr(ensemble, "_solve_normal", fail_second)
+        with pytest.raises(FloatingPointError):
+            unlearn(model, store, [victim])
+        assert len(calls) == 2
+        assert self.state(model, store) == before
+        monkeypatch.undo()
+        _, _, report = unlearn(model, store, [victim])
+        assert report.affected_learners == sorted(cols[b])
+        assert verify_perfect_unlearning(model, store).max_discrepancy == 0.0

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -126,6 +128,35 @@ class TestRidgeSolve:
         X[0, 0] = np.nan
         with pytest.raises(ValueError):
             ridge_solve(X, np.zeros(2), 0.0)
+
+    def test_overflowing_gram_refused_without_warning(self):
+        # finite X whose X'X overflows: once a silent [-0., 1.33]
+        X = np.array([[1e200, 1.0], [1.0, 2.0], [3.0, 1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="overflow"):
+                ridge_solve(X, np.ones(3), 1e-3)
+
+    @pytest.mark.parametrize("n", [100, 128, 256, 300])
+    def test_regularized_gram_is_ascending_slice_sum(self, n):
+        # slices of 4d = 128 rows at d = 32, the last one partial unless
+        # 128 divides n
+        d, lam = 32, 1e-2
+        rng = np.random.default_rng(n)
+        X = rng.normal(size=(n, d))
+        y = rng.normal(size=n)
+        A, b = np.zeros((d, d)), np.zeros(d)
+        for start in range(0, n, 4 * d):
+            Xb, yb = X[start:start + 4 * d], y[start:start + 4 * d]
+            A, b = A + Xb.T @ Xb, b + Xb.T @ yb
+        expected = np.linalg.solve(A + n * lam * np.eye(d), b)
+        assert ridge_solve(X, y, lam).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("d,h", [(1, 2**17), (16, 512), (32, 128),
+                                     (100, 400)])
+    def test_slice_height(self, d, h):
+        # 4d rows, but never less than 2**17 multiply-adds per slice
+        assert numerics._slice_height(d) == h
 
 
 def rank_by_minor_enumeration(G):

@@ -1,0 +1,22 @@
+"""The benchmark's own gates at smoke scale: every workload's requests pass
+their correctness checks (verify reads exactly 0.0, sweep records match the
+stored references), so a change that breaks them fails here and not only
+when the benchmark is run."""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+RUN = Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
+
+
+def test_smoke_benchmark_is_correct():
+    proc = subprocess.run(
+        [sys.executable, str(RUN), "--workload", "all", "--scale", "smoke",
+         "--seconds", "1", "--trace", "0"],
+        capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["failed"] == 0, proc.stdout[-2000:]
+    assert result["correct"] and result["attempted"] > 0

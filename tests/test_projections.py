@@ -59,6 +59,15 @@ def test_row_separable():
     np.testing.assert_allclose(batch, rows, rtol=0, atol=1e-15)
 
 
+@pytest.mark.parametrize("n,d,D", [(1, 1, 1), (9, 3, 7), (50, 4, 100),
+                                   (300, 10, 20)])
+def test_bitwise_equal_to_unfused_expression(n, d, D):
+    pmap = make_projection(d, D, n)
+    X = np.random.default_rng(D).normal(size=(n, d)) * 3
+    expected = np.cos(X @ pmap.directions + pmap.offsets)
+    assert project(pmap, X).tobytes() == expected.tobytes()
+
+
 def test_dimension_check():
     pmap = make_projection(3, 4, 0)
     with pytest.raises(DimensionMismatch):
