@@ -4,6 +4,9 @@ Per run the harness re-shuffles and re-splits the dataset, trains the coded
 ensemble, unlearns one uniformly random training sample, and records test
 MSE (pre and post unlearn), train MSE of the aggregate model on the uncoded
 training split, retrain wall-times, and a machine-independent cost proxy.
+With a projection_dim, each run projects each split once through one
+frozen cosine map, before the learn timer starts.  The CSV columns are the
+record fields in order, TradeoffRecord.lam written as lambda.
 
 All non-timing outputs are bit-reproducible under a fixed master seed; every
 sweep cell derives its own RNG streams so concurrency or cell order never
@@ -15,7 +18,7 @@ from __future__ import annotations
 import csv
 import json
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -32,18 +35,6 @@ from .ensemble import learn, predict, unlearn
 from .errors import InvalidSpec
 from .numerics import ridge_solve
 from .projections import make_projection, project
-
-TRADEOFF_COLUMNS = [
-    "dataset", "s", "r", "tau", "rho_mode", "lambda", "D", "n_train",
-    "shard_size", "runs", "test_mse_mean", "test_mse_std", "train_mse_mean",
-    "unlearn_seconds_mean", "learn_seconds_mean", "affected_learners_mean",
-    "cost_proxy", "test_mse_pre_mean", "error",
-]
-
-INFLUENCE_COLUMNS = [
-    "dataset", "mode", "percentile", "remaining_pct", "test_mse_mean",
-    "test_mse_std", "runs", "error",
-]
 
 
 @dataclass
@@ -121,6 +112,17 @@ class InfluenceRecord:
         return asdict(self)
 
 
+TRADEOFF_COLUMNS = ["lambda" if f.name == "lam" else f.name
+                    for f in fields(TradeoffRecord)]
+INFLUENCE_COLUMNS = [f.name for f in fields(InfluenceRecord)]
+
+# what a failed sweep cell records for every measurement it could not take
+_FAILED_CELL_METRICS = dict.fromkeys(
+    ("test_mse_mean", "test_mse_std", "train_mse_mean",
+     "unlearn_seconds_mean", "learn_seconds_mean", "affected_learners_mean",
+     "cost_proxy", "test_mse_pre_mean"), float("nan"))
+
+
 def mse(pred: np.ndarray, truth: np.ndarray) -> float:
     return float(np.mean((pred - truth) ** 2))
 
@@ -148,27 +150,23 @@ def run_tradeoff(spec: SweepSpec) -> list[TradeoffRecord]:
     records = []
     rho_mode = spec.density if isinstance(spec.density, str) else f"bernoulli({spec.density})"
     for cell_idx, s, r, tau, lam in spec.cells():
+        cell = dict(dataset=spec.dataset_label, s=s, r=r, tau=tau,
+                    rho_mode=rho_mode, lam=lam, D=spec.projection_dim,
+                    n_train=spec.n_train, runs=spec.runs)
         try:
-            records.append(_tradeoff_cell(spec, ds, cell_idx, s, r, tau, lam,
-                                          rho_mode))
+            measured = _tradeoff_cell(spec, ds, cell_idx, s, r, lam)
         except Exception as exc:  # recorded, not raised: sweep must finish
-            records.append(TradeoffRecord(
-                dataset=spec.dataset_label, s=s, r=r, tau=tau,
-                rho_mode=rho_mode, lam=lam, D=spec.projection_dim,
-                n_train=spec.n_train, shard_size=0, runs=spec.runs,
-                test_mse_mean=float("nan"), test_mse_std=float("nan"),
-                train_mse_mean=float("nan"), unlearn_seconds_mean=float("nan"),
-                learn_seconds_mean=float("nan"),
-                affected_learners_mean=float("nan"), cost_proxy=float("nan"),
-                test_mse_pre_mean=float("nan"),
-                error=f"{type(exc).__name__}: {exc}",
-            ))
+            measured = dict(_FAILED_CELL_METRICS, shard_size=0,
+                            error=f"{type(exc).__name__}: {exc}")
+        records.append(TradeoffRecord(**cell, **measured))
     return records
 
 
 def _tradeoff_cell(spec: SweepSpec, ds: Dataset, cell_idx: int, s: int,
-                   r: int, tau: int, lam: float, rho_mode: str,
-                   ) -> TradeoffRecord:
+                   r: int, lam: float) -> dict:
+    """Shard size and mean metrics of one cell over spec.runs runs.  The
+    model holds no map: predicting the projected rows gives the same bits
+    as projecting inside learn and predict."""
     pre_mses, post_mses, train_mses = [], [], []
     unlearn_secs, learn_secs, affected = [], [], []
     nbar = spec.n_train // s
@@ -178,28 +176,26 @@ def _tradeoff_cell(spec: SweepSpec, ds: Dataset, cell_idx: int, s: int,
         proj_seed, code_seed = _cell_seed(spec.seed, cell_idx, run).spawn(2)
         train, test = split(ds, spec.n_train, split_seed)
         train_n, test_n, _ = normalize(train, test)
-        pmap = None
+        X_train, X_test = train_n.features, test_n.features
         if spec.projection_dim is not None:
             pmap = make_projection(ds.num_features, spec.projection_dim,
                                    proj_seed)
+            X_train, X_test = project(pmap, X_train), project(pmap, X_test)
         t0 = time.perf_counter()
-        model, store, _ = learn(train_n, s, r, spec.density, lam,
-                                projection=pmap, seed=code_seed)
+        model, store, _ = learn(replace(train_n, features=X_train), s, r,
+                                spec.density, lam, seed=code_seed)
         learn_secs.append((time.perf_counter() - t0) / r)
         width = model.weights.shape[0]
-        pre_mses.append(mse(predict(model, test_n.features), test_n.response))
+        pre_mses.append(mse(predict(model, X_test), test_n.response))
         pick_rng = np.random.default_rng(pick_seed)
         victim = int(store.ids[pick_rng.integers(0, len(store.ids))])
         _, _, report = unlearn(model, store, [victim])
         unlearn_secs.append(report.total_seconds)
         affected.append(report.num_affected)
-        post_mses.append(mse(predict(model, test_n.features), test_n.response))
-        train_mses.append(mse(predict(model, train_n.features),
-                              train_n.response))
-    return TradeoffRecord(
-        dataset=spec.dataset_label, s=s, r=r, tau=tau, rho_mode=rho_mode,
-        lam=lam, D=spec.projection_dim, n_train=spec.n_train,
-        shard_size=nbar, runs=spec.runs,
+        post_mses.append(mse(predict(model, X_test), test_n.response))
+        train_mses.append(mse(predict(model, X_train), train_n.response))
+    return dict(
+        shard_size=nbar,
         test_mse_mean=float(np.mean(post_mses)),
         test_mse_std=float(np.std(post_mses)),
         train_mse_mean=float(np.mean(train_mses)),
@@ -236,9 +232,10 @@ def run_influence(dataset, percentiles, runs: int, lam: float,
         if not 0 <= p < 50:
             raise ValueError(f"percentile {p} outside [0, 50)")
     ds = _materialize(dataset)
-    results = {(m, p): [] for m in ("outliers", "inliers") for p in percentiles}
-    remaining = {key: [] for key in results}
-    errors = {key: None for key in results}
+    keys = [(mode, p) for mode in ("outliers", "inliers") for p in percentiles]
+    mses = {key: [] for key in keys}
+    kept_pct = {key: [] for key in keys}
+    errors = dict.fromkeys(keys)
     for run in range(runs):
         split_seed, proj_seed = _run_seed(seed, run).spawn(2)
         train, test = split(ds, n_train, split_seed)
@@ -246,37 +243,38 @@ def run_influence(dataset, percentiles, runs: int, lam: float,
         # sweep; percentile bands commute with the per-column affine maps,
         # so the removal sets are unchanged
         train_n, test_n, _ = normalize(train, test)
-        for mode in ("outliers", "inliers"):
-            for p in percentiles:
-                key = (mode, p)
-                try:
-                    band = influence_band(p, mode)
-                    kept = train_n if band is None else remove_by_percentile(
-                        train_n, band, mode, columns=band_columns)
-                    feats_train, feats_test = kept.features, test_n.features
-                    if projection_dim is not None:
-                        pmap = make_projection(ds.num_features,
-                                               projection_dim, proj_seed)
-                        feats_train = project(pmap, feats_train)
-                        feats_test = project(pmap, feats_test)
-                    w = ridge_solve(feats_train, kept.response, lam)
-                    results[key].append(mse(feats_test @ w, test_n.response))
-                    remaining[key].append(100.0 * kept.n / train.n)
-                except Exception as exc:
-                    errors[key] = f"{type(exc).__name__}: {exc}"
+        X_test = test_n.features
+        try:
+            if projection_dim is not None:
+                pmap = make_projection(ds.num_features, projection_dim,
+                                       proj_seed)
+                X_test = project(pmap, X_test)
+        except Exception as exc:   # a map that cannot be built fails every key
+            errors.update(dict.fromkeys(keys, f"{type(exc).__name__}: {exc}"))
+            continue
+        for mode, p in keys:
+            try:
+                band = influence_band(p, mode)
+                kept = train_n if band is None else remove_by_percentile(
+                    train_n, band, mode, columns=band_columns)
+                X_kept = kept.features if projection_dim is None \
+                    else project(pmap, kept.features)
+                w = ridge_solve(X_kept, kept.response, lam)
+                mses[mode, p].append(mse(X_test @ w, test_n.response))
+                kept_pct[mode, p].append(100.0 * kept.n / train.n)
+            except Exception as exc:
+                errors[mode, p] = f"{type(exc).__name__}: {exc}"
+    nan = float("nan")
     records = []
-    for mode in ("outliers", "inliers"):
-        for p in percentiles:
-            key = (mode, p)
-            vals = results[key]
-            records.append(InfluenceRecord(
-                dataset=dataset_label, mode=mode, percentile=float(p),
-                remaining_pct=float(np.mean(remaining[key])) if remaining[key]
-                else float("nan"),
-                test_mse_mean=float(np.mean(vals)) if vals else float("nan"),
-                test_mse_std=float(np.std(vals)) if vals else float("nan"),
-                runs=len(vals), error=errors[key],
-            ))
+    for mode, p in keys:
+        vals, kept = mses[mode, p], kept_pct[mode, p]
+        records.append(InfluenceRecord(
+            dataset=dataset_label, mode=mode, percentile=float(p),
+            remaining_pct=float(np.mean(kept)) if kept else nan,
+            test_mse_mean=float(np.mean(vals)) if vals else nan,
+            test_mse_std=float(np.std(vals)) if vals else nan,
+            runs=len(vals), error=errors[mode, p],
+        ))
     return records
 
 

@@ -9,12 +9,12 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import click
 
-from . import bench
+from . import bench, ensemble
 from .dataset import (
     SyntheticSpec,
     _read_numeric_csv,
@@ -65,14 +65,17 @@ def main():
                                  "gaussian-linear"]))
 @click.option("--n", type=int, required=True)
 @click.option("--d", type=int, required=True)
-@click.option("--mu", type=float, default=1.0, show_default=True)
-@click.option("--sigma2", type=float, default=4.0, show_default=True)
-@click.option("--dof", type=int, default=1, show_default=True)
-@click.option("--degree", type=int, default=None)
-@click.option("--layer-widths", default="50,25,50", show_default=True)
+@click.option("--mu", type=float, default=SyntheticSpec.mu, show_default=True)
+@click.option("--sigma2", type=float, default=SyntheticSpec.sigma2,
+              show_default=True)
+@click.option("--dof", type=int, default=SyntheticSpec.dof, show_default=True)
+@click.option("--degree", type=int, default=SyntheticSpec.degree)
+@click.option("--layer-widths",
+              default=",".join(map(str, SyntheticSpec.layer_widths)),
+              show_default=True)
 @click.option("--expose-expanded", is_flag=True,
               help="Return the polynomial expansion as the feature matrix.")
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=int, default=SyntheticSpec.seed, show_default=True)
 @click.option("--out", required=True, type=click.Path())
 def cmd_gen_data(kind, n, d, mu, sigma2, dof, degree, layer_widths,
                  expose_expanded, seed, out):
@@ -204,7 +207,8 @@ def cmd_unlearn(session_dir, ids, ids_file):
 @main.command("verify")
 @click.option("--session", "session_dir", required=True,
               type=click.Path(exists=True))
-@click.option("--tolerance", type=float, default=1e-8, show_default=True)
+@click.option("--tolerance", type=float, default=ensemble.DEFAULT_TOLERANCE,
+              show_default=True)
 def cmd_verify(session_dir, tolerance):
     """Check the live model against a full retrain on surviving samples."""
     try:
@@ -224,15 +228,11 @@ def _dataset_from_spec(entry):
     if "path" in entry:
         return load_csv(entry["path"], entry.get("response_column", "y")), \
             Path(entry["path"]).stem
-    spec = SyntheticSpec(
-        kind=entry["kind"], n=entry["n"], d=entry["d"],
-        mu=entry.get("mu", 1.0), sigma2=entry.get("sigma2", 4.0),
-        dof=entry.get("dof", 1), degree=entry.get("degree"),
-        layer_widths=tuple(entry.get("layer_widths", (50, 25, 50))),
-        seed=entry.get("seed", 0),
-        expose_expanded=entry.get("expose_expanded", False),
-    )
-    return spec, entry["kind"]
+    named = {f.name: entry[f.name] for f in fields(SyntheticSpec)
+             if f.name in entry}
+    if "layer_widths" in named:
+        named["layer_widths"] = tuple(named["layer_widths"])
+    return SyntheticSpec(**named), entry["kind"]
 
 
 @main.command("bench-tradeoff")
@@ -256,11 +256,9 @@ def cmd_bench_tradeoff(spec_path, out, fmt):
             lambdas=tuple(cfg["lambdas"]),
             rates=tuple(cfg["rates"]),
             shard_counts=tuple(cfg["shard_counts"]),
-            runs=cfg.get("runs", 20),
-            seed=cfg.get("seed", 0),
-            density=cfg.get("density", "minimal"),
             projection_dim=cfg.get("projection_dim"),
             dataset_label=cfg.get("label", label),
+            **{k: cfg[k] for k in ("runs", "seed", "density") if k in cfg},
         )
         records = bench.run_tradeoff(sweep)
         bench.emit_results(records, out, fmt, config=cfg)

@@ -136,19 +136,17 @@ def load_csv(path, response_column) -> Dataset:
 
 def write_csv(ds: Dataset, path, response_name: str = "y",
               feature_names=None) -> None:
-    """Write a Dataset as CSV; floats are formatted with repr so that
-    load_csv round-trips bit-exactly."""
+    """Write a Dataset as CSV; the csv module formats each Python float
+    with repr, so load_csv round-trips bit-exactly."""
     if feature_names is None:
         feature_names = [f"x{j}" for j in range(ds.num_features)]
     path = Path(path)
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(list(feature_names) + [response_name])
-        for i in range(ds.n):
-            writer.writerow(
-                [repr(float(v)) for v in ds.features[i]]
-                + [repr(float(ds.response[i]))]
-            )
+        # row by row: a whole-array tolist() holds every cell at once
+        writer.writerows(x.tolist() + [y]
+                         for x, y in zip(ds.features, ds.response.tolist()))
 
 
 def normalize(train: Dataset, test: Dataset):

@@ -66,12 +66,14 @@ class VerificationReport:
     per_learner: np.ndarray
     agg_discrepancy: float
     tolerance: float
-    passed: bool
 
     @property
     def max_discrepancy(self) -> float:
-        worst = float(self.per_learner.max()) if self.per_learner.size else 0.0
-        return max(worst, self.agg_discrepancy)
+        return float(np.max(np.append(self.per_learner, self.agg_discrepancy)))
+
+    @property
+    def passed(self) -> bool:
+        return self.max_discrepancy <= self.tolerance
 
 
 def _make_generator(s: int, r: int, rho, seed) -> GeneratorMatrix:
@@ -223,9 +225,9 @@ def verify_perfect_unlearning(model: EnsembleModel, store: CodedStore,
     learners, and compare weights against the live model.
 
     Report-only: passes iff the worst relative discrepancy (per learner and
-    for the aggregate) is within tolerance.  With no unlearned samples the
-    rebuild reproduces the encode-time sums bitwise and the discrepancy is
-    exactly zero.
+    for the aggregate) is within tolerance; a NaN discrepancy fails.  With
+    no unlearned samples the rebuild reproduces the encode-time sums
+    bitwise and the discrepancy is exactly zero.
     """
     r = store.generator.coded_shards
     fresh = np.empty_like(model.weights)
@@ -235,11 +237,8 @@ def verify_perfect_unlearning(model: EnsembleModel, store: CodedStore,
     per_learner = np.array([
         _rel_diff(model.weights[:, j], fresh[:, j]) for j in range(r)
     ])
-    agg_disc = _rel_diff(model.agg, fresh.mean(axis=1))
-    worst = max(per_learner.max(initial=0.0), agg_disc)
     return VerificationReport(
         per_learner=per_learner,
-        agg_discrepancy=agg_disc,
+        agg_discrepancy=_rel_diff(model.agg, fresh.mean(axis=1)),
         tolerance=tolerance,
-        passed=bool(worst <= tolerance),
     )

@@ -8,10 +8,23 @@ from codedunlearn import (
     SweepSpec,
     SyntheticSpec,
     emit_results,
+    gen_synthetic,
+    learn,
+    make_projection,
+    normalize,
+    predict,
+    project,
+    remove_by_percentile,
+    ridge_solve,
     run_influence,
     run_tradeoff,
+    split,
+    unlearn,
 )
-from codedunlearn.bench import INFLUENCE_COLUMNS, TRADEOFF_COLUMNS
+from codedunlearn import bench, ensemble
+from codedunlearn.bench import TRADEOFF_COLUMNS, influence_band, mse
+
+TIMING_FIELDS = ("unlearn_seconds_mean", "learn_seconds_mean")
 
 
 @pytest.fixture(scope="module")
@@ -78,6 +91,103 @@ class TestRunTradeoff:
         with pytest.raises(Exception):
             list(spec.cells())
 
+    def test_projects_each_split_once_with_unchanged_records(
+            self, gaussian_spec, monkeypatch):
+        spec = SweepSpec(dataset=gaussian_spec, n_train=300, lambdas=(1e-3,),
+                         rates=(2,), shard_counts=(4,), runs=3, seed=9,
+                         density=0.5, projection_dim=12)
+        expected = tradeoff_reference(spec)
+        calls = []
+
+        def counting_project(pmap, X):
+            calls.append(len(X))
+            return project(pmap, X)
+
+        monkeypatch.setattr(bench, "project", counting_project)
+        monkeypatch.setattr(ensemble, "project", counting_project)
+        (rec,) = run_tradeoff(spec)
+        assert calls == [300, 100] * spec.runs   # train rows, test rows
+        got = rec.row()
+        for name in TIMING_FIELDS:
+            del got[name]
+        assert repr(got) == repr(expected)
+
+
+def tradeoff_reference(spec):
+    """Record of a one-cell projected sweep, timing fields left out, as the
+    harness computed it before projecting each split once: learn projects
+    the train rows itself, and every predict projects the raw rows."""
+    ((cell_idx, s, r, tau, lam),) = spec.cells()
+    ds = gen_synthetic(spec.dataset)
+    pre, post, train_mses, affected = [], [], [], []
+    for run in range(spec.runs):
+        split_seed, pick_seed = np.random.SeedSequence(
+            [spec.seed, run]).spawn(2)
+        proj_seed, code_seed = np.random.SeedSequence(
+            [spec.seed, cell_idx, run]).spawn(2)
+        train, test = split(ds, spec.n_train, split_seed)
+        train_n, test_n, _ = normalize(train, test)
+        pmap = make_projection(ds.num_features, spec.projection_dim,
+                               proj_seed)
+        model, store, _ = learn(train_n, s, r, spec.density, lam,
+                                projection=pmap, seed=code_seed)
+        pre.append(mse(predict(model, test_n.features), test_n.response))
+        pick = np.random.default_rng(pick_seed).integers(0, len(store.ids))
+        _, _, report = unlearn(model, store, [int(store.ids[pick])])
+        affected.append(report.num_affected)
+        post.append(mse(predict(model, test_n.features), test_n.response))
+        train_mses.append(mse(predict(model, train_n.features),
+                              train_n.response))
+    nbar = spec.n_train // s
+    return {
+        "dataset": spec.dataset_label, "s": s, "r": r, "tau": tau,
+        "rho_mode": f"bernoulli({spec.density})", "D": spec.projection_dim,
+        "n_train": spec.n_train, "shard_size": nbar, "runs": spec.runs,
+        "test_mse_mean": float(np.mean(post)),
+        "test_mse_std": float(np.std(post)),
+        "train_mse_mean": float(np.mean(train_mses)),
+        "affected_learners_mean": float(np.mean(affected)),
+        "cost_proxy": float(np.mean(affected)) * nbar
+        * spec.projection_dim**2,
+        "test_mse_pre_mean": float(np.mean(pre)),
+        "error": None,
+        "lambda": lam,
+    }
+
+
+def influence_reference(dataset, percentiles, runs, lam, n_train, seed,
+                        projection_dim):
+    """Influence record rows computed one (mode, percentile) at a time,
+    with a fresh map and freshly projected test rows for each."""
+    ds = gen_synthetic(dataset)
+    rows = []
+    for mode in ("outliers", "inliers"):
+        for p in percentiles:
+            vals, kept_pct = [], []
+            for run in range(runs):
+                split_seed, proj_seed = np.random.SeedSequence(
+                    [seed, run]).spawn(2)
+                train, test = split(ds, n_train, split_seed)
+                train_n, test_n, _ = normalize(train, test)
+                band = influence_band(p, mode)
+                kept = train_n if band is None else remove_by_percentile(
+                    train_n, band, mode)
+                pmap = make_projection(ds.num_features, projection_dim,
+                                       proj_seed)
+                w = ridge_solve(project(pmap, kept.features), kept.response,
+                                lam)
+                vals.append(mse(project(pmap, test_n.features) @ w,
+                                test_n.response))
+                kept_pct.append(100.0 * kept.n / train.n)
+            rows.append({
+                "dataset": "dataset", "mode": mode, "percentile": float(p),
+                "remaining_pct": float(np.mean(kept_pct)),
+                "test_mse_mean": float(np.mean(vals)),
+                "test_mse_std": float(np.std(vals)),
+                "runs": runs, "error": None,
+            })
+    return rows
+
 
 class TestRunInfluence:
     def test_p_zero_matches_baseline_in_both_modes(self, gaussian_spec):
@@ -105,6 +215,24 @@ class TestRunInfluence:
         with pytest.raises(ValueError):
             run_influence(gaussian_spec, [60], runs=1, lam=0.0, n_train=300)
 
+    def test_one_map_per_run_with_unchanged_records(self, gaussian_spec,
+                                                    monkeypatch):
+        percentiles, runs = [0, 5, 15], 3
+        expected = influence_reference(gaussian_spec, percentiles, runs,
+                                       lam=1e-3, n_train=300, seed=6,
+                                       projection_dim=12)
+        maps = []
+
+        def counting_make_projection(*args):
+            maps.append(args)
+            return make_projection(*args)
+
+        monkeypatch.setattr(bench, "make_projection", counting_make_projection)
+        recs = run_influence(gaussian_spec, percentiles, runs=runs, lam=1e-3,
+                             n_train=300, seed=6, projection_dim=12)
+        assert len(maps) == runs
+        assert repr([r.row() for r in recs]) == repr(expected)
+
 
 class TestEmitResults:
     def test_csv_round_trip_exact(self, tmp_path, tradeoff_records):
@@ -125,7 +253,13 @@ class TestEmitResults:
         emit_results(tradeoff_records, out, "csv")
         with out.open() as fh:
             header = list(csv.reader(fh))[0]
-        assert header == TRADEOFF_COLUMNS
+        assert header == [
+            "dataset", "s", "r", "tau", "rho_mode", "lambda", "D", "n_train",
+            "shard_size", "runs", "test_mse_mean", "test_mse_std",
+            "train_mse_mean", "unlearn_seconds_mean", "learn_seconds_mean",
+            "affected_learners_mean", "cost_proxy", "test_mse_pre_mean",
+            "error",
+        ]
 
     def test_influence_schema(self, tmp_path, gaussian_spec):
         recs = run_influence(gaussian_spec, [0], runs=1, lam=0.0, n_train=300)
@@ -133,7 +267,10 @@ class TestEmitResults:
         emit_results(recs, out, "csv")
         with out.open() as fh:
             header = list(csv.reader(fh))[0]
-        assert header == INFLUENCE_COLUMNS
+        assert header == [
+            "dataset", "mode", "percentile", "remaining_pct", "test_mse_mean",
+            "test_mse_std", "runs", "error",
+        ]
 
     def test_json_fields(self, tmp_path, tradeoff_records):
         out = tmp_path / "results.json"

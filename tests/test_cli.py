@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import re
@@ -137,6 +138,19 @@ class TestSessionWorkflow:
         result = runner.invoke(main, ["verify", "--session", str(session)])
         assert result.exit_code == 3
         assert "stale" in result.output
+
+    def test_nan_aggregate_fails_verify(self, tmp_path, runner, data_csv):
+        session = train_session(runner, tmp_path, data_csv)
+        manifest_path = session / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        entry = manifest["files"]["agg"]
+        agg = session / entry["name"]
+        np.save(agg, np.full_like(np.load(agg), np.nan))
+        entry["sha256"] = hashlib.sha256(agg.read_bytes()).hexdigest()
+        manifest_path.write_text(json.dumps(manifest))
+        result = runner.invoke(main, ["verify", "--session", str(session)])
+        assert result.exit_code == 4, result.output
+        assert "verification FAILED" in result.output
 
     def test_projection_session(self, tmp_path, runner, data_csv):
         session = train_session(runner, tmp_path, data_csv,

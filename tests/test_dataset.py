@@ -68,6 +68,19 @@ class TestCsv:
         assert (back.features == small_ds.features).all()
         assert (back.response == small_ds.response).all()
 
+    def test_bytes_equal_per_cell_repr(self, tmp_path):
+        rng = np.random.default_rng(3)
+        X = rng.normal(size=(50, 6)) * 10.0 ** rng.integers(-300, 300, (50, 6))
+        X[0] = [-0.0, np.nan, np.inf, -np.inf, 5e-324, 1e308]
+        y = rng.normal(size=50)
+        y[1] = -0.0
+        f = tmp_path / "d.csv"
+        write_csv(Dataset(X, y, np.arange(50)), f, feature_names="abcdef")
+        reference = "a,b,c,d,e,f,y\r\n" + "".join(
+            ",".join(repr(float(v)) for v in [*X[i], y[i]]) + "\r\n"
+            for i in range(50))
+        assert f.read_bytes() == reference.encode()
+
 
 class TestNormalize:
     def test_column_maps_to_unit_interval(self):

@@ -210,6 +210,14 @@ class TestVerify:
         report = verify_perfect_unlearning(model, store)
         assert report.passed and report.max_discrepancy == 0.0
 
+    def test_nan_aggregate_fails(self):
+        ds = make_train(40, 3, seed=4)
+        model, store, _ = learn(ds, 4, 2, "minimal", 1e-2, seed=6)
+        model.agg = np.full_like(model.agg, np.nan)
+        report = verify_perfect_unlearning(model, store)
+        assert not report.passed
+        assert np.isnan(report.max_discrepancy)
+
     def test_passes_after_single_unlearn(self):
         ds = make_train(40, 3, seed=4)
         model, store, _ = learn(ds, 4, 2, 0.5, 1e-2, seed=6)
