@@ -1,8 +1,9 @@
 """Command-line frontend for scripted experiment reproduction.
 
 Subcommands: gen-data, train, predict, unlearn, verify, bench-tradeoff,
-bench-influence.  Exit codes: 0 success, 2 usage, 3 data error,
-4 verification failure.
+bench-influence.  Exit codes: 0 success, 2 usage, 3 data error (any
+CodedUnlearnError, ValueError or OSError a command raises, reported as one
+"error:" line on stderr), 4 verification failure.
 """
 
 from __future__ import annotations
@@ -17,9 +18,9 @@ import click
 from . import bench, ensemble
 from .dataset import (
     SyntheticSpec,
-    _read_numeric_csv,
     gen_synthetic,
     load_csv,
+    read_numeric_csv,
     write_csv,
 )
 from .ensemble import learn, predict, unlearn, verify_perfect_unlearning
@@ -49,12 +50,20 @@ def _resolve(flag_value, config, key, default=None):
     return config.get(key, default)
 
 
-def _fail(exc: Exception):
-    click.echo(f"error: {exc}", err=True)
-    sys.exit(EXIT_DATA_ERROR)
+class _Main(click.Group):
+    """The one error boundary of every command: a data error becomes an
+    "error:" line and exit 3; usage errors (exit 2) and verify's exit 4
+    pass through."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except (CodedUnlearnError, ValueError, OSError) as exc:
+            click.echo(f"error: {exc}", err=True)
+            ctx.exit(EXIT_DATA_ERROR)
 
 
-@click.group()
+@click.group(cls=_Main)
 def main():
     """Coded machine unlearning for regression."""
 
@@ -84,13 +93,10 @@ def cmd_gen_data(kind, n, d, mu, sigma2, dof, degree, layer_widths,
     spec = SyntheticSpec(kind=kind, n=n, d=d, mu=mu, sigma2=sigma2, dof=dof,
                          degree=degree, layer_widths=widths, seed=seed,
                          expose_expanded=expose_expanded)
-    try:
-        ds = gen_synthetic(spec)
-        write_csv(ds, out)
-        sidecar = Path(str(out) + ".spec.json")
-        sidecar.write_text(json.dumps(asdict(spec), indent=2) + "\n")
-    except (CodedUnlearnError, OSError) as exc:
-        _fail(exc)
+    ds = gen_synthetic(spec)
+    write_csv(ds, out)
+    sidecar = Path(str(out) + ".spec.json")
+    sidecar.write_text(json.dumps(asdict(spec), indent=2) + "\n")
     click.echo(f"wrote {ds.n} rows to {out}")
 
 
@@ -125,6 +131,8 @@ def cmd_train(data, response_column, s, r, tau, rho, lam, proj_dim, seed,
     if r is None:
         if tau is None:
             raise click.UsageError("give --r or --tau")
+        if tau < 1:
+            raise click.UsageError(f"tau={tau} must be at least 1")
         if s % tau:
             raise click.UsageError(f"s={s} not divisible by tau={tau}")
         r = s // tau
@@ -132,23 +140,19 @@ def cmd_train(data, response_column, s, r, tau, rho, lam, proj_dim, seed,
         rho = float(rho)
     if isinstance(response_column, str) and response_column.lstrip("-").isdigit():
         response_column = int(response_column)
-    try:
-        ds = load_csv(data, response_column)
-        pmap = (make_projection(ds.num_features, proj_dim, seed)
-                if proj_dim else None)
-        model, store, _ = learn(ds, s, r, rho, lam, projection=pmap,
-                                seed=seed)
-        resolved = {
-            "data": str(data), "response_column": response_column,
-            "s": s, "r": r, "rho": rho, "lambda": lam,
-            "proj_dim": proj_dim, "seed": seed,
-        }
-        directory = Path(session_dir)
-        directory.mkdir(parents=True, exist_ok=True)
-        with session_lock(directory):
-            save_session(directory, model, store, resolved)
-    except CodedUnlearnError as exc:
-        _fail(exc)
+    ds = load_csv(data, response_column)
+    pmap = (make_projection(ds.num_features, proj_dim, seed)
+            if proj_dim else None)
+    model, store, _ = learn(ds, s, r, rho, lam, projection=pmap, seed=seed)
+    resolved = {
+        "data": str(data), "response_column": response_column,
+        "s": s, "r": r, "rho": rho, "lambda": lam,
+        "proj_dim": proj_dim, "seed": seed,
+    }
+    directory = Path(session_dir)
+    directory.mkdir(parents=True, exist_ok=True)
+    with session_lock(directory):
+        save_session(directory, model, store, resolved)
     click.echo(f"trained {r} learners on {store.shard_size}-row coded shards; "
                f"session at {session_dir}")
 
@@ -161,12 +165,9 @@ def cmd_train(data, response_column, s, r, tau, rho, lam, proj_dim, seed,
 @click.option("--out", type=click.Path(), default=None)
 def cmd_predict(session_dir, data, out):
     """Predict through the aggregate model of a trained session."""
-    try:
-        model, _, _ = load_session(session_dir)
-        _, features = _read_numeric_csv(data)
-        preds = predict(model, features)
-    except (CodedUnlearnError, ValueError) as exc:
-        _fail(exc)
+    model, _, _ = load_session(session_dir)
+    _, features = read_numeric_csv(data)
+    preds = predict(model, features)
     lines = "prediction\n" + "\n".join(repr(float(p)) for p in preds) + "\n"
     if out:
         Path(out).write_text(lines)
@@ -186,19 +187,16 @@ def cmd_unlearn(session_dir, ids, ids_file):
         raise click.UsageError("give exactly one of --ids / --ids-file")
     id_list = (json.loads(Path(ids_file).read_text()) if ids_file
                else [int(v) for v in ids.split(",") if v])
-    try:
-        directory = Path(session_dir)
-        with session_lock(directory):
-            model, store, cfg = load_session(directory)
-            model, store, report = unlearn(model, store, id_list)
-            save_session(directory, model, store, cfg)
-            append_unlearn_log(directory, {
-                "ids": report.unlearned_ids,
-                "affected_learners": report.affected_learners,
-                "total_seconds": report.total_seconds,
-            })
-    except CodedUnlearnError as exc:
-        _fail(exc)
+    directory = Path(session_dir)
+    with session_lock(directory):
+        model, store, cfg = load_session(directory)
+        model, store, report = unlearn(model, store, id_list)
+        save_session(directory, model, store, cfg)
+        append_unlearn_log(directory, {
+            "ids": report.unlearned_ids,
+            "affected_learners": report.affected_learners,
+            "total_seconds": report.total_seconds,
+        })
     click.echo(f"unlearned {len(report.unlearned_ids)} sample(s); "
                f"retrained learners {report.affected_learners} "
                f"in {report.total_seconds:.4f}s")
@@ -211,11 +209,8 @@ def cmd_unlearn(session_dir, ids, ids_file):
               show_default=True)
 def cmd_verify(session_dir, tolerance):
     """Check the live model against a full retrain on surviving samples."""
-    try:
-        model, store, _ = load_session(session_dir)
-        report = verify_perfect_unlearning(model, store, tolerance)
-    except CodedUnlearnError as exc:
-        _fail(exc)
+    model, store, _ = load_session(session_dir)
+    report = verify_perfect_unlearning(model, store, tolerance)
     click.echo(f"max relative discrepancy: {report.max_discrepancy:.3e} "
                f"(tolerance {tolerance:g})")
     if not report.passed:
@@ -224,10 +219,24 @@ def cmd_verify(session_dir, tolerance):
     click.echo("verification passed")
 
 
+def _read_spec(path, *nonempty):
+    """A bench spec with a dataset, n_train and the listed keys nonempty."""
+    cfg = json.loads(Path(path).read_text())
+    missing = [k for k in ("dataset", "n_train") if k not in cfg] \
+        + [k for k in nonempty if not cfg.get(k)]
+    if missing:
+        raise click.UsageError(
+            f"spec needs dataset, n_train and nonempty {', '.join(nonempty)}; "
+            f"missing or empty: {', '.join(missing)}")
+    return cfg
+
+
 def _dataset_from_spec(entry):
     if "path" in entry:
         return load_csv(entry["path"], entry.get("response_column", "y")), \
             Path(entry["path"]).stem
+    if "kind" not in entry:
+        raise click.UsageError("spec dataset needs a path or a kind")
     named = {f.name: entry[f.name] for f in fields(SyntheticSpec)
              if f.name in entry}
     if "layer_widths" in named:
@@ -243,27 +252,20 @@ def _dataset_from_spec(entry):
               default="csv", show_default=True)
 def cmd_bench_tradeoff(spec_path, out, fmt):
     """Run a shard-count sweep from a JSON spec and emit result records."""
-    cfg = json.loads(Path(spec_path).read_text())
-    if not cfg.get("rates") or not cfg.get("shard_counts") \
-            or not cfg.get("lambdas"):
-        raise click.UsageError("sweep spec needs nonempty rates, "
-                               "shard_counts, and lambdas")
-    try:
-        dataset, label = _dataset_from_spec(cfg["dataset"])
-        sweep = bench.SweepSpec(
-            dataset=dataset,
-            n_train=cfg["n_train"],
-            lambdas=tuple(cfg["lambdas"]),
-            rates=tuple(cfg["rates"]),
-            shard_counts=tuple(cfg["shard_counts"]),
-            projection_dim=cfg.get("projection_dim"),
-            dataset_label=cfg.get("label", label),
-            **{k: cfg[k] for k in ("runs", "seed", "density") if k in cfg},
-        )
-        records = bench.run_tradeoff(sweep)
-        bench.emit_results(records, out, fmt, config=cfg)
-    except CodedUnlearnError as exc:
-        _fail(exc)
+    cfg = _read_spec(spec_path, "rates", "shard_counts", "lambdas")
+    dataset, label = _dataset_from_spec(cfg["dataset"])
+    sweep = bench.SweepSpec(
+        dataset=dataset,
+        n_train=cfg["n_train"],
+        lambdas=tuple(cfg["lambdas"]),
+        rates=tuple(cfg["rates"]),
+        shard_counts=tuple(cfg["shard_counts"]),
+        projection_dim=cfg.get("projection_dim"),
+        dataset_label=cfg.get("label", label),
+        **{k: cfg[k] for k in ("runs", "seed", "density") if k in cfg},
+    )
+    records = bench.run_tradeoff(sweep)
+    bench.emit_results(records, out, fmt, config=cfg)
     click.echo(f"wrote {len(records)} records to {out}")
 
 
@@ -275,25 +277,20 @@ def cmd_bench_tradeoff(spec_path, out, fmt):
               default="csv", show_default=True)
 def cmd_bench_influence(spec_path, out, fmt):
     """Run the outlier/inlier removal study from a JSON spec."""
-    cfg = json.loads(Path(spec_path).read_text())
-    if not cfg.get("percentiles"):
-        raise click.UsageError("influence spec needs nonempty percentiles")
-    try:
-        dataset, label = _dataset_from_spec(cfg["dataset"])
-        records = bench.run_influence(
-            dataset,
-            percentiles=cfg["percentiles"],
-            runs=cfg.get("runs", 20),
-            lam=cfg.get("lambda", 0.0),
-            n_train=cfg["n_train"],
-            seed=cfg.get("seed", 0),
-            projection_dim=cfg.get("projection_dim"),
-            band_columns=cfg.get("band_columns"),
-            dataset_label=cfg.get("label", label),
-        )
-        bench.emit_results(records, out, fmt, config=cfg)
-    except CodedUnlearnError as exc:
-        _fail(exc)
+    cfg = _read_spec(spec_path, "percentiles")
+    dataset, label = _dataset_from_spec(cfg["dataset"])
+    records = bench.run_influence(
+        dataset,
+        percentiles=cfg["percentiles"],
+        runs=cfg.get("runs", 20),
+        lam=cfg.get("lambda", 0.0),
+        n_train=cfg["n_train"],
+        seed=cfg.get("seed", 0),
+        projection_dim=cfg.get("projection_dim"),
+        band_columns=cfg.get("band_columns"),
+        dataset_label=cfg.get("label", label),
+    )
+    bench.emit_results(records, out, fmt, config=cfg)
     click.echo(f"wrote {len(records)} records to {out}")
 
 

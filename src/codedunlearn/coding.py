@@ -25,7 +25,7 @@ from .errors import (
     TooFewSamples,
     UnknownSample,
 )
-from .numerics import _slice_height, _slice_products, binary_rank
+from .numerics import binary_rank
 
 RESAMPLE_GUARD = 10**6
 
@@ -153,13 +153,13 @@ class CodedStore:
     of g[i, j] times uncoded shard i with the rows alive marks unlearned
     zeroed, so construction encodes them from the base rows, G and alive.
 
-    slice_grams caches, for learner j, the per-slice X'X and X'y of coded
-    shard j (numerics._slice_products over every slice), so that a
-    regularized unlearn recomputes only the slices it changed.  It is
-    derived state too: never persisted, empty on construction, filled for a
-    learner by the first unlearn that retrains it, and kept equal to the
-    products of the live coded shard by every unlearn after that.  Coded
-    shards are changed only by ensemble.unlearn, which keeps it so.
+    slice_grams maps learner j to the per-slice X'X and X'y of coded shard
+    j, as numerics.refit returns them, so that a regularized unlearn
+    recomputes only the slices it changed.  It is derived state too: never
+    persisted, empty on construction and at lam = 0, filled for a learner by
+    the first unlearn that retrains it, and kept equal to the products of
+    the live coded shard by every unlearn after that.  Coded shards are
+    changed only by ensemble.unlearn, which keeps it so.
 
     Concurrent reads are safe; unlearning mutation requires exclusive access.
     """
@@ -206,20 +206,6 @@ class CodedStore:
             raise UnknownSample(f"sample {keys[missing.argmax()]} is not in "
                                 "the learned training set")
         return pos
-
-    def slice_products(self, j: int, rows) -> tuple[np.ndarray, np.ndarray]:
-        """Learner j's per-slice X'X and X'y with the slices that hold the
-        given coded rows recomputed from coded shard j and the others taken
-        from slice_grams; every slice when the cache has no entry for j.
-        Returns new arrays and leaves the cache as it was."""
-        X, y = self.coded_features[j], self.coded_response[j]
-        cached = self.slice_grams.get(j)
-        if cached is None:
-            return _slice_products(X, y)
-        grams, rhs = cached[0].copy(), cached[1].copy()
-        slices = np.unique(np.asarray(rows) // _slice_height(X.shape[1]))
-        grams[slices], rhs[slices] = _slice_products(X, y, slices)
-        return grams, rhs
 
     def surviving_shard(self, i: int) -> tuple[np.ndarray, np.ndarray]:
         """Uncoded shard i with unlearned rows zeroed out: the encoder

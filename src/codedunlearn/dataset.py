@@ -79,7 +79,7 @@ class NormalizationRecord:
         return resp * (self.response_max - self.response_min) + self.response_min
 
 
-def _read_numeric_csv(path) -> tuple[list[str], np.ndarray]:
+def read_numeric_csv(path) -> tuple[list[str], np.ndarray]:
     """Header and data rows of an all-numeric CSV with one header row."""
     path = Path(path)
     with path.open(newline="") as fh:
@@ -115,7 +115,7 @@ def load_csv(path, response_column) -> Dataset:
     response_column selects the response by header name or zero-based index;
     remaining columns become features in file order.
     """
-    header, data = _read_numeric_csv(path)
+    header, data = read_numeric_csv(path)
     if isinstance(response_column, int):
         if not 0 <= response_column < len(header):
             raise MissingColumn(

@@ -20,7 +20,7 @@ from . import coding
 from .coding import MINIMAL, CodedStore, GeneratorMatrix, encode
 from .dataset import Dataset
 from .errors import AlreadyUnlearned, DimensionMismatch
-from .numerics import _solve_normal, ridge_solve
+from .numerics import refit, ridge_solve
 from .projections import ProjectionMap, project
 
 DEFAULT_TOLERANCE = 1e-8
@@ -138,11 +138,13 @@ def unlearn(model: EnsembleModel, store: CodedStore, ids,
     invariant stays bitwise exact.  One retrain per unique affected learner,
     regardless of batch size.
 
-    With lam > 0 a learner is re-solved from its cached per-slice Gram
-    products (CodedStore.slice_grams), of which only the slices holding
-    touched rows are recomputed; the cache is filled on a learner's first
-    retrain.  The sums are the ones a retrain from scratch forms, so the
-    weights equal ridge_solve on the live coded shard bitwise.
+    Each affected learner is re-solved by one numerics.refit call on its
+    live coded shard.  With lam > 0 that reuses the learner's cached
+    per-slice Gram products (CodedStore.slice_grams) and recomputes only the
+    slices holding touched rows; the cache is filled on a learner's first
+    retrain and stays empty at lam = 0.  The sums are the ones a retrain
+    from scratch forms, so the weights equal ridge_solve on the live coded
+    shard bitwise.
 
     Transactional: base rows are zeroed (so the samples' values never reach
     a saved session) and the new weights and cache entries stored only after
@@ -181,13 +183,9 @@ def unlearn(model: EnsembleModel, store: CodedStore, ids,
             store.coded_response[j, row] = yv
         for j in affected:
             t0 = time.perf_counter()
-            if model.lam > 0:
-                grams[j] = store.slice_products(j, rows_of[j])
-                fresh[j] = _solve_normal(*grams[j], store.shard_size,
-                                         model.lam)
-            else:
-                fresh[j] = ridge_solve(store.coded_features[j],
-                                       store.coded_response[j], 0.0)
+            fresh[j], grams[j] = refit(
+                store.coded_features[j], store.coded_response[j], model.lam,
+                store.slice_grams.get(j), rows_of[j])
             retrain_seconds[j] = time.perf_counter() - t0
     except BaseException:
         store.alive[pos] = True
@@ -197,7 +195,8 @@ def unlearn(model: EnsembleModel, store: CodedStore, ids,
     # are zeroed only once nothing can fail.
     store.base_features[pos] = 0.0
     store.base_response[pos] = 0.0
-    store.slice_grams.update(grams)
+    store.slice_grams.update(
+        {j: g for j, g in grams.items() if g is not None})
     for j, w in fresh.items():
         model.weights[:, j] = w
     model.agg = model.weights.mean(axis=1)

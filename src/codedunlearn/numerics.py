@@ -5,12 +5,13 @@ immutable and never modified in place.  Only numpy is used.  An
 unregularized ridge solve is refused when the exact condition number of X'X
 exceeds COND_LIMIT.
 
-A regularized solve forms X'X and X'y as the ascending-order sum of per-slice
-products: slice b is rows [b*h, (b+1)*h) of the n x d X, the last one
-possibly partial, with h = 4d rows (at least 2**17 / d**2, see
-SLICE_MIN_WORK).  Whoever solves a shard, a fresh retrain or an unlearn
-that recomputes only the slices it changed, goes through the same two
-private helpers, so the results agree bitwise.
+Every ridge solve goes through refit.  With lam > 0 it forms X'X and X'y
+as the ascending-order sum of per-slice products: slice b is rows
+[b*h, (b+1)*h) of the n x d X, the last one possibly partial, with h = 4d
+rows (at least 2**17 / d**2, see SLICE_MIN_WORK).  Given the products of an
+earlier X it recomputes only the slices holding the changed rows, so a
+retrain from scratch (ensemble.learn and verify, through ridge_solve) and an
+unlearn that reuses its cached products (ensemble.unlearn) agree bitwise.
 
 The binary rank is exact over the rationals.  It is first certified by
 vectorised elimination modulo the prime 2**31 - 1: a minor that is nonzero
@@ -38,44 +39,55 @@ SLICE_ROWS_PER_COLUMN = 4
 SLICE_MIN_WORK = 2**17
 
 
-def _check_finite(a: np.ndarray, name: str) -> np.ndarray:
-    a = np.asarray(a, dtype=float)
-    if not np.all(np.isfinite(a)):
-        raise ValueError(f"{name} contains NaN or Inf")
-    return a
-
-
 def ridge_solve(X, y, lam: float) -> np.ndarray:
-    """Minimize (1/n) * sum_i (y_i - x_i.w)^2 + lam * w.w in closed form.
+    """Minimize (1/n) * sum_i (y_i - x_i.w)^2 + lam * w.w in closed form:
+    refit from scratch, keeping only the weights."""
+    return refit(X, y, lam)[0]
+
+
+def refit(X, y, lam: float, products=None, rows=(),
+          ) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray] | None]:
+    """Ridge weights of the (n, d) X and (n,) y, and the per-slice products
+    they were solved from, as (w, (grams, rhs)); (w, None) when lam == 0.
 
     The squared-error term is averaged over the n rows, so the regularized
     normal equations carry n*lam:  w = (X'X + n*lam*I)^{-1} X'y.
 
     With lam > 0, X'X and X'y are summed from per-slice products (module
-    docstring) and the d x d system is solved by LU (np.linalg.solve); a
-    system whose X'X or X'y overflows is refused with ValueError.  With
-    lam == 0 it is solved by least squares (np.linalg.lstsq) and refused
-    (SingularSystem) unless X has d > 0 nonzero singular values sv and the
-    exact condition number of X'X, (max(sv) / min(sv))**2, is at most
-    COND_LIMIT (tested unsquared, so it cannot overflow).
+    docstring): every slice, or, given the products of an X that differs
+    from this one only in the listed rows, a copy of them with the slices
+    holding those rows recomputed.  The d x d system is solved by LU
+    (np.linalg.solve) and refused with ValueError when X or y holds NaN or
+    Inf or X'X or X'y overflows.  With lam == 0 it is solved by least
+    squares (np.linalg.lstsq) and refused (SingularSystem) unless X has
+    d > 0 nonzero singular values sv and the exact condition number of
+    X'X, (max(sv) / min(sv))**2, is at most COND_LIMIT (tested unsquared,
+    so it cannot overflow).
     """
-    X = _check_finite(X, "X")
-    y = _check_finite(y, "y")
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=float)
     if X.ndim != 2 or y.ndim != 1 or X.shape[0] != y.shape[0]:
-        raise DimensionMismatch(
-            f"ridge_solve: X is {X.shape}, y is {y.shape}"
-        )
+        raise DimensionMismatch(f"ridge_solve: X is {X.shape}, y is {y.shape}")
     if lam < 0:
         raise ValueError("lam must be nonnegative")
     n, d = X.shape
     if lam > 0:
-        return _solve_normal(*_slice_products(X, y), n, lam)
+        if products is None:
+            products = _slice_products(X, y)
+        else:
+            grams, rhs = products[0].copy(), products[1].copy()
+            slices = np.unique(np.asarray(rows, dtype=int) // _slice_height(d))
+            grams[slices], rhs[slices] = _slice_products(X, y, slices)
+            products = grams, rhs
+        return _solve_normal(*products, n, lam), products
+    if not (np.isfinite(X).all() and np.isfinite(y).all()):
+        raise ValueError("X or y contains NaN or Inf")
     w, _, _, sv = np.linalg.lstsq(X, y, rcond=None)
     if d == 0 or sv.size < d or sv[-1] == 0 or sv[0] > COND_LIMIT**0.5 * sv[-1]:
         raise SingularSystem(
             "X'X is numerically singular; use lam > 0 or a full-rank design"
         )
-    return w
+    return w, None
 
 
 def _slice_height(d: int) -> int:
@@ -109,14 +121,14 @@ def _solve_normal(grams: np.ndarray, rhs: np.ndarray, n: int,
     the slice products of an n-row X (_slice_products, every slice in
     ascending order); numpy reduces a leading axis one slice after another.
     An Inf or NaN anywhere in X or y makes these sums non-finite, so the
-    O(d**2) check below stands in for one over the whole of X, and it also
-    refuses finite input whose products overflow."""
+    O(d**2) check below is a regularized solve's one finiteness check; it
+    also refuses finite input whose products overflow."""
     with np.errstate(over="ignore", invalid="ignore"):
         A = grams.sum(axis=0)
         b = rhs.sum(axis=0)
     if not (np.isfinite(A).all() and np.isfinite(b).all()):
-        raise ValueError("X'X or X'y overflows to Inf or NaN; rescale the "
-                         "features or the response")
+        raise ValueError("X or y holds NaN or Inf, or X'X or X'y overflows; "
+                         "rescale the features or the response")
     A.flat[::A.shape[0] + 1] += n * lam
     return np.linalg.solve(A, b)
 

@@ -25,8 +25,9 @@ Coded shards are not stored: load_session re-encodes them from the base
 rows, the generator and the unlearned mask in the ascending order used at
 training time, so the rebuilt shards are bitwise the ones the model was
 trained on.  Nor is the store's per-slice Gram cache: a loaded store starts
-empty and each unlearn fills it for the learners it retrains.  Unlearning also zeroes a sample's base row (ensemble.unlearn),
-so a forgotten sample's values never reach the disk.  Arrays are .npy files
+empty and each regularized unlearn fills it for the learners it retrains.
+Unlearning also zeroes a sample's base row (ensemble.unlearn), so a
+forgotten sample's values never reach the disk.  Arrays are .npy files
 written and read with allow_pickle=False; they round-trip bit-exactly, so
 verify on a freshly loaded session reports discrepancy zero.
 """

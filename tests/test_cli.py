@@ -224,6 +224,59 @@ class TestSessionWorkflow:
         assert "locked" in result.output
 
 
+class TestErrorBoundary:
+    # every data error a command raises is one "error:" line and exit 3,
+    # and a malformed request is a usage error (exit 2); none is a traceback
+    @pytest.mark.parametrize("args,code,message", [
+        (["train", "--data", "{data}", "--s", "5", "--r", "10"], 3,
+         "need 1 <= r <= s"),
+        (["train", "--data", "{data}", "--s", "4", "--r", "2", "--lam", "-1"],
+         3, "lam must be nonnegative"),
+        (["train", "--data", "{data}", "--s", "4", "--r", "2", "--rho", "abc"],
+         3, "could not convert string to float: 'abc'"),
+        (["train", "--data", "{data}", "--s", "4", "--tau", "0"], 2,
+         "tau=0 must be at least 1"),
+        (["unlearn", "--session", "{session}", "--ids", "1,x"], 3,
+         "invalid literal for int()"),
+        (["unlearn", "--session", "{session}", "--ids-file", "{bad_json}"],
+         3, "Expecting value"),
+        (["bench-influence", "--spec", "{influence}", "--out", "{out}"], 3,
+         "percentile 60 outside [0, 50)"),
+        (["bench-tradeoff", "--spec", "{no_n_train}", "--out", "{out}"], 2,
+         "missing or empty: n_train"),
+        (["bench-influence", "--spec", "{no_kind}", "--out", "{out}"], 2,
+         "spec dataset needs a path or a kind"),
+    ], ids=["r-above-s", "negative-lam", "rho-not-a-number", "tau-zero",
+            "id-not-an-integer", "ids-file-not-json", "percentile-too-large",
+            "spec-without-n-train", "dataset-without-kind"])
+    def test_exit_code_and_message(self, tmp_path, runner, data_csv, args,
+                                   code, message):
+        dataset = {"kind": "gaussian-linear", "n": 200, "d": 3, "seed": 2}
+        files = {
+            "bad_json": "[1,",
+            "influence": json.dumps({"dataset": dataset, "n_train": 150,
+                                     "percentiles": [60], "runs": 1}),
+            "no_n_train": json.dumps({"dataset": dataset, "lambdas": [0.001],
+                                      "rates": [1], "shard_counts": [3]}),
+            "no_kind": json.dumps({"dataset": {"n": 200, "d": 3},
+                                   "n_train": 150, "percentiles": [10]}),
+        }
+        paths = {"data": data_csv, "out": tmp_path / "out.csv",
+                 "session": (train_session(runner, tmp_path, data_csv)
+                             if args[0] == "unlearn"
+                             else tmp_path / "new-session")}
+        for name, text in files.items():
+            paths[name] = tmp_path / f"{name}.json"
+            paths[name].write_text(text)
+        if args[0] == "train":
+            args = [*args, "--session", "{session}"]
+        result = runner.invoke(main, [a.format(**paths) for a in args])
+        assert result.exit_code == code, result.output
+        assert isinstance(result.exception, (SystemExit, type(None)))
+        assert (f"error: {message}" if code == 3 else message) \
+            in result.output
+
+
 _NUMBER = re.compile(rb"-?(?:\d+\.\d*|\d*\.\d+|\d+)(?:[eE][-+]?\d+)?")
 
 

@@ -14,7 +14,7 @@ from codedunlearn import (
     unlearn,
     verify_perfect_unlearning,
 )
-from codedunlearn import ensemble, numerics
+from codedunlearn import numerics
 
 
 def make_train(n, d, seed=0):
@@ -295,6 +295,16 @@ class TestSliceCache:
                 == ridge_solve(X, y, 1e-3).tobytes()
         assert verify_perfect_unlearning(model, store).max_discrepancy == 0.0
 
+    def test_unregularized_unlearn_leaves_cache_empty(self):
+        rng = np.random.default_rng(6)
+        ds = Dataset(rng.normal(size=(600, 4)), rng.normal(size=600),
+                     np.arange(600))
+        model, store, _ = learn(ds, 6, 3, 0.5, 0.0, seed=2)
+        _, _, report = unlearn(model, store, [7, 250, 590])
+        assert report.affected_learners
+        assert store.slice_grams == {}
+        assert verify_perfect_unlearning(model, store).max_discrepancy == 0.0
+
     def test_failed_solve_leaves_model_store_and_cache_untouched(
             self, monkeypatch):
         rng = np.random.default_rng(4)
@@ -312,7 +322,7 @@ class TestSliceCache:
         victim = int(store.ids[b * nbar + 150])   # slice 1 of 3
         before = self.state(model, store)
         calls = []
-        solve = ensemble._solve_normal
+        solve = numerics._solve_normal
 
         def fail_second(*args):
             calls.append(1)
@@ -320,7 +330,7 @@ class TestSliceCache:
                 raise FloatingPointError("injected")
             return solve(*args)
 
-        monkeypatch.setattr(ensemble, "_solve_normal", fail_second)
+        monkeypatch.setattr(numerics, "_solve_normal", fail_second)
         with pytest.raises(FloatingPointError):
             unlearn(model, store, [victim])
         assert len(calls) == 2

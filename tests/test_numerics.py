@@ -159,6 +159,54 @@ class TestRidgeSolve:
         assert numerics._slice_height(d) == h
 
 
+class TestRefit:
+    # n = 300 rows at d = 32: slices [0, 128), [128, 256) and a partial
+    # [256, 300)
+    @staticmethod
+    def system(seed=0, n=300, d=32):
+        rng = np.random.default_rng(seed)
+        return rng.normal(size=(n, d)), rng.normal(size=n)
+
+    @pytest.mark.parametrize("rows", [[5], [130], [290], [140, 140],
+                                      [0, 299]],
+                             ids=["first-slice", "middle-slice",
+                                  "partial-last-slice", "row-listed-twice",
+                                  "two-slices"])
+    def test_changed_rows_match_solve_from_scratch(self, rows):
+        X, y = self.system()
+        _, products = numerics.refit(X, y, 1e-3)
+        kept = [a.copy() for a in products]
+        X2, y2 = X.copy(), y.copy()
+        rng = np.random.default_rng(1)
+        X2[rows] = rng.normal(size=(len(rows), X.shape[1]))
+        y2[rows] = rng.normal(size=len(rows))
+        w, updated = numerics.refit(X2, y2, 1e-3, products, rows)
+        w_fresh, fresh = numerics.refit(X2, y2, 1e-3)
+        assert w.tobytes() == w_fresh.tobytes()
+        assert w.tobytes() == ridge_solve(X2, y2, 1e-3).tobytes()
+        for a, b in zip(updated, fresh):
+            assert a.tobytes() == b.tobytes()
+        for a, b in zip(products, kept):
+            assert a.tobytes() == b.tobytes()
+
+    def test_unregularized_has_no_products(self):
+        X, y = self.system()
+        w, products = numerics.refit(X, y, 0.0)
+        assert products is None
+        assert w.tobytes() == ridge_solve(X, y, 0.0).tobytes()
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("where", ["X", "y"])
+    def test_regularized_refuses_non_finite_without_warning(self, value,
+                                                            where):
+        X, y = self.system()
+        (X if where == "X" else y)[200] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="NaN or Inf"):
+                numerics.refit(X, y, 1e-3)
+
+
 def rank_by_minor_enumeration(G):
     """Largest k with a nonsingular k x k submatrix; integer determinants."""
     from itertools import combinations
