@@ -278,17 +278,10 @@ def run_influence(dataset, percentiles, runs: int, lam: float,
     return records
 
 
-def _fmt(v) -> str:
-    if isinstance(v, float):
-        return repr(float(v))
-    if v is None:
-        return ""
-    return str(v)
-
-
 def emit_results(records, path, fmt: str = "csv", config=None) -> None:
-    """Write records as CSV (stable column order, repr-formatted floats so
-    numeric fields round-trip exactly) or JSON (array of objects).  The
+    """Write records as CSV (stable column order; csv.writer writes floats
+    with repr, so numeric fields round-trip exactly, and None as an empty
+    field) or JSON (array of objects).  The
     resolved configuration is echoed for provenance: as a leading comment
     line in CSV, as a top-level field in JSON."""
     if not records:
@@ -303,8 +296,7 @@ def emit_results(records, path, fmt: str = "csv", config=None) -> None:
                 fh.write("# config: " + json.dumps(config, sort_keys=True) + "\n")
             writer = csv.writer(fh)
             writer.writerow(columns)
-            for row in rows:
-                writer.writerow([_fmt(row[c]) for c in columns])
+            writer.writerows([row[c] for c in columns] for row in rows)
     elif fmt == "json":
         payload = {"config": config, "records": rows}
         path.write_text(json.dumps(payload, indent=2) + "\n")

@@ -37,19 +37,6 @@ EXIT_DATA_ERROR = 3
 EXIT_VERIFY_FAILURE = 4
 
 
-def _load_config(path):
-    if path is None:
-        return {}
-    return json.loads(Path(path).read_text())
-
-
-def _resolve(flag_value, config, key, default=None):
-    """Flags override config-file values, which override defaults."""
-    if flag_value is not None:
-        return flag_value
-    return config.get(key, default)
-
-
 class _Main(click.Group):
     """The one error boundary of every command: a data error becomes an
     "error:" line and exit 3; usage errors (exit 2) and verify's exit 4
@@ -100,34 +87,38 @@ def cmd_gen_data(kind, n, d, mu, sigma2, dof, degree, layer_widths,
     click.echo(f"wrote {ds.n} rows to {out}")
 
 
+def _config_defaults(ctx, param, path):
+    """Make a JSON config file's values the defaults of the options not
+    given on the command line, so they pass through the options' types.
+    The config key "lambda" names --lam."""
+    if path is None:
+        return
+    cfg = json.loads(Path(path).read_text())
+    if not isinstance(cfg, dict):
+        raise click.BadParameter("must hold a JSON object", ctx, param)
+    if "lambda" in cfg:
+        cfg["lam"] = cfg.pop("lambda")
+    ctx.default_map = cfg
+
+
 @main.command("train")
-@click.option("--data", type=click.Path(exists=True), default=None)
-@click.option("--response-column", default=None)
-@click.option("--s", "s", type=int, default=None)
+@click.option("--config", type=click.Path(exists=True), is_eager=True,
+              expose_value=False, callback=_config_defaults,
+              help="JSON file of option values; flags override it.")
+@click.option("--data", type=click.Path(exists=True), required=True)
+@click.option("--response-column", default="y")
+@click.option("--s", "s", type=int, required=True)
 @click.option("--r", "r", type=int, default=None)
 @click.option("--tau", type=int, default=None, help="Rate; r = s / tau.")
-@click.option("--rho", default=None,
+@click.option("--rho", default="minimal",
               help="Bernoulli density, or 'minimal' for one-hot rows.")
-@click.option("--lam", "--lambda", "lam", type=float, default=None)
+@click.option("--lam", "--lambda", "lam", type=float, default=0.0)
 @click.option("--proj-dim", type=int, default=None)
-@click.option("--seed", type=int, default=None)
-@click.option("--config", type=click.Path(exists=True), default=None)
+@click.option("--seed", type=int, default=0)
 @click.option("--session", "session_dir", required=True, type=click.Path())
 def cmd_train(data, response_column, s, r, tau, rho, lam, proj_dim, seed,
-              config, session_dir):
+              session_dir):
     """Train a coded ensemble on a CSV and persist the session directory."""
-    cfg = _load_config(config)
-    data = _resolve(data, cfg, "data")
-    response_column = _resolve(response_column, cfg, "response_column", "y")
-    s = _resolve(s, cfg, "s")
-    r = _resolve(r, cfg, "r")
-    tau = _resolve(tau, cfg, "tau")
-    rho = _resolve(rho, cfg, "rho", "minimal")
-    lam = _resolve(lam, cfg, "lambda", 0.0)
-    proj_dim = _resolve(proj_dim, cfg, "proj_dim")
-    seed = _resolve(seed, cfg, "seed", 0)
-    if data is None or s is None:
-        raise click.UsageError("--data and --s are required (flag or config)")
     if r is None:
         if tau is None:
             raise click.UsageError("give --r or --tau")

@@ -147,11 +147,13 @@ class CodedStore:
     encoded-input rows (projected features when a projection is in use) of
     every non-dropped training sample and ids their sample ids, in shard
     order: position p is row p % shard_size of uncoded shard p // shard_size.
-    Unlearning ids[p] sets alive[p] False and zeroes base row p; locate finds
-    p through a sorted index of ids that is never persisted.  The coded
-    shards are derived state: shard j always equals the ascending-order sum
-    of g[i, j] times uncoded shard i with the rows alive marks unlearned
-    zeroed, so construction encodes them from the base rows, G and alive.
+    The base rows fill the s uncoded shards exactly and are kept, not
+    copied.  Unlearning ids[p] sets alive[p] False and zeroes base row p;
+    locate finds p through a sorted index of ids that is never persisted.
+    The coded shards are derived state: shard j always equals the
+    ascending-order sum of g[i, j] times uncoded shard i with the rows alive
+    marks unlearned zeroed whatever their values, so construction encodes
+    them from the base rows, G and alive.
 
     slice_grams maps learner j to the per-slice X'X and X'y of coded shard
     j, as numerics.refit returns them, so that a regularized unlearn
@@ -183,17 +185,6 @@ class CodedStore:
             self.base_features, self.base_response, self.alive,
             self.generator.entries)
         self._order = np.argsort(self.ids, kind="stable")
-
-    @classmethod
-    def from_base(cls, base_features: np.ndarray, base_response: np.ndarray,
-                  ids: np.ndarray, generator: GeneratorMatrix,
-                  dropped_ids: list[int], alive=None) -> CodedStore:
-        """Store whose coded shards are encoded from the given base rows,
-        which fill the s uncoded shards exactly and are kept, not copied.
-        alive defaults to every sample retained; rows it marks unlearned
-        are left out of the coded shards whatever their values."""
-        return cls(generator, base_features, base_response, ids, dropped_ids,
-                   np.ones(len(ids), dtype=bool) if alive is None else alive)
 
     def locate(self, ids) -> np.ndarray:
         """Base-row positions of the given sample ids; UnknownSample names
@@ -254,6 +245,6 @@ def encode(features, response, ids, G: GeneratorMatrix) -> CodedStore:
     if n < s:
         raise TooFewSamples(f"{n} samples cannot fill {s} shards")
     used = n // s * s
-    return CodedStore.from_base(
-        features[:used].copy(), response[:used].copy(), ids[:used].copy(),
-        G, dropped_ids=[int(v) for v in ids[used:]])
+    return CodedStore(G, features[:used].copy(), response[:used].copy(),
+                      ids[:used].copy(), [int(v) for v in ids[used:]],
+                      np.ones(used, dtype=bool))

@@ -19,7 +19,7 @@ import numpy as np
 from . import coding
 from .coding import MINIMAL, CodedStore, GeneratorMatrix, encode
 from .dataset import Dataset
-from .errors import AlreadyUnlearned, DimensionMismatch
+from .errors import AlreadyUnlearned, DimensionMismatch, UnknownSample
 from .numerics import refit, ridge_solve
 from .projections import ProjectionMap, project
 
@@ -28,14 +28,19 @@ DEFAULT_TOLERANCE = 1e-8
 
 @dataclass
 class EnsembleModel:
-    """Per-learner weight columns plus their mean, with the artifacts
-    (generator matrix, optional projection map) needed to reproduce them."""
+    """Per-learner weight columns, with the artifacts (generator matrix,
+    optional projection map) needed to reproduce them."""
 
     weights: np.ndarray                 # (D', r)
-    agg: np.ndarray                     # (D',)
     lam: float
     generator: GeneratorMatrix
     projection: ProjectionMap | None = None
+
+    @property
+    def agg(self) -> np.ndarray:
+        """The served model, (D',): the mean of the learners' weights,
+        derived on every read so it cannot drift from them."""
+        return self.weights.mean(axis=1)
 
     def encode_input(self, X_raw) -> np.ndarray:
         X_raw = np.asarray(X_raw, dtype=float)
@@ -106,24 +111,18 @@ def learn(train: Dataset, s: int, r: int, rho, lam: float,
         ridge_solve(X, y, lam)
         for X, y in zip(store.coded_features, store.coded_response)
     ])
-    model = EnsembleModel(
-        weights=weights,
-        agg=weights.mean(axis=1),
-        lam=lam,
-        generator=generator,
-        projection=projection,
-    )
+    model = EnsembleModel(weights, lam, generator, projection)
     return model, store, generator
 
 
 def predict(model: EnsembleModel, X_raw) -> np.ndarray:
     """Predict through the aggregate weights, bypassing per-learner outputs."""
     feats = model.encode_input(X_raw)
-    if feats.shape[1] != model.agg.shape[0]:
+    agg = model.agg
+    if feats.shape[1] != agg.shape[0]:
         raise DimensionMismatch(
-            f"predict: {feats.shape[1]} features vs {model.agg.shape[0]} weights"
-        )
-    return feats @ model.agg
+            f"predict: {feats.shape[1]} features vs {agg.shape[0]} weights")
+    return feats @ agg
 
 
 def unlearn(model: EnsembleModel, store: CodedStore, ids,
@@ -146,11 +145,18 @@ def unlearn(model: EnsembleModel, store: CodedStore, ids,
     from scratch forms, so the weights equal ridge_solve on the live coded
     shard bitwise.
 
+    An id that is not an integer (a float, a bool, a string) is refused
+    with UnknownSample before anything changes.
+
     Transactional: base rows are zeroed (so the samples' values never reach
     a saved session) and the new weights and cache entries stored only after
     every solve has succeeded; if a step raises, the touched coded rows and
     the alive mask are restored before the error propagates.
     """
+    ids = list(ids)
+    for u in ids:   # bool is an int subclass; int(1.5) would truncate
+        if isinstance(u, bool) or not isinstance(u, (int, np.integer)):
+            raise UnknownSample(f"sample id {u!r} is not an integer")
     ids = [int(u) for u in ids]
     pos = store.locate(ids)
     live = store.alive[pos]
@@ -199,7 +205,6 @@ def unlearn(model: EnsembleModel, store: CodedStore, ids,
         {j: g for j, g in grams.items() if g is not None})
     for j, w in fresh.items():
         model.weights[:, j] = w
-    model.agg = model.weights.mean(axis=1)
     report = AffectedReport(
         unlearned_ids=ids,
         affected_learners=affected,

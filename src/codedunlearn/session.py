@@ -1,4 +1,4 @@
-"""On-disk session directories for the CLI (format version 2).
+"""On-disk session directories for the CLI (format version 3).
 
 Layout:
     manifest.json               format version, resolved config, and the
@@ -10,7 +10,6 @@ Layout:
     base_response-<h>.npy       set, their responses and their sample ids,
     ids-<h>.npy                 in shard order
     weights-<h>.npy             weak-learner weight columns
-    agg-<h>.npy                 the aggregate weights
     unlearn_log.jsonl           append-only audit of unlearn requests
 
 <h> is the first 12 hex digits of the file's sha256, so a save never
@@ -20,6 +19,11 @@ swaps in manifest.json with os.replace, and only then deletes the data
 files the new manifest does not name.  A save interrupted at any point
 leaves the previous session loadable; load_session refuses any file whose
 hash does not match the manifest.
+
+Version 2 sessions also load.  They name one more file, agg-<h>.npy, the
+aggregate weights; it is hash-checked like every file the manifest names
+and then ignored, since the aggregate is the mean of the weight columns
+(EnsembleModel.agg).  The next save writes version 3 and deletes it.
 
 Coded shards are not stored: load_session re-encodes them from the base
 rows, the generator and the unlearned mask in the ascending order used at
@@ -50,12 +54,13 @@ from .ensemble import EnsembleModel
 from .errors import SessionError
 from .projections import load_projection, save_projection
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
+READABLE_VERSIONS = (2, 3)
 
-ARRAYS = ("base_features", "base_response", "ids", "weights", "agg")
+ARRAYS = ("base_features", "base_response", "ids", "weights")
 ROLES = ("generator", "store", *ARRAYS)   # plus "projection" when used
-_DATA_FILE = re.compile(
-    r"(generator|projection|store|%s)-[0-9a-f]{12}\.(json|bin|npy)(\.tmp)?"
+_DATA_FILE = re.compile(   # agg: the aggregate file of version 2
+    r"(generator|projection|store|agg|%s)-[0-9a-f]{12}\.(json|bin|npy)(\.tmp)?"
     % "|".join(ARRAYS))
 
 
@@ -108,7 +113,6 @@ def _serialize(model: EnsembleModel,
         "base_response": store.base_response,
         "ids": store.ids,
         "weights": model.weights,
-        "agg": model.agg,
     }
     files.update((role, (".npy", _npy_bytes(a))) for role, a in arrays.items())
     if model.projection is not None:
@@ -169,13 +173,23 @@ def _read_manifest(directory: Path) -> dict:
     except ValueError as exc:
         raise SessionError(f"unreadable manifest in {directory}: {exc}") \
             from None
+    if not isinstance(manifest, dict):
+        raise SessionError(f"manifest in {directory} is not a JSON object")
     version = manifest.get("format_version", 1)
-    if version != FORMAT_VERSION:
+    if version not in READABLE_VERSIONS:
         raise SessionError(
             f"session {directory} has format version {version}; this "
-            f"codedunlearn reads version {FORMAT_VERSION} only (train a new "
-            "session to convert)")
-    missing = [role for role in ROLES if role not in manifest.get("files", {})]
+            "codedunlearn reads versions 2 and 3 only (train a new session "
+            "to convert)")
+    files = manifest.get("files", {})
+    entries_ok = isinstance(files, dict) and all(
+        isinstance(entry, dict) and isinstance(entry.get("name"), str)
+        and isinstance(entry.get("sha256"), str) for entry in files.values())
+    if not (entries_ok and isinstance(manifest.get("config"), dict)):
+        raise SessionError(f"malformed manifest in {directory}: it needs a "
+                           "config object and a string name and sha256 for "
+                           "every file")
+    missing = [role for role in ROLES if role not in files]
     if missing:
         raise SessionError(f"manifest in {directory} names no file for "
                            f"{', '.join(missing)}")
@@ -204,20 +218,12 @@ def load_session(directory) -> tuple[EnsembleModel, CodedStore, dict]:
                         gen["rho"], gen["seed"])
     meta = json.loads(data["store"])
     ids = arrays["ids"]
-    store = CodedStore.from_base(
-        arrays["base_features"], arrays["base_response"], ids, G,
-        dropped_ids=list(meta["dropped_ids"]),
-        alive=~np.isin(ids, meta["unlearned_ids"]),
-    )
+    store = CodedStore(G, arrays["base_features"], arrays["base_response"],
+                       ids, list(meta["dropped_ids"]),
+                       ~np.isin(ids, meta["unlearned_ids"]))
     pmap = (load_projection(io.BytesIO(data["projection"]))
             if "projection" in data else None)
-    model = EnsembleModel(
-        weights=arrays["weights"],
-        agg=arrays["agg"],
-        lam=float(meta["lambda"]),
-        generator=G,
-        projection=pmap,
-    )
+    model = EnsembleModel(arrays["weights"], float(meta["lambda"]), G, pmap)
     return model, store, manifest["config"]
 
 

@@ -83,7 +83,7 @@ class TestSessionWorkflow:
     def test_train_then_verify(self, tmp_path, runner, data_csv):
         session = train_session(runner, tmp_path, data_csv)
         manifest = json.loads((session / "manifest.json").read_text())
-        assert manifest["format_version"] == 2
+        assert manifest["format_version"] == 3
         assert all((session / f["name"]).exists()
                    for f in manifest["files"].values())
         result = runner.invoke(main, ["verify", "--session", str(session)])
@@ -112,6 +112,20 @@ class TestSessionWorkflow:
         ])
         assert result.exit_code == 3
         assert "not in the learned training set" in result.output
+
+    @pytest.mark.parametrize("ids", ["[1.5, 2.7]", "[true]"])
+    def test_unlearn_refuses_non_integer_ids(self, tmp_path, runner,
+                                             data_csv, ids):
+        session = train_session(runner, tmp_path, data_csv)
+        before = {p.name: p.read_bytes() for p in session.iterdir()}
+        ids_file = tmp_path / "ids.json"
+        ids_file.write_text(ids)
+        result = runner.invoke(main, [
+            "unlearn", "--session", str(session), "--ids-file", str(ids_file),
+        ])
+        assert result.exit_code == 3, result.output
+        assert "is not an integer" in result.output
+        assert {p.name: p.read_bytes() for p in session.iterdir()} == before
 
     def test_predict_writes_one_value_per_row(self, tmp_path, runner,
                                               data_csv):
@@ -143,10 +157,12 @@ class TestSessionWorkflow:
         session = train_session(runner, tmp_path, data_csv)
         manifest_path = session / "manifest.json"
         manifest = json.loads(manifest_path.read_text())
-        entry = manifest["files"]["agg"]
-        agg = session / entry["name"]
-        np.save(agg, np.full_like(np.load(agg), np.nan))
-        entry["sha256"] = hashlib.sha256(agg.read_bytes()).hexdigest()
+        entry = manifest["files"]["weights"]
+        weights = session / entry["name"]
+        w = np.load(weights)
+        w[0, 1] = np.nan
+        np.save(weights, w)
+        entry["sha256"] = hashlib.sha256(weights.read_bytes()).hexdigest()
         manifest_path.write_text(json.dumps(manifest))
         result = runner.invoke(main, ["verify", "--session", str(session)])
         assert result.exit_code == 4, result.output
@@ -214,6 +230,21 @@ class TestSessionWorkflow:
         assert manifest["config"]["seed"] == 2  # flag wins over config
         assert manifest["config"]["r"] == 2     # derived from tau
 
+    @pytest.mark.parametrize("key,text,value", [
+        ("s", "4", 4), ("lambda", "1e-3", 0.001), ("proj_dim", "8", 8)])
+    def test_config_values_take_the_option_types(self, tmp_path, runner,
+                                                  data_csv, key, text, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"data": str(data_csv), "s": 4, "tau": 2,
+                                   key: text}))
+        session = tmp_path / "cfg-session"
+        result = runner.invoke(main, [
+            "train", "--config", str(cfg), "--session", str(session),
+        ])
+        assert result.exit_code == 0, result.output
+        manifest = json.loads((session / "manifest.json").read_text())
+        assert manifest["config"][key] == value
+
     def test_lock_blocks_concurrent_use(self, tmp_path, runner, data_csv):
         session = train_session(runner, tmp_path, data_csv)
         (session / "lock").write_text("123")
@@ -236,6 +267,11 @@ class TestErrorBoundary:
          3, "could not convert string to float: 'abc'"),
         (["train", "--data", "{data}", "--s", "4", "--tau", "0"], 2,
          "tau=0 must be at least 1"),
+        (["train", "--data", "{data}", "--config", "{config_s_x}"], 2,
+         "'x' is not a valid integer"),
+        (["train", "--config", "{config_no_data}"], 2, "does not exist"),
+        (["train", "--data", "{data}", "--config", "{config_list}"], 2,
+         "must hold a JSON object"),
         (["unlearn", "--session", "{session}", "--ids", "1,x"], 3,
          "invalid literal for int()"),
         (["unlearn", "--session", "{session}", "--ids-file", "{bad_json}"],
@@ -247,13 +283,18 @@ class TestErrorBoundary:
         (["bench-influence", "--spec", "{no_kind}", "--out", "{out}"], 2,
          "spec dataset needs a path or a kind"),
     ], ids=["r-above-s", "negative-lam", "rho-not-a-number", "tau-zero",
-            "id-not-an-integer", "ids-file-not-json", "percentile-too-large",
+            "config-s-not-an-integer", "config-data-missing",
+            "config-not-an-object", "id-not-an-integer", "ids-file-not-json", "percentile-too-large",
             "spec-without-n-train", "dataset-without-kind"])
     def test_exit_code_and_message(self, tmp_path, runner, data_csv, args,
                                    code, message):
         dataset = {"kind": "gaussian-linear", "n": 200, "d": 3, "seed": 2}
         files = {
             "bad_json": "[1,",
+            "config_s_x": json.dumps({"s": "x", "r": 2}),
+            "config_no_data": json.dumps({"data": "missing.csv", "s": 4,
+                                          "r": 2}),
+            "config_list": "[4, 2]",
             "influence": json.dumps({"dataset": dataset, "n_train": 150,
                                      "percentiles": [60], "runs": 1}),
             "no_n_train": json.dumps({"dataset": dataset, "lambdas": [0.001],
@@ -335,7 +376,7 @@ class TestSessionFormat:
     @pytest.mark.parametrize("manifest,version", [
         ({"config": {}, "saved_at": "2020-01-01T00:00:00",
           "hashes": {"model.csv": "0" * 64, "base.csv": "0" * 64}}, 1),
-        ({"format_version": 3, "files": {}}, 3),
+        ({"format_version": 4, "files": {}}, 4),
     ])
     def test_other_format_versions_refused(self, tmp_path, runner, manifest,
                                            version):
@@ -346,6 +387,28 @@ class TestSessionFormat:
         result = runner.invoke(main, ["verify", "--session", str(tmp_path)])
         assert result.exit_code == 3
         assert f"format version {version}" in result.output
+
+    @pytest.mark.parametrize("tamper", [
+        lambda m: [],
+        lambda m: {k: v for k, v in m.items() if k != "config"},
+        lambda m: {**m, "files": list(m["files"])},
+        lambda m: {**m, "files": {**m["files"], "weights": {
+            "name": m["files"]["weights"]["name"]}}},
+        lambda m: {**m, "files": {**m["files"], "weights": {
+            "name": 7, "sha256": m["files"]["weights"]["sha256"]}}},
+    ], ids=["not-an-object", "without-config", "files-not-an-object",
+            "entry-without-sha256",
+            "entry-name-not-a-string"])
+    def test_malformed_manifest_refused(self, tmp_path, runner, data_csv,
+                                        tamper):
+        session = train_session(runner, tmp_path, data_csv)
+        path = session / "manifest.json"
+        path.write_text(json.dumps(tamper(json.loads(path.read_text()))))
+        with pytest.raises(SessionError, match="manifest"):
+            load_session(session)
+        result = runner.invoke(main, ["verify", "--session", str(session)])
+        assert result.exit_code == 3, result.output
+        assert "error:" in result.output and "manifest" in result.output
 
 
 class TestBenchCommands:

@@ -240,11 +240,10 @@ class TestEncoder:
         dead = [1, 8, 19]
         alive = np.ones(24, dtype=bool)
         alive[dead] = False
-        masked = CodedStore.from_base(ds.features, ds.response, ds.ids, G,
-                                      [], alive=alive)
+        masked = CodedStore(G, ds.features, ds.response, ds.ids, [], alive)
         X0, y0 = ds.features.copy(), ds.response.copy()
         X0[dead], y0[dead] = 0.0, 0.0
-        zeroed = CodedStore.from_base(X0, y0, ds.ids, G, [])
+        zeroed = CodedStore(G, X0, y0, ds.ids, [], np.ones(24, dtype=bool))
         for j in range(3):
             assert masked.coded_features[j].tobytes() \
                 == zeroed.coded_features[j].tobytes()

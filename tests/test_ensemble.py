@@ -77,8 +77,18 @@ class TestPredict:
     def test_zero_weights(self):
         ds = make_train(20, 3)
         model, _, _ = learn(ds, 2, 1, "minimal", 1e-2, seed=0)
-        model.agg = np.zeros_like(model.agg)
+        model.weights[:] = 0.0
         assert (predict(model, ds.features) == 0).all()
+
+    def test_serves_the_mean_of_the_current_weights(self):
+        # the aggregate is derived, so editing a learner moves predict
+        ds = make_train(30, 3, seed=3)
+        model, _, _ = learn(ds, 6, 3, 0.5, 1e-2, seed=2)
+        model.weights[:, 1] *= 3.0
+        assert predict(model, ds.features).tobytes() \
+            == (ds.features @ model.weights.mean(axis=1)).tobytes()
+        with pytest.raises(AttributeError):
+            model.agg = np.zeros(3)
 
     def test_single_learner_mean(self):
         ds = make_train(20, 3)
@@ -136,6 +146,27 @@ class TestUnlearn:
         model, store, _ = learn(ds, 4, 2, "minimal", 1e-3, seed=1)
         with pytest.raises(UnknownSample):
             unlearn(model, store, [999])
+
+    @pytest.mark.parametrize("ids", [
+        [1.5], [True], [1, True], [np.float64(2)], ["3"], [np.bool_(True)]],
+        ids=["float", "bool", "int-then-bool", "np-float", "str", "np-bool"])
+    def test_non_integer_id_refused_before_anything_changes(self, ids):
+        ds = make_train(20, 2)
+        model, store, _ = learn(ds, 4, 2, "minimal", 1e-3, seed=1)
+        unlearn(model, store, [5])   # fills the Gram cache of a learner
+
+        def state():
+            return [store.alive.copy(), store.base_features.copy(),
+                    store.base_response.copy(), store.coded_features.copy(),
+                    store.coded_response.copy(), model.weights.copy(),
+                    *[a.copy() for g in store.slice_grams.values()
+                      for a in g]]
+
+        before = state()
+        with pytest.raises(UnknownSample, match="not an integer"):
+            unlearn(model, store, ids)
+        for a, b in zip(state(), before, strict=True):
+            assert a.tobytes() == b.tobytes()
 
     @pytest.mark.parametrize("u", [-1, 20, 2**70])
     def test_unknown_sample_in_batch_marks_nothing(self, u):
@@ -213,7 +244,7 @@ class TestVerify:
     def test_nan_aggregate_fails(self):
         ds = make_train(40, 3, seed=4)
         model, store, _ = learn(ds, 4, 2, "minimal", 1e-2, seed=6)
-        model.agg = np.full_like(model.agg, np.nan)
+        model.weights[0, 1] = np.nan
         report = verify_perfect_unlearning(model, store)
         assert not report.passed
         assert np.isnan(report.max_discrepancy)

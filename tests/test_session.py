@@ -2,6 +2,8 @@
 erasure, incremental and crash-safe saves.  The CLI-level checks (erasure on
 disk, tampering, other format versions) are in test_cli.py."""
 
+import hashlib
+import io
 import json
 import os
 
@@ -13,6 +15,7 @@ from codedunlearn import (
     SessionError,
     learn,
     make_projection,
+    predict,
     unlearn,
     verify_perfect_unlearning,
 )
@@ -89,6 +92,57 @@ class TestRoundTrip:
         # the superseded files are gone
         names = {f["name"] for f in after.values()} | {"manifest.json"}
         assert {p.name for p in tmp_path.iterdir()} == names
+
+
+def as_format_2(session, agg):
+    """Turn a saved session into the version 2 layout, which also stores
+    the aggregate weights, here with the given contents."""
+    buf = io.BytesIO()
+    np.save(buf, agg, allow_pickle=False)
+    digest = hashlib.sha256(buf.getvalue()).hexdigest()
+    name = f"agg-{digest[:12]}.npy"
+    (session / name).write_bytes(buf.getvalue())
+    manifest = manifest_of(session)
+    manifest["format_version"] = 2
+    manifest["files"]["agg"] = {"name": name, "sha256": digest}
+    (session / "manifest.json").write_text(json.dumps(manifest))
+    return session / name
+
+
+class TestFormat2:
+    def test_loads_predicts_and_saves_as_format_3(self, tmp_path):
+        ds = make_train(90, 3, seed=6)
+        model, store, _ = learn(ds, 6, 3, 0.5, 1e-3, seed=2)
+        unlearn(model, store, [8, 40])
+        save_session(tmp_path, model, store, {"seed": 2})
+        assert manifest_of(tmp_path)["format_version"] == 3
+        assert "agg" not in manifest_of(tmp_path)["files"]
+        # the stored aggregate is hash-checked but not served
+        as_format_2(tmp_path, np.zeros_like(model.agg))
+        back, back_store, config = load_session(tmp_path)
+        assert config == {"seed": 2}
+        assert predict(back, ds.features).tobytes() \
+            == predict(model, ds.features).tobytes()
+        assert verify_perfect_unlearning(back, back_store).max_discrepancy \
+            == 0.0
+        unlearn(back, back_store, [11])
+        save_session(tmp_path, back, back_store, {"seed": 2})
+        manifest = manifest_of(tmp_path)
+        assert manifest["format_version"] == 3
+        assert not list(tmp_path.glob("agg-*"))
+        names = {f["name"] for f in manifest["files"].values()}
+        assert {p.name for p in tmp_path.iterdir()} == names | {"manifest.json"}
+
+    def test_tampered_aggregate_is_stale(self, tmp_path):
+        model, store, _ = learn(make_train(40, 3), 4, 2, "minimal", 1e-3,
+                                seed=1)
+        save_session(tmp_path, model, store, {})
+        agg = as_format_2(tmp_path, model.agg)
+        data = bytearray(agg.read_bytes())
+        data[-1] ^= 1
+        agg.write_bytes(bytes(data))
+        with pytest.raises(SessionError, match="stale"):
+            load_session(tmp_path)
 
 
 class TestErasure:
