@@ -22,7 +22,6 @@ from .coding import (
     encode,
     rand_matrix,
     rand_matrix_minimal,
-    rate,
 )
 from .dataset import (
     Dataset,

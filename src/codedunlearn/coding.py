@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from contextlib import suppress
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
@@ -59,16 +58,8 @@ class GeneratorMatrix:
         if binary_rank(G) != r:
             raise RankDeficient("generator matrix is not full column rank")
 
-    def row_weight(self, i: int) -> int:
-        return int(self.entries[i].sum())
-
     def nonzero_columns(self, i: int) -> np.ndarray:
         return self.entries[i].nonzero()[0]
-
-
-def rate(G: GeneratorMatrix) -> Fraction:
-    """Code rate s/r: uncoded-to-coded shard (and sample) compression factor."""
-    return Fraction(G.uncoded_shards, G.coded_shards)
 
 
 def rand_matrix(s: int, r: int, rho: float, seed=None,

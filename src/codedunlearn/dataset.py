@@ -72,41 +72,63 @@ class NormalizationRecord:
             resp = np.zeros_like(ds.response)
         return Dataset(feats, resp, ds.ids)
 
-    def denormalize_features(self, feats: np.ndarray) -> np.ndarray:
-        return feats * (self.feature_max - self.feature_min) + self.feature_min
 
-    def denormalize_response(self, resp: np.ndarray) -> np.ndarray:
-        return resp * (self.response_max - self.response_min) + self.response_min
+# the lines a file read with newline="" yields for an empty line
+_BLANK_LINES = frozenset(("\n", "\r", "\r\n"))
 
 
 def read_numeric_csv(path) -> tuple[list[str], np.ndarray]:
-    """Header and data rows of an all-numeric CSV with one header row."""
+    """Header and data rows of an all-numeric CSV with one header row.
+
+    The header is parsed by the csv module, so its names may be quoted.
+    The body is parsed by numpy's C reader, which gives the same bits as
+    float() per cell.  Its result is taken only when every body line became
+    one row of len(header) values; any other input (a blank line, which
+    that reader skips, a quoted or empty cell, a '#' line, a ragged row)
+    goes through the csv module cell by cell, which accepts what float()
+    accepts and otherwise raises the ParseError naming the first bad row.
+    """
     path = Path(path)
     with path.open(newline="") as fh:
-        reader = csv.reader(fh)
         try:
-            header = next(reader)
+            header = next(csv.reader(fh))
         except StopIteration:
             raise ParseError(f"{path}: empty file") from None
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != len(header):
+        lines = list(fh)
+    if lines and _BLANK_LINES.isdisjoint(lines):
+        try:
+            data = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2,
+                              dtype=float)
+        except ValueError:
+            pass
+        else:
+            if data.shape == (len(lines), len(header)):
+                return header, data
+    return header, _parse_cells(path, header, csv.reader(lines))
+
+
+def _parse_cells(path, header: list[str], reader) -> np.ndarray:
+    """The body rows of a CSV, float() cell by cell, or the ParseError for
+    the first row that is not len(header) numeric cells."""
+    rows = []
+    for lineno, row in enumerate(reader, start=2):
+        if len(row) != len(header):
+            raise ParseError(
+                f"{path}: row {lineno} has {len(row)} cells, expected {len(header)}"
+            )
+        parsed = []
+        for col, cell in zip(header, row):
+            try:
+                parsed.append(float(cell))
+            except ValueError:
                 raise ParseError(
-                    f"{path}: row {lineno} has {len(row)} cells, expected {len(header)}"
-                )
-            parsed = []
-            for col, cell in zip(header, row):
-                try:
-                    parsed.append(float(cell))
-                except ValueError:
-                    raise ParseError(
-                        f"{path}: row {lineno}, column {col!r}: "
-                        f"non-numeric cell {cell!r}"
-                    ) from None
-            rows.append(parsed)
+                    f"{path}: row {lineno}, column {col!r}: "
+                    f"non-numeric cell {cell!r}"
+                ) from None
+        rows.append(parsed)
     if not rows:
         raise ParseError(f"{path}: no data rows")
-    return header, np.array(rows, dtype=float)
+    return np.array(rows, dtype=float)
 
 
 def load_csv(path, response_column) -> Dataset:
@@ -134,19 +156,30 @@ def load_csv(path, response_column) -> Dataset:
     return Dataset(features, response, np.arange(len(data)))
 
 
+_WRITE_CHUNK = 256   # rows held as Python floats and text at a time
+
+
 def write_csv(ds: Dataset, path, response_name: str = "y",
               feature_names=None) -> None:
-    """Write a Dataset as CSV; the csv module formats each Python float
-    with repr, so load_csv round-trips bit-exactly."""
+    """Write a Dataset as CSV: the feature columns, then the response.
+
+    The header goes through the csv module, which quotes names that need
+    it.  Each cell is the repr of a Python float, the shortest text that
+    reads back to the same bits, so load_csv round-trips bit-exactly; the
+    bytes are the ones csv.writer would write.  Rows are formatted a chunk
+    at a time, so no copy of the whole dataset is held.
+    """
     if feature_names is None:
         feature_names = [f"x{j}" for j in range(ds.num_features)]
     path = Path(path)
     with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(list(feature_names) + [response_name])
-        # row by row: a whole-array tolist() holds every cell at once
-        writer.writerows(x.tolist() + [y]
-                         for x, y in zip(ds.features, ds.response.tolist()))
+        csv.writer(fh).writerow(list(feature_names) + [response_name])
+        for start in range(0, ds.n, _WRITE_CHUNK):
+            stop = start + _WRITE_CHUNK
+            rows = np.column_stack((ds.features[start:stop],
+                                    ds.response[start:stop])).tolist()
+            fh.write("".join([",".join(map(repr, row)) + "\r\n"
+                              for row in rows]))
 
 
 def normalize(train: Dataset, test: Dataset):

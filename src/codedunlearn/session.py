@@ -51,7 +51,7 @@ import numpy as np
 
 from .coding import CodedStore, GeneratorMatrix
 from .ensemble import EnsembleModel
-from .errors import SessionError
+from .errors import DimensionMismatch, SessionError
 from .projections import load_projection, save_projection
 
 FORMAT_VERSION = 3
@@ -205,25 +205,89 @@ def _read_checked(directory: Path, entry: dict) -> bytes:
     return data
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _is_int_list(v) -> bool:
+    return isinstance(v, list) and all(map(_is_int, v))
+
+
+# role -> (what the JSON object needs, a check per key)
+_PAYLOADS = {
+    "generator": ("integers s and r, a number rho, an integer or null seed "
+                  "and a list of rows", {
+                      "s": _is_int, "r": _is_int, "rho": _is_number,
+                      "seed": lambda v: v is None or _is_int(v),
+                      "rows": lambda v: isinstance(v, list)}),
+    "store": ("integer lists dropped_ids and unlearned_ids and a number "
+              "lambda", {
+                  "dropped_ids": _is_int_list, "unlearned_ids": _is_int_list,
+                  "lambda": _is_number}),
+}
+
+
+def _read_payload(directory: Path, role: str, data: bytes) -> dict:
+    """The JSON object of a generator or store file, with its keys and
+    their types checked as _read_manifest checks the manifest's."""
+    needs, checks = _PAYLOADS[role]
+    try:
+        obj = json.loads(data)
+    except ValueError:
+        obj = None
+    if not (isinstance(obj, dict)
+            and all(key in obj and ok(obj[key]) for key, ok in checks.items())):
+        raise SessionError(f"malformed {role} file in {directory}: it needs "
+                           f"{needs}")
+    return obj
+
+
 def load_session(directory) -> tuple[EnsembleModel, CodedStore, dict]:
     directory = Path(directory)
     manifest = _read_manifest(directory)
     data = {role: _read_checked(directory, entry)
             for role, entry in manifest["files"].items()}
-    arrays = {role: np.load(io.BytesIO(data[role]), allow_pickle=False)
-              for role in ARRAYS}
+    try:
+        X, y, ids, W = (np.load(io.BytesIO(data[role]), allow_pickle=False)
+                        for role in ARRAYS)
+        pmap = (load_projection(io.BytesIO(data["projection"]))
+                if "projection" in data else None)
+    except (ValueError, EOFError, KeyError, DimensionMismatch) as exc:
+        raise SessionError(f"unreadable array file in {directory}: {exc}") \
+            from None
 
-    gen = json.loads(data["generator"])
-    G = GeneratorMatrix(gen["s"], gen["r"], np.array(gen["rows"]),
-                        gen["rho"], gen["seed"])
-    meta = json.loads(data["store"])
-    ids = arrays["ids"]
-    store = CodedStore(G, arrays["base_features"], arrays["base_response"],
-                       ids, list(meta["dropped_ids"]),
+    gen = _read_payload(directory, "generator", data["generator"])
+    try:
+        G = GeneratorMatrix(gen["s"], gen["r"], np.array(gen["rows"]),
+                            gen["rho"], gen["seed"])
+    except (ValueError, DimensionMismatch) as exc:
+        raise SessionError(f"malformed generator file in {directory}: {exc}") \
+            from None
+    meta = _read_payload(directory, "store", data["store"])
+
+    s, r = G.uncoded_shards, G.coded_shards
+    n = len(ids) if isinstance(ids, np.ndarray) and ids.ndim == 1 else -1
+    if not (n >= s and n % s == 0 and ids.dtype.kind in "iu"
+            and all(isinstance(a, np.ndarray) and a.dtype == np.float64
+                    for a in (X, y, W))
+            and X.ndim == 2 and X.shape[0] == n and y.shape == (n,)
+            and W.shape == (X.shape[1], r)
+            and (pmap is None or pmap.output_dim == X.shape[1])):
+        shapes = ", ".join(f"{role} {getattr(a, 'dtype', '?')}"
+                           f"{getattr(a, 'shape', '')}"
+                           for role, a in zip(ARRAYS, (X, y, ids, W)))
+        raise SessionError(
+            f"inconsistent session {directory}: it needs integer ids and "
+            f"float base rows for s={s} equal shards, and a float weights "
+            f"column per coded shard (r={r}) as long as a base row; got "
+            f"{shapes}")
+    store = CodedStore(G, X, y, ids, list(meta["dropped_ids"]),
                        ~np.isin(ids, meta["unlearned_ids"]))
-    pmap = (load_projection(io.BytesIO(data["projection"]))
-            if "projection" in data else None)
-    model = EnsembleModel(arrays["weights"], float(meta["lambda"]), G, pmap)
+    model = EnsembleModel(W, float(meta["lambda"]), G, pmap)
     return model, store, manifest["config"]
 
 

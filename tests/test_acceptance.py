@@ -92,7 +92,7 @@ def test_criterion_4_affected_learner_accounting(desk_results):
         if rho == "minimal" and k == 1 and rep.num_affected != 1:
             ok = False
         if k == 1:
-            if rep.num_affected != G.row_weight(shards[0]):
+            if rep.num_affected != len(G.nonzero_columns(shards[0])):
                 ok = False
     report(4, "retrain count equals generator-row support "
               "(exactly 1 at minimal density)", ok)

@@ -410,6 +410,25 @@ class TestSessionFormat:
         assert result.exit_code == 3, result.output
         assert "error:" in result.output and "manifest" in result.output
 
+    def test_malformed_store_payload_refused(self, tmp_path, runner,
+                                             data_csv):
+        # a store file swapped for one that lacks unlearned_ids, under a
+        # manifest re-hashed to match it
+        session = train_session(runner, tmp_path, data_csv)
+        path = session / "manifest.json"
+        manifest = json.loads(path.read_text())
+        entry = manifest["files"]["store"]
+        data = json.dumps({"dropped_ids": []}).encode()
+        (session / entry["name"]).write_bytes(data)
+        entry["sha256"] = hashlib.sha256(data).hexdigest()
+        path.write_text(json.dumps(manifest))
+        for cmd in (["verify"], ["unlearn", "--ids", "3"],
+                    ["predict", "--data", str(data_csv)]):
+            result = runner.invoke(main, [*cmd, "--session", str(session)])
+            assert result.exit_code == 3, result.output
+            assert result.output.startswith("error: malformed store file")
+            assert result.output.count("\n") == 1
+
 
 class TestBenchCommands:
     def test_tradeoff_sweep(self, tmp_path, runner):

@@ -15,7 +15,6 @@ from codedunlearn import (
     learn,
     rand_matrix,
     rand_matrix_minimal,
-    rate,
     unlearn,
 )
 from codedunlearn import coding
@@ -105,13 +104,15 @@ class TestGeneratorMatrix:
 
 
 class TestRate:
+    # the rate s/r is the uncoded-to-coded shard (and sample) compression
+    # factor
     def test_paper_rate(self):
         G = rand_matrix_minimal(10, 2, 0)
-        assert rate(G) == 5
+        assert Fraction(G.uncoded_shards, G.coded_shards) == 5
 
     def test_unit_rate(self):
         G = rand_matrix_minimal(4, 4, 0)
-        assert rate(G) == 1
+        assert Fraction(G.uncoded_shards, G.coded_shards) == 1
 
     def test_accounting_identity(self):
         # tau == n_used / m for the coded sample counts
@@ -121,7 +122,8 @@ class TestRate:
             r = int(rng.integers(1, s + 1))
             G = rand_matrix_minimal(s, r, int(rng.integers(1 << 30)))
             nbar = 7
-            assert rate(G) == Fraction(s * nbar, r * nbar)
+            assert Fraction(G.uncoded_shards, G.coded_shards) \
+                == Fraction(s * nbar, r * nbar)
 
 
 def make_train(n, d, seed=0):

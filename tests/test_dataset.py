@@ -1,3 +1,6 @@
+import csv
+import io
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,6 +22,7 @@ from codedunlearn import (
     split,
     write_csv,
 )
+from codedunlearn.dataset import _WRITE_CHUNK, _parse_cells, read_numeric_csv
 from codedunlearn.numerics import ridge_solve
 
 
@@ -82,6 +86,95 @@ class TestCsv:
         assert f.read_bytes() == reference.encode()
 
 
+def reference_read(path):
+    """The cell-by-cell reader alone: csv rows straight from the file."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise ParseError(f"{path}: empty file") from None
+        return header, _parse_cells(path, header, reader)
+
+
+def outcome(read, path):
+    try:
+        header, data = read(path)
+    except ParseError as exc:
+        return "error", str(exc)
+    return header, data.shape, data.tobytes()
+
+
+class TestReaderParity:
+    """read_numeric_csv against the cell-by-cell reference: bitwise equal
+    arrays or the identical ParseError text, whichever path it took."""
+
+    @pytest.mark.parametrize("text,by_cell", [
+        ("a,b\n1,2\n3,4\n", False),
+        ("a,b\r\n1,2\r\n3,4", False),
+        ("a,b\r1,2\r3,4\r", False),
+        ("a,b\r\n1,2\n3,4\r5,6\n", False),
+        ("a,b\n 1.5 , 2 \n", False),
+        ("a,b,c\nnan,inf,-Infinity\n-0.0,5e-324,1e999\n", False),
+        ("y\n1\n2\n", False),
+        ('"a,b",c\n1,2\n', False),
+        ("a,b\n1,2\n\n3,4\n", True),
+        ("a,b\n1,2\n\n", True),
+        ("a,b\n\n", True),
+        ("a,b\r\r1,2\r", True),
+        ("a,b,c\n1,,3\n", True),
+        ('a,b\n"1.5",2\n', True),
+        ("a,b\n1_0,2\n", True),
+        ("a,b\n# note\n1,2\n", True),
+        ("a\n#1\n", True),
+        ("a,b\n", True),
+        ("a,b", True),
+        ("", False),
+        ("a,b\n1,2\n1\n", True),
+        ("a,b\n1,2,3\n", True),
+        ("a\n  \n", True),
+    ], ids=["lf", "crlf", "cr-only", "mixed-ends", "spaces", "non-finite",
+            "one-column", "quoted-header", "blank-mid", "blank-trailing",
+            "blank-only", "blank-cr", "empty-cell", "quoted-number",
+            "underscore", "hash-line", "hash-number", "header-only",
+            "header-only-unterminated", "empty-file", "ragged-short",
+            "ragged-long", "spaces-only"])
+    def test_same_result_as_reference(self, tmp_path, monkeypatch, text,
+                                      by_cell):
+        f = tmp_path / "d.csv"
+        f.write_bytes(text.encode())
+        expected = outcome(reference_read, f)
+        calls = []
+        real = _parse_cells
+        monkeypatch.setattr("codedunlearn.dataset._parse_cells",
+                            lambda *a: calls.append(a) or real(*a))
+        assert outcome(read_numeric_csv, f) == expected
+        # only input numpy's reader cannot take reaches the cell-by-cell loop
+        assert bool(calls) == by_cell
+
+
+class TestWriter:
+    VALUES = [-0.0, np.nan, np.inf, -np.inf, 5e-324, 1e16,
+              9.999999999999999e15, 1e-5, 0.1]
+
+    def test_bytes_equal_csv_writer_and_round_trip(self, tmp_path):
+        # spans a chunk boundary of the writer
+        n = _WRITE_CHUNK + 3
+        X = np.resize(self.VALUES, (n, 2))
+        y = np.resize(self.VALUES[::-1], n)
+        names = ["a,b", "c"]
+        f = tmp_path / "d.csv"
+        write_csv(Dataset(X, y, np.arange(n)), f, feature_names=names)
+        buf = io.StringIO(newline="")
+        writer = csv.writer(buf)
+        writer.writerow(names + ["y"])
+        writer.writerows(row + [v] for row, v in zip(X.tolist(), y.tolist()))
+        assert f.read_bytes() == buf.getvalue().encode()
+        assert f.read_bytes().startswith(b'"a,b",c,y\r\n')
+        back = load_csv(f, "y")
+        assert back.features.tobytes() == X.tobytes()
+        assert back.response.tobytes() == y.tobytes()
+
 class TestNormalize:
     def test_column_maps_to_unit_interval(self):
         train = Dataset(np.array([[2.0], [4.0], [6.0]]), np.array([0.0, 1.0, 2.0]),
@@ -104,9 +197,11 @@ class TestNormalize:
 
     def test_round_trip_within_tolerance(self, small_ds):
         train_n, _, rec = normalize(small_ds, small_ds)
-        back = rec.denormalize_features(train_n.features)
+        span = rec.feature_max - rec.feature_min
+        back = train_n.features * span + rec.feature_min
         np.testing.assert_allclose(back, small_ds.features, atol=1e-12)
-        yback = rec.denormalize_response(train_n.response)
+        yspan = rec.response_max - rec.response_min
+        yback = train_n.response * yspan + rec.response_min
         np.testing.assert_allclose(yback, small_ds.response, atol=1e-12)
 
 

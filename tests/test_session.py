@@ -208,3 +208,79 @@ class TestRefusal:
         (tmp_path / "manifest.json").write_text(json.dumps(manifest))
         with pytest.raises(SessionError, match="weights"):
             load_session(tmp_path)
+
+
+def replace_file(session, role, data: bytes):
+    """Overwrite a session file and re-hash it in the manifest, so that
+    only the content checks of load_session can refuse it."""
+    manifest = manifest_of(session)
+    entry = manifest["files"][role]
+    (session / entry["name"]).write_bytes(data)
+    entry["sha256"] = hashlib.sha256(data).hexdigest()
+    (session / "manifest.json").write_text(json.dumps(manifest))
+
+
+def npy(array) -> bytes:
+    buf = io.BytesIO()
+    np.save(buf, array, allow_pickle=False)
+    return buf.getvalue()
+
+
+def json_file(obj) -> bytes:
+    return json.dumps(obj).encode()
+
+
+class TestMalformedPayload:
+    """Files whose hashes match a rewritten manifest are still refused with
+    SessionError when their content cannot belong to a session."""
+
+    @pytest.fixture
+    def session(self, tmp_path):
+        model, store, _ = learn(make_train(40, 3), 4, 2, 0.5, 1e-3, seed=1)
+        unlearn(model, store, [6])
+        save_session(tmp_path, model, store, {})
+        return tmp_path, model, store
+
+    @pytest.mark.parametrize("role,content,match", [
+        ("store", lambda m, st: {"dropped_ids": []}, "malformed store"),
+        ("store", lambda m, st: [], "malformed store"),
+        ("store", lambda m, st: {"dropped_ids": [], "unlearned_ids": ["6"],
+                                 "lambda": 1e-3}, "malformed store"),
+        ("store", lambda m, st: {"dropped_ids": [], "unlearned_ids": [6],
+                                 "lambda": True}, "malformed store"),
+        ("generator", lambda m, st: {"s": 4, "r": 2, "rho": 0.5,
+                                     "seed": 1}, "malformed generator"),
+        ("generator", lambda m, st: {
+            "s": "4", "r": 2, "rho": 0.5, "seed": 1,
+            "rows": m.generator.entries.tolist()}, "malformed generator"),
+        ("generator", lambda m, st: {
+            "s": 4, "r": 2, "rho": 0.5, "seed": 1,
+            "rows": [[2, 0], [0, 1], [1, 0], [0, 1]]}, "malformed generator"),
+        ("generator", lambda m, st: {
+            "s": 3, "r": 2, "rho": 0.5, "seed": 1,
+            "rows": m.generator.entries.tolist()}, "malformed generator"),
+        ("weights", lambda m, st: np.zeros((3, 3)), "inconsistent"),
+        ("weights", lambda m, st: np.zeros(3), "inconsistent"),
+        ("base_features", lambda m, st: st.base_features[:-1],
+         "inconsistent"),
+        ("base_response", lambda m, st: st.base_response[:, None],
+         "inconsistent"),
+        ("ids", lambda m, st: st.ids.astype(float), "inconsistent"),
+        ("ids", lambda m, st: st.ids[:-4], "inconsistent"),
+        ("weights", lambda m, st: b"not an array", "unreadable"),
+    ], ids=["store-without-unlearned-ids", "store-not-an-object",
+            "string-id", "bool-lambda", "generator-without-rows",
+            "string-s", "non-binary-rows", "rows-not-s-by-r",
+            "weights-extra-column", "weights-1d", "base-row-missing",
+            "response-2d", "float-ids", "ids-one-shard-short",
+            "weights-not-npy"])
+    def test_refused_with_session_error(self, session, role, content,
+                                        match):
+        directory, model, store = session
+        value = content(model, store)
+        data = (value if isinstance(value, bytes) else
+                npy(value) if isinstance(value, np.ndarray)
+                else json_file(value))
+        replace_file(directory, role, data)
+        with pytest.raises(SessionError, match=match):
+            load_session(directory)
