@@ -3,10 +3,11 @@
 A generator matrix maps s uncoded shards onto r coded shards (r <= s).  Every
 accepted matrix has binary entries, no all-zero row, and exact integer rank r.
 Coded shard j is the entrywise sum over uncoded shards i (ascending) of
-g[i, j] * shard_i, with unlearned rows zeroed; the ascending order is fixed so
-the reconstruction invariant is bitwise checkable despite floating-point
-non-associativity.  The r coded shards are stacked into one (r, nbar, D)
-feature array and one (r, nbar) response array.
+g[i, j] * shard_i; the ascending order is fixed so the reconstruction
+invariant is bitwise checkable despite floating-point non-associativity.
+Unlearned rows take part as stored: a CodedStore keeps them at +0.0, which
+adds nothing, so the encoder needs no mask.  The r coded shards are stacked
+into one (r, nbar, D) feature array and one (r, nbar) response array.
 """
 
 from __future__ import annotations
@@ -106,26 +107,22 @@ def rand_matrix_minimal(s: int, r: int, seed=None) -> GeneratorMatrix:
     return GeneratorMatrix(s, r, G, 1.0 / r, seed)
 
 
-def _encode(features: np.ndarray, response: np.ndarray, alive: np.ndarray,
+def _encode(features: np.ndarray, response: np.ndarray,
             G: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Coded shards for the k columns of G (s, k), as one (k, nbar, D) and
-    one (k, nbar) array.  features, response and alive are in shard order;
-    shard j is the sum, over ascending i with G[i, j] = 1, of uncoded shard
-    i with the rows alive marks unlearned zeroed.  The order is fixed on
-    purpose.  A shard that holds an unlearned row is added under a mask, in
-    place: the accumulator starts at +0.0 and so never holds -0.0, and
-    leaving a row as it is equals adding a zeroed row bitwise."""
+    one (k, nbar) array.  features and response are in shard order; shard j
+    is the sum, over ascending i with G[i, j] = 1, of uncoded shard i.  The
+    order is fixed on purpose.  No row is masked: a CodedStore holds its
+    unlearned rows as +0.0, and since the accumulator starts at +0.0 and so
+    never holds -0.0, adding a zeroed row leaves it bitwise as it was."""
     s, k = G.shape
-    X, y, keep = (a.reshape(s, -1, *a.shape[1:])
-                  for a in (features, response, alive))
+    X, y = (a.reshape(s, -1, *a.shape[1:]) for a in (features, response))
     coded_X = np.zeros((k, *X.shape[1:]))
     coded_y = np.zeros((k, y.shape[1]))
     for i in G.any(axis=1).nonzero()[0]:
-        # where=True is a plain add; a row mask makes the add ~3x slower
-        kx, ky = (True, True) if keep[i].all() else (keep[i, :, None], keep[i])
         for j in G[i].nonzero()[0]:
-            np.add(coded_X[j], X[i], out=coded_X[j], where=kx)
-            np.add(coded_y[j], y[i], out=coded_y[j], where=ky)
+            np.add(coded_X[j], X[i], out=coded_X[j])
+            np.add(coded_y[j], y[i], out=coded_y[j])
     return coded_X, coded_y
 
 
@@ -141,10 +138,11 @@ class CodedStore:
     The base rows fill the s uncoded shards exactly and are kept, not
     copied.  Unlearning ids[p] sets alive[p] False and zeroes base row p;
     locate finds p through a sorted index of ids that is never persisted.
-    The coded shards are derived state: shard j always equals the
-    ascending-order sum of g[i, j] times uncoded shard i with the rows alive
-    marks unlearned zeroed whatever their values, so construction encodes
-    them from the base rows, G and alive.
+    An unlearned base row is +0.0: construction zeroes, in place, every row
+    alive marks unlearned, whatever it held, and unlearn zeroes each row it
+    commits.  The coded shards are derived state: shard j always equals the
+    ascending-order sum of g[i, j] times uncoded shard i, so construction
+    encodes them from the base rows and G alone.
 
     slice_grams maps learner j to the per-slice X'X and X'y of coded shard
     j, as numerics.refit returns them, so that a regularized unlearn
@@ -172,9 +170,11 @@ class CodedStore:
 
     def __post_init__(self):
         self.shard_size = len(self.ids) // self.generator.uncoded_shards
+        dead = ~self.alive
+        self.base_features[dead] = 0.0
+        self.base_response[dead] = 0.0
         self.coded_features, self.coded_response = _encode(
-            self.base_features, self.base_response, self.alive,
-            self.generator.entries)
+            self.base_features, self.base_response, self.generator.entries)
         self._order = np.argsort(self.ids, kind="stable")
 
     def locate(self, ids) -> np.ndarray:
@@ -190,19 +190,21 @@ class CodedStore:
         return pos
 
     def surviving_shard(self, i: int) -> tuple[np.ndarray, np.ndarray]:
-        """Uncoded shard i with unlearned rows zeroed out: the encoder
-        applied to the unit column e_i."""
-        e_i = np.arange(self.generator.uncoded_shards)[:, None] == i
-        X, y = _encode(self.base_features, self.base_response, self.alive, e_i)
-        return X[0], y[0]
+        """Uncoded shard i with the rows alive marks unlearned zeroed out,
+        whatever the base rows hold."""
+        rows = slice(i * self.shard_size, (i + 1) * self.shard_size)
+        keep = self.alive[rows]
+        return (np.where(keep[:, None], self.base_features[rows], 0.0),
+                np.where(keep, self.base_response[rows], 0.0))
 
     def rebuild_coded_shard(self, j: int) -> tuple[np.ndarray, np.ndarray]:
-        """Recompute coded shard j from surviving samples, ascending order.
+        """Recompute coded shard j from the base rows, ascending order.
 
-        Masks by alive rather than trusting the zeroed base rows, so verify
-        checks the rows independently of how unlearn erased them."""
+        Adds every row unmasked, as construction does, so it counts on the
+        unlearned rows being zero: a store whose unlearned rows still hold
+        values rebuilds to other shards, and verify reports it."""
         G = self.generator.entries[:, [j]]
-        X, y = _encode(self.base_features, self.base_response, self.alive, G)
+        X, y = _encode(self.base_features, self.base_response, G)
         return X[0], y[0]
 
     def rebuild_coded_row(self, j: int, row: int) -> tuple[np.ndarray, float]:

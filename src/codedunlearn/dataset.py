@@ -87,6 +87,8 @@ def read_numeric_csv(path) -> tuple[list[str], np.ndarray]:
     that reader skips, a quoted or empty cell, a '#' line, a ragged row)
     goes through the csv module cell by cell, which accepts what float()
     accepts and otherwise raises the ParseError naming the first bad row.
+    What the csv module refuses (a cell over its field limit) is a
+    ParseError too.
     """
     path = Path(path)
     with path.open(newline="") as fh:
@@ -94,6 +96,8 @@ def read_numeric_csv(path) -> tuple[list[str], np.ndarray]:
             header = next(csv.reader(fh))
         except StopIteration:
             raise ParseError(f"{path}: empty file") from None
+        except csv.Error as exc:
+            raise ParseError(f"{path}: row 1: {exc}") from None
         lines = list(fh)
     if lines and _BLANK_LINES.isdisjoint(lines):
         try:
@@ -109,23 +113,27 @@ def read_numeric_csv(path) -> tuple[list[str], np.ndarray]:
 
 def _parse_cells(path, header: list[str], reader) -> np.ndarray:
     """The body rows of a CSV, float() cell by cell, or the ParseError for
-    the first row that is not len(header) numeric cells."""
+    the first row that is not len(header) numeric cells or that the csv
+    module cannot read."""
     rows = []
-    for lineno, row in enumerate(reader, start=2):
-        if len(row) != len(header):
-            raise ParseError(
-                f"{path}: row {lineno} has {len(row)} cells, expected {len(header)}"
-            )
-        parsed = []
-        for col, cell in zip(header, row):
-            try:
-                parsed.append(float(cell))
-            except ValueError:
-                raise ParseError(
-                    f"{path}: row {lineno}, column {col!r}: "
-                    f"non-numeric cell {cell!r}"
-                ) from None
-        rows.append(parsed)
+    lineno = 1
+    try:
+        for lineno, row in enumerate(reader, start=2):
+            if len(row) != len(header):
+                raise ParseError(f"{path}: row {lineno} has {len(row)} "
+                                 f"cells, expected {len(header)}")
+            parsed = []
+            for col, cell in zip(header, row):
+                try:
+                    parsed.append(float(cell))
+                except ValueError:
+                    raise ParseError(
+                        f"{path}: row {lineno}, column {col!r}: "
+                        f"non-numeric cell {cell!r}"
+                    ) from None
+            rows.append(parsed)
+    except csv.Error as exc:
+        raise ParseError(f"{path}: row {lineno + 1}: {exc}") from None
     if not rows:
         raise ParseError(f"{path}: no data rows")
     return np.array(rows, dtype=float)

@@ -26,14 +26,22 @@ and then ignored, since the aggregate is the mean of the weight columns
 (EnsembleModel.agg).  The next save writes version 3 and deletes it.
 
 Coded shards are not stored: load_session re-encodes them from the base
-rows, the generator and the unlearned mask in the ascending order used at
-training time, so the rebuilt shards are bitwise the ones the model was
-trained on.  Nor is the store's per-slice Gram cache: a loaded store starts
-empty and each regularized unlearn fills it for the learners it retrains.
+rows and the generator in the ascending order used at training time, so
+the rebuilt shards are bitwise the ones the model was trained on.  Nor is
+the store's per-slice Gram cache: a loaded store starts empty and each
+regularized unlearn fills it for the learners it retrains.
 Unlearning also zeroes a sample's base row (ensemble.unlearn), so a
-forgotten sample's values never reach the disk.  Arrays are .npy files
-written and read with allow_pickle=False; they round-trip bit-exactly, so
-verify on a freshly loaded session reports discrepancy zero.
+forgotten sample's values never reach the disk, and CodedStore zeroes every
+unlearned row again when it is built, so the encoder adds the rows unmasked.
+
+Arrays are .npy files, byte for byte what np.save writes, but without its
+copies: a save hashes and writes the version 1.0 header and then the
+array's own memory, and a load reads each file once into a bytearray,
+hashes it, parses the header with numpy's format functions and returns a
+writable view of the data that follows.  Object dtypes (which would need
+pickle) and files shorter than their header says are refused as
+unreadable.  Arrays round-trip bit-exactly, so verify on a freshly loaded
+session reports discrepancy zero.
 """
 
 from __future__ import annotations
@@ -41,6 +49,7 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import math
 import os
 import re
 import time
@@ -84,29 +93,61 @@ def _json_bytes(obj) -> bytes:
     return (json.dumps(obj, indent=2) + "\n").encode()
 
 
-def _npy_bytes(array: np.ndarray) -> bytes:
-    buf = io.BytesIO()
-    np.save(buf, array, allow_pickle=False)
-    return buf.getvalue()
+def _npy_chunks(array: np.ndarray) -> tuple[bytes, memoryview]:
+    """The .npy file of an array as np.save writes it (for a C-contiguous
+    array): its version 1.0 header and a view of the array's memory."""
+    array = np.asarray(array, order="C")
+    head = io.BytesIO()
+    np.lib.format.write_array_header_1_0(
+        head, np.lib.format.header_data_from_array_1_0(array))
+    return head.getvalue(), memoryview(array)
 
 
-def _serialize(model: EnsembleModel,
-               store: CodedStore) -> dict[str, tuple[str, bytes]]:
-    """role -> (file suffix, content) for every data file of a session."""
+_NPY_HEADER_READERS = {(1, 0): np.lib.format.read_array_header_1_0,
+                       (2, 0): np.lib.format.read_array_header_2_0}
+# the header readers refuse a header over 10000 bytes, as np.load does, so
+# the magic string, the header length and the header fit in this many bytes
+_NPY_HEADER_MAX = 1 << 14
+
+
+def _npy_array(data: bytearray) -> np.ndarray:
+    """The array a .npy file holds, as a writable view of its bytes.
+    Raises ValueError for what np.load with allow_pickle=False refuses."""
+    head = io.BytesIO(memoryview(data)[:_NPY_HEADER_MAX])
+    version = np.lib.format.read_magic(head)
+    if version not in _NPY_HEADER_READERS:
+        raise ValueError(f"unsupported .npy format version {version}")
+    shape, fortran_order, dtype = _NPY_HEADER_READERS[version](head)
+    if dtype.hasobject:
+        raise ValueError("object arrays need pickle, which is not allowed")
+    count, offset = math.prod(shape), head.tell()
+    if len(data) - offset < count * dtype.itemsize:
+        raise ValueError(f"{len(data) - offset} data bytes, expected "
+                         f"{count * dtype.itemsize}")
+    array = np.frombuffer(data, dtype, count, offset)
+    if fortran_order:
+        return array.reshape(shape[::-1]).transpose()
+    return array.reshape(shape)
+
+
+def _serialize(model: EnsembleModel, store: CodedStore,
+               ) -> dict[str, tuple[str, tuple[bytes | memoryview, ...]]]:
+    """role -> (file suffix, content as a few buffers) for every data file
+    of a session."""
     G = model.generator
     files = {
-        "generator": (".json", _json_bytes({
+        "generator": (".json", (_json_bytes({
             "s": G.uncoded_shards,
             "r": G.coded_shards,
             "rho": G.density,
             "seed": G.seed if isinstance(G.seed, int) else None,
             "rows": G.entries.tolist(),
-        })),
-        "store": (".json", _json_bytes({
+        }),)),
+        "store": (".json", (_json_bytes({
             "dropped_ids": store.dropped_ids,
             "unlearned_ids": np.sort(store.ids[~store.alive]).tolist(),
             "lambda": model.lam,
-        })),
+        }),)),
     }
     arrays = {
         "base_features": store.base_features,
@@ -114,20 +155,21 @@ def _serialize(model: EnsembleModel,
         "ids": store.ids,
         "weights": model.weights,
     }
-    files.update((role, (".npy", _npy_bytes(a))) for role, a in arrays.items())
+    files.update((role, (".npy", _npy_chunks(a)))
+                 for role, a in arrays.items())
     if model.projection is not None:
         buf = io.BytesIO()
         save_projection(model.projection, buf)
-        files["projection"] = (".bin", buf.getvalue())
+        files["projection"] = (".bin", (buf.getvalue(),))
     return files
 
 
-def _write_durably(path: Path, data: bytes) -> None:
-    """Write `data` to a temporary file, flush it to disk, rename it to
-    `path`."""
+def _write_durably(path: Path, chunks) -> None:
+    """Write the buffers `chunks` to a temporary file, flush it to disk,
+    rename it to `path`."""
     tmp = path.with_name(path.name + ".tmp")
     with open(tmp, "wb") as fh:
-        fh.write(data)
+        fh.writelines(chunks)
         fh.flush()
         os.fsync(fh.fileno())
     os.replace(tmp, path)
@@ -139,19 +181,22 @@ def save_session(directory, model: EnsembleModel, store: CodedStore,
     directory.mkdir(parents=True, exist_ok=True)
 
     files = {}
-    for role, (suffix, data) in _serialize(model, store).items():
-        digest = hashlib.sha256(data).hexdigest()
+    for role, (suffix, chunks) in _serialize(model, store).items():
+        h = hashlib.sha256()
+        for chunk in chunks:
+            h.update(chunk)
+        digest = h.hexdigest()
         name = f"{role}-{digest[:12]}{suffix}"
         if not (directory / name).exists():
-            _write_durably(directory / name, data)
+            _write_durably(directory / name, chunks)
         files[role] = {"name": name, "sha256": digest}
 
-    _write_durably(directory / "manifest.json", _json_bytes({
+    _write_durably(directory / "manifest.json", (_json_bytes({
         "format_version": FORMAT_VERSION,
         "config": config,
         "saved_at": time.strftime("%Y-%m-%dT%H:%M:%S"),
         "files": files,
-    }))
+    }),))
     fd = os.open(directory, os.O_RDONLY)
     try:
         os.fsync(fd)   # make the rename itself durable
@@ -196,9 +241,15 @@ def _read_manifest(directory: Path) -> dict:
     return manifest
 
 
-def _read_checked(directory: Path, entry: dict) -> bytes:
-    path = directory / entry["name"]
-    data = path.read_bytes() if path.exists() else None
+def _read_checked(directory: Path, entry: dict) -> bytearray:
+    """The bytes of a file the manifest names, read once into a buffer that
+    the arrays parsed from it can share, after checking their sha256."""
+    try:
+        with open(directory / entry["name"], "rb") as fh:
+            data = bytearray(os.fstat(fh.fileno()).st_size)
+            del data[fh.readinto(data):]
+    except FileNotFoundError:
+        data = None
     if data is None or hashlib.sha256(data).hexdigest() != entry["sha256"]:
         raise SessionError(
             f"stale session: {entry['name']} does not match manifest")
@@ -252,8 +303,7 @@ def load_session(directory) -> tuple[EnsembleModel, CodedStore, dict]:
     data = {role: _read_checked(directory, entry)
             for role, entry in manifest["files"].items()}
     try:
-        X, y, ids, W = (np.load(io.BytesIO(data[role]), allow_pickle=False)
-                        for role in ARRAYS)
+        X, y, ids, W = (_npy_array(data[role]) for role in ARRAYS)
         pmap = (load_projection(io.BytesIO(data["projection"]))
                 if "projection" in data else None)
     except (ValueError, EOFError, KeyError, DimensionMismatch) as exc:

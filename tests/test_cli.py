@@ -254,6 +254,31 @@ class TestSessionWorkflow:
         assert result.exit_code == 3
         assert "locked" in result.output
 
+    @pytest.mark.parametrize("command", ["predict", "train"])
+    @pytest.mark.parametrize("where", ["header", "body"])
+    def test_cell_over_the_csv_field_limit(self, tmp_path, runner, data_csv,
+                                           command, where):
+        # a quoted cell is read by the csv module, which refuses cells
+        # longer than its field limit (131072 characters)
+        big = '"' + "1" * 200001 + '"'
+        rows = [["x0", "x1", "x2", "y"], ["1", "2", "3", "4"]]
+        rows[0 if where == "header" else 1][1] = big
+        feats = tmp_path / "big.csv"
+        feats.write_text("".join(",".join(r) + "\n" for r in rows))
+        args = (["predict", "--session",
+                 str(train_session(runner, tmp_path, data_csv))]
+                if command == "predict" else
+                ["train", "--s", "1", "--r", "1", "--session",
+                 str(tmp_path / "new-session")])
+        result = runner.invoke(main, [*args, "--data", str(feats)])
+        assert result.exit_code == 3, result.output
+        assert isinstance(result.exception, SystemExit)
+        row = 1 if where == "header" else 2
+        errors = [line for line in result.output.splitlines()
+                  if line.startswith("error:")]
+        assert errors == [f"error: {feats}: row {row}: field larger than "
+                          "field limit (131072)"]
+
 
 class TestErrorBoundary:
     # every data error a command raises is one "error:" line and exit 3,

@@ -254,6 +254,60 @@ class TestEncoder:
         assert masked.coded_features.shape == (3, 6, 3)
         assert masked.coded_response.shape == (3, 6)
 
+    def test_construction_zeroes_unlearned_rows(self):
+        ds = make_train(24, 3, seed=6)
+        X, y = ds.features.copy(), ds.response.copy()
+        dead = [1, 8, 19]
+        X[1], y[1] = np.nan, np.nan
+        X[8], y[8] = -0.0, -0.0
+        alive = np.ones(24, dtype=bool)
+        alive[dead] = False
+        store = CodedStore(rand_matrix(4, 3, 0.6, 2), X, y, ds.ids, [],
+                           alive)
+        # +0.0 exactly: tobytes tells -0.0 and NaN apart from it
+        assert store.base_features[dead].tobytes() == bytes(8 * 3 * 3)
+        assert store.base_response[dead].tobytes() == bytes(8 * 3)
+        assert store.base_features[alive].tobytes() \
+            == ds.features[alive].tobytes()
+        assert store.base_response[alive].tobytes() \
+            == ds.response[alive].tobytes()
+        assert np.isfinite(store.coded_features).all()
+        assert np.isfinite(store.coded_response).all()
+
+    @pytest.mark.parametrize("G", [rand_matrix(6, 3, 0.6, 2),
+                                   rand_matrix_minimal(6, 4, 5),
+                                   GeneratorMatrix(1, 1, np.ones((1, 1)), 1)],
+                             ids=["bernoulli", "minimal", "single"])
+    def test_mask_free_encoder_equals_masked_loop_bitwise(self, G):
+        rng = np.random.default_rng(13)
+        n = 36
+        X, y = rng.normal(size=(n, 4)), rng.normal(size=n)
+        alive = rng.random(n) < 0.7
+        alive[:6] = False   # uncoded shard 0 wholly unlearned
+        X_held, y_held = X.copy(), y.copy()
+        dead = (~alive).nonzero()[0]
+        X[dead[::3]], y[dead[::3]] = np.nan, np.nan
+        X[dead[1::3]], y[dead[1::3]] = -0.0, -0.0
+        store = CodedStore(G, X, y, np.arange(n), [], alive)
+        s, r = G.entries.shape
+        nbar = n // s
+        ref_X, ref_y = np.zeros((r, nbar, 4)), np.zeros((r, nbar))
+        for j in range(r):
+            for i in range(s):
+                if not G.entries[i, j]:
+                    continue
+                for row in range(nbar):
+                    p = i * nbar + row
+                    if alive[p]:
+                        ref_X[j, row] += X_held[p]
+                        ref_y[j, row] += y_held[p]
+        assert store.coded_features.tobytes() == ref_X.tobytes()
+        assert store.coded_response.tobytes() == ref_y.tobytes()
+        for j in range(r):
+            X_j, y_j = store.rebuild_coded_shard(j)
+            assert X_j.tobytes() == ref_X[j].tobytes()
+            assert y_j.tobytes() == ref_y[j].tobytes()
+
     # sha256 of the coded shards, base rows and alive after a seeded learn
     # and 10 unlearn batches, recorded before the shards were stacked into
     # one array.  They are fixed-order elementwise sums, so the digest does

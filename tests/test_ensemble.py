@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,7 @@ from codedunlearn import (
     unlearn,
     verify_perfect_unlearning,
 )
-from codedunlearn import numerics
+from codedunlearn import ensemble, numerics
 
 
 def make_train(n, d, seed=0):
@@ -193,17 +195,46 @@ class TestUnlearn:
 
     def test_unlearned_sample_has_no_influence(self):
         # perturbing the unlearned sample's stored values must not change
-        # anything the verifier rebuilds
+        # the live model, nor what a later unlearn in its shard computes;
+        # verify rebuilds from the stored rows, so a store that still holds
+        # a forgotten sample's values is not perfectly unlearned
         ds = make_train(30, 3, seed=8)
         model, store, _ = learn(ds, 5, 5, "minimal", 1e-3, seed=2)
-        unlearn(model, store, [7])
+        twin, twin_store, _ = learn(ds, 5, 5, "minimal", 1e-3, seed=2)
+        for m, st in ((model, store), (twin, twin_store)):
+            unlearn(m, st, [7])
+        weights, preds = model.weights.copy(), predict(model, ds.features)
         before = verify_perfect_unlearning(model, store)
         row = store.locate([7])[0]
         store.base_features[row] = 1e9
         store.base_response[row] = -1e9
-        after = verify_perfect_unlearning(model, store)
-        assert before.passed and after.passed
-        assert before.max_discrepancy == after.max_discrepancy == 0.0
+        assert model.weights.tobytes() == weights.tobytes()
+        assert predict(model, ds.features).tobytes() == preds.tobytes()
+        for m, st in ((model, store), (twin, twin_store)):
+            unlearn(m, st, [8])   # same uncoded shard as 7
+        assert model.weights.tobytes() == twin.weights.tobytes()
+        assert before.passed and before.max_discrepancy == 0.0
+        assert verify_perfect_unlearning(model, store).passed is False
+        assert verify_perfect_unlearning(twin, twin_store).max_discrepancy \
+            == 0.0
+
+    def test_total_seconds_is_the_whole_call(self, monkeypatch):
+        # the row rebuilds lie outside every learner's solve, so slowing
+        # them shows in total_seconds and in no retrain_seconds entry
+        ds = make_train(60, 3, seed=3)
+        model, store, _ = learn(ds, 6, 3, 0.5, 1e-3, seed=1)
+        rebuild = store.rebuild_coded_row
+
+        def slow_rebuild(j, row):
+            time.sleep(0.002)
+            return rebuild(j, row)
+
+        monkeypatch.setattr(store, "rebuild_coded_row", slow_rebuild)
+        _, _, report = unlearn(model, store, [4, 20, 41])
+        solves = sum(report.retrain_seconds.values())
+        assert len(report.retrain_seconds) == report.num_affected > 0
+        assert report.total_seconds >= solves
+        assert report.total_seconds >= solves + 0.002 * report.num_affected
 
     def test_failed_unlearn_leaves_state_untouched(self):
         # lam=0 with an identity code: forgetting every row of shard 0
@@ -240,6 +271,31 @@ class TestVerify:
         model, store, _ = learn(ds, 4, 2, "minimal", 1e-2, seed=6)
         report = verify_perfect_unlearning(model, store)
         assert report.passed and report.max_discrepancy == 0.0
+
+    @pytest.mark.parametrize("error", [ValueError, np.linalg.LinAlgError,
+                                       SingularSystem])
+    def test_failing_reference_solve_is_reported_not_raised(
+            self, monkeypatch, error):
+        # e.g. a forgotten row left at 1e9 can make a rebuilt shard's
+        # normal equations singular; verify reports that learner as NaN,
+        # which fails, rather than raising
+        ds = make_train(40, 3, seed=4)
+        model, store, _ = learn(ds, 4, 3, 0.6, 1e-3, seed=6)
+        calls = []
+
+        def failing_second_solve(X, y, lam):
+            calls.append(lam)
+            if len(calls) == 2:
+                raise error("reference solve failed")
+            return ridge_solve(X, y, lam)
+
+        monkeypatch.setattr(ensemble, "ridge_solve", failing_second_solve)
+        report = verify_perfect_unlearning(model, store)
+        assert len(calls) == 3
+        assert report.passed is False
+        assert report.per_learner[[0, 2]].tolist() == [0.0, 0.0]
+        assert np.isnan(report.per_learner[1])
+        assert np.isnan(report.agg_discrepancy)
 
     def test_nan_aggregate_fails(self):
         ds = make_train(40, 3, seed=4)

@@ -94,6 +94,72 @@ class TestRoundTrip:
         assert {p.name for p in tmp_path.iterdir()} == names
 
 
+class TestArrayFiles:
+    """Array files are the bytes np.save writes, although a save writes
+    and a load reads them without its copies."""
+
+    # the file names this session's np.save-written files had; the weights
+    # are left out, since their bits depend on the BLAS
+    NAMES = {"generator": "generator-73b6e801964d.json",
+             "store": "store-119f290f0b03.json",
+             "base_features": "base_features-bf99a795919c.npy",
+             "base_response": "base_response-4db7d3e81097.npy",
+             "ids": "ids-ed1113d120f6.npy"}
+
+    @staticmethod
+    def saved(directory):
+        rng = np.random.default_rng(11)
+        ds = Dataset(rng.normal(size=(203, 5)), rng.normal(size=203),
+                     np.arange(203))
+        model, store, _ = learn(ds, 8, 4, 0.6, 1e-3, seed=3)
+        unlearn(model, store, [3, 50, 77])
+        save_session(directory, model, store, {"seed": 3})
+        return model, store, {"base_features": store.base_features,
+                              "base_response": store.base_response,
+                              "ids": store.ids, "weights": model.weights}
+
+    def test_each_array_file_is_np_save_output(self, tmp_path):
+        _, _, arrays = self.saved(tmp_path)
+        files = manifest_of(tmp_path)["files"]
+        for role, array in arrays.items():
+            assert (tmp_path / files[role]["name"]).read_bytes() \
+                == npy(array)
+        names = {role: f["name"] for role, f in files.items()
+                 if role != "weights"}
+        assert names == self.NAMES
+
+    def test_np_save_session_loads_and_verifies(self, tmp_path):
+        model, store, arrays = self.saved(tmp_path)
+        files = manifest_of(tmp_path)["files"]
+        for role, array in arrays.items():
+            np.save(tmp_path / files[role]["name"], array, allow_pickle=False)
+        back, back_store, _ = load_session(tmp_path)
+        assert back.weights.tobytes() == model.weights.tobytes()
+        assert back_store.coded_features.tobytes() \
+            == store.coded_features.tobytes()
+        assert verify_perfect_unlearning(back, back_store).max_discrepancy \
+            == 0.0
+        # the loaded arrays are writable: unlearn zeroes a base row
+        unlearn(back, back_store, [9])
+        assert verify_perfect_unlearning(back, back_store).max_discrepancy \
+            == 0.0
+
+    def test_fortran_ordered_arrays_load(self, tmp_path):
+        model, store, _ = self.saved(tmp_path)
+        for role, array in (("base_features", store.base_features),
+                            ("weights", model.weights)):
+            data = npy(np.asfortranarray(array))
+            assert b"'fortran_order': True" in data
+            replace_file(tmp_path, role, data)
+        back, back_store, _ = load_session(tmp_path)
+        assert np.array_equal(back.weights, model.weights)
+        assert np.array_equal(back_store.base_features, store.base_features)
+        assert back_store.coded_features.tobytes() \
+            == store.coded_features.tobytes()
+        unlearn(back, back_store, [9])
+        assert (back_store.base_features[back_store.locate([9])] == 0).all()
+
+
 def as_format_2(session, agg):
     """Turn a saved session into the version 2 layout, which also stores
     the aggregate weights, here with the given contents."""
@@ -226,6 +292,14 @@ def npy(array) -> bytes:
     return buf.getvalue()
 
 
+def object_npy(n) -> bytes:
+    """A .npy file of n Python objects, which only pickle could read."""
+    buf = io.BytesIO()
+    np.lib.format.write_array_header_1_0(
+        buf, {"descr": "|O", "fortran_order": False, "shape": (n,)})
+    return buf.getvalue() + bytes(8 * n)
+
+
 def json_file(obj) -> bytes:
     return json.dumps(obj).encode()
 
@@ -268,12 +342,17 @@ class TestMalformedPayload:
         ("ids", lambda m, st: st.ids.astype(float), "inconsistent"),
         ("ids", lambda m, st: st.ids[:-4], "inconsistent"),
         ("weights", lambda m, st: b"not an array", "unreadable"),
+        ("base_features", lambda m, st: npy(st.base_features)[:-8],
+         "unreadable"),
+        ("weights", lambda m, st: npy(m.weights)[:-1], "unreadable"),
+        ("ids", lambda m, st: object_npy(len(st.ids)), "unreadable"),
     ], ids=["store-without-unlearned-ids", "store-not-an-object",
             "string-id", "bool-lambda", "generator-without-rows",
             "string-s", "non-binary-rows", "rows-not-s-by-r",
             "weights-extra-column", "weights-1d", "base-row-missing",
             "response-2d", "float-ids", "ids-one-shard-short",
-            "weights-not-npy"])
+            "weights-not-npy", "base-features-truncated",
+            "weights-one-byte-short", "object-ids"])
     def test_refused_with_session_error(self, session, role, content,
                                         match):
         directory, model, store = session
