@@ -178,6 +178,9 @@ def cmd_unlearn(session_dir, ids, ids_file):
         raise click.UsageError("give exactly one of --ids / --ids-file")
     id_list = (json.loads(Path(ids_file).read_text()) if ids_file
                else [int(v) for v in ids.split(",") if v])
+    if not isinstance(id_list, list) or not id_list:   # before the lock
+        raise click.UsageError("give a nonempty list of sample ids "
+                               "(a JSON list in --ids-file)")
     directory = Path(session_dir)
     with session_lock(directory):
         model, store, cfg = load_session(directory)

@@ -2,12 +2,12 @@
 
 A generator matrix maps s uncoded shards onto r coded shards (r <= s).  Every
 accepted matrix has binary entries, no all-zero row, and exact integer rank r.
-Coded shard j is the entrywise sum over uncoded shards i (ascending) of
-g[i, j] * shard_i; the ascending order is fixed so the reconstruction
-invariant is bitwise checkable despite floating-point non-associativity.
-Unlearned rows take part as stored: a CodedStore keeps them at +0.0, which
-adds nothing, so the encoder needs no mask.  The r coded shards are stacked
-into one (r, nbar, D) feature array and one (r, nbar) response array.
+Coded shard j is the entrywise sum, from +0.0 over ascending uncoded shards
+i, of g[i, j] * shard_i; the order is fixed so the reconstruction invariant
+is bitwise checkable despite floating-point non-associativity.  No row is
+masked: a CodedStore keeps its unlearned rows at +0.0, which adds nothing.
+The r coded shards are stacked into one (r, nbar, D) feature array and one
+(r, nbar) response array.
 """
 
 from __future__ import annotations
@@ -59,9 +59,6 @@ class GeneratorMatrix:
         if binary_rank(G) != r:
             raise RankDeficient("generator matrix is not full column rank")
 
-    def nonzero_columns(self, i: int) -> np.ndarray:
-        return self.entries[i].nonzero()[0]
-
 
 def rand_matrix(s: int, r: int, rho: float, seed=None,
                 guard: int = RESAMPLE_GUARD) -> GeneratorMatrix:
@@ -111,18 +108,17 @@ def _encode(features: np.ndarray, response: np.ndarray,
             G: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Coded shards for the k columns of G (s, k), as one (k, nbar, D) and
     one (k, nbar) array.  features and response are in shard order; shard j
-    is the sum, over ascending i with G[i, j] = 1, of uncoded shard i.  The
-    order is fixed on purpose.  No row is masked: a CodedStore holds its
-    unlearned rows as +0.0, and since the accumulator starts at +0.0 and so
-    never holds -0.0, adding a zeroed row leaves it bitwise as it was."""
+    is the sum, from +0.0 over ascending i with G[i, j] = 1, of uncoded
+    shard i (G.nonzero() is row-major, so i ascends in each column).  No row
+    is masked: the accumulator never holds -0.0, so adding a CodedStore's
+    zeroed unlearned row leaves it bitwise as it was."""
     s, k = G.shape
     X, y = (a.reshape(s, -1, *a.shape[1:]) for a in (features, response))
     coded_X = np.zeros((k, *X.shape[1:]))
     coded_y = np.zeros((k, y.shape[1]))
-    for i in G.any(axis=1).nonzero()[0]:
-        for j in G[i].nonzero()[0]:
-            np.add(coded_X[j], X[i], out=coded_X[j])
-            np.add(coded_y[j], y[i], out=coded_y[j])
+    for i, j in zip(*G.nonzero()):
+        np.add(coded_X[j], X[i], out=coded_X[j])
+        np.add(coded_y[j], y[i], out=coded_y[j])
     return coded_X, coded_y
 
 
@@ -139,10 +135,13 @@ class CodedStore:
     copied.  Unlearning ids[p] sets alive[p] False and zeroes base row p;
     locate finds p through a sorted index of ids that is never persisted.
     An unlearned base row is +0.0: construction zeroes, in place, every row
-    alive marks unlearned, whatever it held, and unlearn zeroes each row it
-    commits.  The coded shards are derived state: shard j always equals the
-    ascending-order sum of g[i, j] times uncoded shard i, so construction
-    encodes them from the base rows and G alone.
+    alive marks unlearned, whatever it held, and unlearn zeroes a row before
+    it rebuilds anything.  So encoding and rebuilds never read alive; it
+    serves locate's AlreadyUnlearned check, the unlearned ids a session
+    stores, and construction's zeroing.  The coded shards are derived
+    state: shard j always equals the ascending-order sum of g[i, j] times
+    uncoded shard i, so construction encodes them, and unlearn rebuilds
+    their rows, from the base rows and G alone.
 
     slice_grams maps learner j to the per-slice X'X and X'y of coded shard
     j, as numerics.refit returns them, so that a regularized unlearn
@@ -198,26 +197,24 @@ class CodedStore:
                 np.where(keep, self.base_response[rows], 0.0))
 
     def rebuild_coded_shard(self, j: int) -> tuple[np.ndarray, np.ndarray]:
-        """Recompute coded shard j from the base rows, ascending order.
-
-        Adds every row unmasked, as construction does, so it counts on the
-        unlearned rows being zero: a store whose unlearned rows still hold
-        values rebuilds to other shards, and verify reports it."""
+        """Recompute coded shard j from the base rows as construction does,
+        unmasked: a store whose unlearned rows still hold values rebuilds to
+        other shards, and verify reports it."""
         G = self.generator.entries[:, [j]]
         X, y = _encode(self.base_features, self.base_response, G)
         return X[0], y[0]
 
     def rebuild_coded_row(self, j: int, row: int) -> tuple[np.ndarray, float]:
-        """Recompute one coded row from surviving contributors: row `row` of
-        every uncoded shard with a nonzero entry in column j, ascending.
-        Sums only the live contributing rows, nbar-fold less than a shard."""
+        """Recompute one coded row bitwise as the encoder does: the sum from
+        +0.0 of row `row` of every uncoded shard with a nonzero entry in
+        column j, ascending and unmasked, nbar-fold less than a shard."""
         used = self.generator.entries[:, j].nonzero()[0]
-        rows = used * self.shard_size + row
         x, yv = np.zeros(self.base_features.shape[1]), 0.0
-        for p in rows[self.alive[rows]]:
+        # Python ints and floats: numpy scalars index and add more slowly
+        for p in (used * self.shard_size + row).tolist():
             x += self.base_features[p]
-            yv += self.base_response[p]
-        return x, float(yv)
+            yv += float(self.base_response[p])
+        return x, yv
 
 
 def encode(features, response, ids, G: GeneratorMatrix) -> CodedStore:

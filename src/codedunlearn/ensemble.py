@@ -138,11 +138,11 @@ def unlearn(model: EnsembleModel, store: CodedStore, ids,
 
     For every sample: locate its base row through the store's id index,
     find the nonzero generator-row columns of its uncoded shard, and remove
-    its contribution from the matching coded row of each of those shards.
-    The touched rows are recomputed from their surviving contributors in the
-    same ascending order used at encode time, so the reconstruction
-    invariant stays bitwise exact.  One retrain per unique affected learner,
-    regardless of batch size.
+    its contribution from the matching coded row of each of those shards:
+    its base row is zeroed first, then each touched row is re-summed from
+    all its contributors by CodedStore.rebuild_coded_row in the encoder's
+    order, so the reconstruction invariant stays bitwise exact.  One retrain
+    per unique affected learner, regardless of batch size.
 
     Each affected learner is re-solved by one numerics.refit call on its
     live coded shard.  With lam > 0 that reuses the learner's cached
@@ -155,10 +155,10 @@ def unlearn(model: EnsembleModel, store: CodedStore, ids,
     An id that is not an integer (a float, a bool, a string) is refused
     with UnknownSample before anything changes.
 
-    Transactional: base rows are zeroed (so the samples' values never reach
-    a saved session) and the new weights and cache entries stored only after
-    every solve has succeeded; if a step raises, the touched coded rows and
-    the alive mask are restored before the error propagates.
+    Zero first, re-derive on failure: weights and cache entries change only
+    once every solve has succeeded; if a step raises, the forgotten rows
+    (the one copy kept) and alive are put back and the same coded rows are
+    rebuilt, bitwise as they were, before the error propagates.
     """
     t_start = time.perf_counter()
     ids = list(ids)
@@ -174,27 +174,29 @@ def unlearn(model: EnsembleModel, store: CodedStore, ids,
     if len(set(ids)) != len(ids):
         raise AlreadyUnlearned("duplicate ids in one unlearn request")
 
-    G = store.generator
+    G = store.generator.entries
     touched = sorted({(int(j), p % store.shard_size)   # (coded shard, row)
                       for p in pos.tolist()
-                      for j in G.nonzero_columns(p // store.shard_size)})
+                      for j in G[p // store.shard_size].nonzero()[0]})
     rows_of: dict[int, list[int]] = {}   # affected learner -> its rows
     for j, row in touched:
         rows_of.setdefault(j, []).append(row)
     affected = list(rows_of)             # ascending, as touched is sorted
-    # Prior values of the coded rows this call overwrites, restored if a
-    # step raises (e.g. SingularSystem) so model and store stay as they were.
-    at = tuple(np.array(touched, dtype=int).reshape(-1, 2).T)
-    saved = store.coded_features[at], store.coded_response[at]
+
+    def rebuild():
+        for j, row in touched:
+            store.coded_features[j, row], store.coded_response[j, row] = \
+                store.rebuild_coded_row(j, row)
+
     retrain_seconds: dict[int, float] = {}
     fresh: dict[int, np.ndarray] = {}
     grams: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    held = store.base_features[pos], store.base_response[pos]   # copies
     store.alive[pos] = False
+    store.base_features[pos] = 0.0
+    store.base_response[pos] = 0.0
     try:
-        for j, row in touched:
-            x, yv = store.rebuild_coded_row(j, row)
-            store.coded_features[j, row] = x
-            store.coded_response[j, row] = yv
+        rebuild()
         for j in affected:
             t0 = time.perf_counter()
             fresh[j], grams[j] = refit(
@@ -203,12 +205,9 @@ def unlearn(model: EnsembleModel, store: CodedStore, ids,
             retrain_seconds[j] = time.perf_counter() - t0
     except BaseException:
         store.alive[pos] = True
-        store.coded_features[at], store.coded_response[at] = saved
+        store.base_features[pos], store.base_response[pos] = held
+        rebuild()
         raise
-    # rebuild_coded_row skips the rows alive marks unlearned, so the rows
-    # are zeroed only once nothing can fail.
-    store.base_features[pos] = 0.0
-    store.base_response[pos] = 0.0
     store.slice_grams.update(
         {j: g for j, g in grams.items() if g is not None})
     for j, w in fresh.items():

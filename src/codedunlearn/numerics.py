@@ -68,8 +68,8 @@ def refit(X, y, lam: float, products=None, rows=(),
     y = np.asarray(y, dtype=float)
     if X.ndim != 2 or y.ndim != 1 or X.shape[0] != y.shape[0]:
         raise DimensionMismatch(f"ridge_solve: X is {X.shape}, y is {y.shape}")
-    if lam < 0:
-        raise ValueError("lam must be nonnegative")
+    if not 0 <= lam < np.inf:   # NaN fails both comparisons
+        raise ValueError(f"lam must be nonnegative and finite, got {lam}")
     n, d = X.shape
     if lam > 0:
         if products is None:

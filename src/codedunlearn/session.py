@@ -30,9 +30,9 @@ rows and the generator in the ascending order used at training time, so
 the rebuilt shards are bitwise the ones the model was trained on.  Nor is
 the store's per-slice Gram cache: a loaded store starts empty and each
 regularized unlearn fills it for the learners it retrains.
-Unlearning also zeroes a sample's base row (ensemble.unlearn), so a
-forgotten sample's values never reach the disk, and CodedStore zeroes every
-unlearned row again when it is built, so the encoder adds the rows unmasked.
+Unlearning zeroes a sample's base row before rebuilding (ensemble.unlearn),
+so its values never reach the disk, and CodedStore zeroes every unlearned
+row again when it is built, so the encoder adds the rows unmasked.
 
 Arrays are .npy files, byte for byte what np.save writes, but without its
 copies: a save hashes and writes the version 1.0 header and then the

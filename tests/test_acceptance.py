@@ -86,13 +86,13 @@ def test_criterion_4_affected_learner_accounting(desk_results):
         expected = set()
         shards = store.locate(victims) // store.shard_size
         for shard in shards:
-            expected.update(int(j) for j in G.nonzero_columns(shard))
+            expected.update(int(j) for j in G.entries[shard].nonzero()[0])
         if set(rep.affected_learners) != expected:
             ok = False
         if rho == "minimal" and k == 1 and rep.num_affected != 1:
             ok = False
         if k == 1:
-            if rep.num_affected != len(G.nonzero_columns(shards[0])):
+            if rep.num_affected != len(G.entries[shards[0]].nonzero()[0]):
                 ok = False
     report(4, "retrain count equals generator-row support "
               "(exactly 1 at minimal density)", ok)

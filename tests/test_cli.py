@@ -280,6 +280,17 @@ class TestSessionWorkflow:
                           "field limit (131072)"]
 
 
+# forget requests that name no sample ids: a JSON scalar (which is not
+# iterable, or, for a string, would be iterated character by character) or
+# an empty list
+REQUEST_FILES = {"ids_five": "5", "ids_null": "null", "ids_string": '"12"',
+                 "ids_empty": "[]"}
+REFUSED_REQUESTS = [["--ids-file", "{%s}" % name] for name in REQUEST_FILES] \
+    + [["--ids", ","]]
+REFUSED_REQUEST_NAMES = ["ids-file-number", "ids-file-null", "ids-file-string",
+                         "ids-file-empty-list", "ids-empty"]
+
+
 class TestErrorBoundary:
     # every data error a command raises is one "error:" line and exit 3,
     # and a malformed request is a usage error (exit 2); none is a traceback
@@ -297,10 +308,16 @@ class TestErrorBoundary:
         (["train", "--config", "{config_no_data}"], 2, "does not exist"),
         (["train", "--data", "{data}", "--config", "{config_list}"], 2,
          "must hold a JSON object"),
+        (["train", "--data", "{data}", "--s", "4", "--r", "2", "--lam",
+          "nan"], 3, "lam must be nonnegative"),
+        (["train", "--data", "{data}", "--s", "4", "--r", "2", "--lam",
+          "inf"], 3, "lam must be nonnegative"),
         (["unlearn", "--session", "{session}", "--ids", "1,x"], 3,
          "invalid literal for int()"),
         (["unlearn", "--session", "{session}", "--ids-file", "{bad_json}"],
          3, "Expecting value"),
+        *[(["unlearn", "--session", "{session}", *request], 2,
+           "nonempty list of sample ids") for request in REFUSED_REQUESTS],
         (["bench-influence", "--spec", "{influence}", "--out", "{out}"], 3,
          "percentile 60 outside [0, 50)"),
         (["bench-tradeoff", "--spec", "{no_n_train}", "--out", "{out}"], 2,
@@ -309,12 +326,15 @@ class TestErrorBoundary:
          "spec dataset needs a path or a kind"),
     ], ids=["r-above-s", "negative-lam", "rho-not-a-number", "tau-zero",
             "config-s-not-an-integer", "config-data-missing",
-            "config-not-an-object", "id-not-an-integer", "ids-file-not-json", "percentile-too-large",
+            "config-not-an-object", "nan-lam", "inf-lam",
+            "id-not-an-integer", "ids-file-not-json",
+            *REFUSED_REQUEST_NAMES, "percentile-too-large",
             "spec-without-n-train", "dataset-without-kind"])
     def test_exit_code_and_message(self, tmp_path, runner, data_csv, args,
                                    code, message):
         dataset = {"kind": "gaussian-linear", "n": 200, "d": 3, "seed": 2}
         files = {
+            **REQUEST_FILES,
             "bad_json": "[1,",
             "config_s_x": json.dumps({"s": "x", "r": 2}),
             "config_no_data": json.dumps({"data": "missing.csv", "s": 4,
@@ -341,6 +361,25 @@ class TestErrorBoundary:
         assert isinstance(result.exception, (SystemExit, type(None)))
         assert (f"error: {message}" if code == 3 else message) \
             in result.output
+
+    @pytest.mark.parametrize("request_args", REFUSED_REQUESTS,
+                             ids=REFUSED_REQUEST_NAMES)
+    def test_refused_request_leaves_session_files_untouched(
+            self, tmp_path, runner, data_csv, request_args):
+        session = train_session(runner, tmp_path, data_csv)
+        for name, text in REQUEST_FILES.items():
+            (tmp_path / f"{name}.json").write_text(text)
+
+        def files():
+            return {p.name: p.read_bytes() for p in session.iterdir()}
+
+        before = files()
+        result = runner.invoke(main, [
+            "unlearn", "--session", str(session),
+            *[a.format(**{k: tmp_path / f"{k}.json" for k in REQUEST_FILES})
+              for a in request_args]])
+        assert result.exit_code == 2, result.output
+        assert files() == before
 
 
 _NUMBER = re.compile(rb"-?(?:\d+\.\d*|\d*\.\d+|\d+)(?:[eE][-+]?\d+)?")

@@ -242,7 +242,10 @@ class TestEncoder:
         dead = [1, 8, 19]
         alive = np.ones(24, dtype=bool)
         alive[dead] = False
-        masked = CodedStore(G, ds.features, ds.response, ds.ids, [], alive)
+        # construction zeroes the rows it is given in place, so each store
+        # gets its own copy and the twin is zeroed from the original values
+        masked = CodedStore(G, ds.features.copy(), ds.response.copy(),
+                            ds.ids, [], alive)
         X0, y0 = ds.features.copy(), ds.response.copy()
         X0[dead], y0[dead] = 0.0, 0.0
         zeroed = CodedStore(G, X0, y0, ds.ids, [], np.ones(24, dtype=bool))
@@ -307,6 +310,10 @@ class TestEncoder:
             X_j, y_j = store.rebuild_coded_shard(j)
             assert X_j.tobytes() == ref_X[j].tobytes()
             assert y_j.tobytes() == ref_y[j].tobytes()
+            for row in range(nbar):   # the one-row rebuild is unmasked too
+                x, yv = store.rebuild_coded_row(j, row)
+                assert x.tobytes() == ref_X[j, row].tobytes()
+                assert np.float64(yv).tobytes() == ref_y[j, row].tobytes()
 
     # sha256 of the coded shards, base rows and alive after a seeded learn
     # and 10 unlearn batches, recorded before the shards were stacked into

@@ -126,7 +126,7 @@ class TestUnlearn:
         victim = 17
         shard = store.locate([victim])[0] // store.shard_size
         _, _, report = unlearn(model, store, [victim])
-        assert report.num_affected == len(G.nonzero_columns(shard))
+        assert report.num_affected == len(G.entries[shard].nonzero()[0])
 
     def test_matches_full_relearn_with_same_code(self):
         ds = make_train(60, 4, seed=6)
@@ -263,6 +263,51 @@ class TestUnlearn:
         _, _, report = unlearn(model, store, [other])
         assert report.affected_learners == [1]
         assert verify_perfect_unlearning(model, store).max_discrepancy == 0.0
+
+    @pytest.mark.parametrize("lam", [0.0, 1e-3])
+    def test_forgotten_rows_are_zero_while_learners_are_solved(
+            self, monkeypatch, lam):
+        ds = make_train(60, 3, seed=3)
+        model, store, _ = learn(ds, 6, 3, 0.5, lam, seed=1)
+        victims = [4, 20, 41]
+        pos = store.locate(victims)
+        seen = []
+        solve = ensemble.refit
+
+        def recording_refit(*args):
+            seen.append((store.base_features[pos].tobytes(),
+                         store.base_response[pos].tobytes(),
+                         store.alive[pos].tolist()))
+            return solve(*args)
+
+        monkeypatch.setattr(ensemble, "refit", recording_refit)
+        _, _, report = unlearn(model, store, victims)
+        assert len(seen) == report.num_affected > 0
+        # +0.0 exactly: tobytes tells -0.0 apart from it
+        assert seen == [(bytes(8 * 3 * 3), bytes(8 * 3), [False] * 3)] \
+            * len(seen)
+
+    def test_failed_unlearn_restores_rows_bitwise(self, monkeypatch):
+        # a forgotten row that held -0.0 comes back as -0.0, and the coded
+        # rows rebuilt from it come back as they were
+        ds = make_train(60, 3, seed=3)
+        ds.features[20], ds.response[20] = -0.0, -0.0
+        model, store, _ = learn(ds, 6, 3, 0.5, 1e-3, seed=1)
+        unlearn(model, store, [7])   # fills a learner's Gram cache
+        before = TestSliceCache.state(model, store)
+
+        def failing_refit(*args):
+            raise FloatingPointError("injected")
+
+        monkeypatch.setattr(ensemble, "refit", failing_refit)
+        with pytest.raises(FloatingPointError):
+            unlearn(model, store, [4, 20, 41])
+        assert TestSliceCache.state(model, store) == before
+        row = store.locate([20])[0]
+        assert store.base_features[row].tobytes() \
+            == np.full(3, -0.0).tobytes()
+        assert store.base_response[row].tobytes() \
+            == np.float64(-0.0).tobytes()
 
 
 class TestVerify:

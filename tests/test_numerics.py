@@ -189,6 +189,15 @@ class TestRefit:
         for a, b in zip(products, kept):
             assert a.tobytes() == b.tobytes()
 
+    @pytest.mark.parametrize("lam", [np.nan, np.inf, -np.inf, -1e-300],
+                             ids=["nan", "inf", "minus-inf", "tiny-negative"])
+    def test_refuses_lam_outside_nonnegative_reals(self, lam):
+        # NaN would otherwise take the unregularized path and inf give
+        # all -0.0 weights
+        X, y = self.system()
+        with pytest.raises(ValueError, match="lam must be nonnegative"):
+            numerics.refit(X, y, lam)
+
     def test_unregularized_has_no_products(self):
         X, y = self.system()
         w, products = numerics.refit(X, y, 0.0)
