@@ -36,7 +36,8 @@ class Dataset:
         n = self.features.shape[0]
         if self.response.shape[0] != n or self.ids.shape[0] != n:
             raise ValueError("features, response, and ids must have equal length")
-        if len(set(self.ids.tolist())) != n:
+        ordered = np.sort(self.ids)
+        if (ordered[1:] == ordered[:-1]).any():
             raise ValueError("ids must be unique")
 
     @property

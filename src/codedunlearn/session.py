@@ -264,6 +264,11 @@ def _is_number(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
+def _is_lambda(v) -> bool:
+    # the rule numerics.refit applies; NaN fails both comparisons
+    return _is_number(v) and 0 <= v < np.inf
+
+
 def _is_int_list(v) -> bool:
     return isinstance(v, list) and all(map(_is_int, v))
 
@@ -275,10 +280,10 @@ _PAYLOADS = {
                       "s": _is_int, "r": _is_int, "rho": _is_number,
                       "seed": lambda v: v is None or _is_int(v),
                       "rows": lambda v: isinstance(v, list)}),
-    "store": ("integer lists dropped_ids and unlearned_ids and a number "
-              "lambda", {
+    "store": ("integer lists dropped_ids and unlearned_ids and a "
+              "nonnegative finite number lambda", {
                   "dropped_ids": _is_int_list, "unlearned_ids": _is_int_list,
-                  "lambda": _is_number}),
+                  "lambda": _is_lambda}),
 }
 
 

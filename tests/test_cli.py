@@ -564,17 +564,32 @@ for lam in ("0", "0.001"):
 """
 
 
-def test_cli_runs_without_scipy(tmp_path):
-    # the package needs numpy and click only: with scipy blocked, gen-data
-    # --kind mlp, train with lam 0 and lam > 0, unlearn and verify all run,
-    # and verify reports a discrepancy of exactly 0
+def run_python(code, cwd):
+    """Run `code` in a fresh interpreter that imports this codedunlearn."""
     src = str(Path(codedunlearn.__file__).resolve().parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(
                filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    out = subprocess.run(
-        [sys.executable, "-c", _WITHOUT_SCIPY], cwd=tmp_path, env=env,
+    return subprocess.run(
+        [sys.executable, "-c", code], cwd=cwd, env=env,
         capture_output=True, text=True, timeout=120)
+
+
+def test_cli_runs_without_scipy(tmp_path):
+    # the package needs numpy and click only: with scipy blocked, gen-data
+    # --kind mlp, train with lam 0 and lam > 0, unlearn and verify all run,
+    # and verify reports a discrepancy of exactly 0
+    out = run_python(_WITHOUT_SCIPY, tmp_path)
     assert out.returncode == 0, out.stderr
     assert out.stdout.splitlines() == [
         "max relative discrepancy: 0.000e+00 (tolerance 1e-08)"] * 2
+
+
+def test_cli_import_leaves_out_concurrent_futures(tmp_path):
+    # importing concurrent.futures (it pulls in logging) would add about
+    # 11 ms to the start-up of every CLI process; the threaded cosine of
+    # projections.project uses threading alone
+    out = run_python("import sys, codedunlearn.cli; "
+                     "print('concurrent.futures' in sys.modules)", tmp_path)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"

@@ -32,6 +32,26 @@ def small_ds():
     return Dataset(rng.normal(size=(10, 3)), rng.normal(size=10), np.arange(10))
 
 
+class TestUniqueIds:
+    @pytest.mark.parametrize("ids", [
+        [0, 1, 1, 2, 3],            # adjacent
+        [7, 0, 1, 2, 7],            # far apart
+        [-3, 5, -3, 0, 9],          # negative
+        [4, 4, 4, 4, 4],
+    ], ids=["adjacent", "far-apart", "negative", "all-equal"])
+    def test_duplicate_ids_refused(self, ids):
+        with pytest.raises(ValueError, match="ids must be unique"):
+            Dataset(np.zeros((5, 2)), np.zeros(5), ids)
+
+    def test_unique_negative_and_empty_ids_accepted(self):
+        assert Dataset(np.zeros((3, 1)), np.zeros(3), [-2, 5, -1]).n == 3
+        assert Dataset(np.zeros((0, 1)), np.zeros(0), []).n == 0
+
+    def test_subset_with_repeated_index_refused(self, small_ds):
+        with pytest.raises(ValueError, match="ids must be unique"):
+            small_ds.subset(np.array([3, 0, 3]))
+
+
 class TestCsv:
     def test_load_by_name(self, tmp_path):
         f = tmp_path / "d.csv"

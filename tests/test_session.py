@@ -322,6 +322,12 @@ class TestMalformedPayload:
                                  "lambda": 1e-3}, "malformed store"),
         ("store", lambda m, st: {"dropped_ids": [], "unlearned_ids": [6],
                                  "lambda": True}, "malformed store"),
+        ("store", lambda m, st: {"dropped_ids": [], "unlearned_ids": [6],
+                                 "lambda": float("nan")}, "malformed store"),
+        ("store", lambda m, st: {"dropped_ids": [], "unlearned_ids": [6],
+                                 "lambda": float("inf")}, "malformed store"),
+        ("store", lambda m, st: {"dropped_ids": [], "unlearned_ids": [6],
+                                 "lambda": -1}, "malformed store"),
         ("generator", lambda m, st: {"s": 4, "r": 2, "rho": 0.5,
                                      "seed": 1}, "malformed generator"),
         ("generator", lambda m, st: {
@@ -347,7 +353,8 @@ class TestMalformedPayload:
         ("weights", lambda m, st: npy(m.weights)[:-1], "unreadable"),
         ("ids", lambda m, st: object_npy(len(st.ids)), "unreadable"),
     ], ids=["store-without-unlearned-ids", "store-not-an-object",
-            "string-id", "bool-lambda", "generator-without-rows",
+            "string-id", "bool-lambda", "nan-lambda", "infinite-lambda",
+            "negative-lambda", "generator-without-rows",
             "string-s", "non-binary-rows", "rows-not-s-by-r",
             "weights-extra-column", "weights-1d", "base-row-missing",
             "response-2d", "float-ids", "ids-one-shard-short",
