@@ -13,7 +13,6 @@ cosine is elementwise, so the blocks give the same bits as one np.cos call.
 
 from __future__ import annotations
 
-import contextvars
 import os
 import threading
 from dataclasses import dataclass
@@ -64,8 +63,9 @@ def project(pmap: ProjectionMap, X) -> np.ndarray:
     return Z
 
 
-# fewer cosines than this per worker do not pay for starting a thread
-# (float64 np.cos is scalar libm code, 12-23 ns a value)
+# a conservative bound, one no benchmark workload binds: on a 2-vCPU VM
+# (numpy 2.4) two blocks first beat one np.cos call at about 2**14 values
+# in all, while this asks for 2**17 before it starts a second worker
 _VALUES_PER_WORKER = 1 << 16
 
 
@@ -80,30 +80,30 @@ def _cos_in_row_blocks(Z: np.ndarray) -> None:
     """np.cos(Z, out=Z) on a C-contiguous Z, over contiguous row blocks: the
     calling thread takes the first, one thread each the rest.
 
-    Each thread runs in a copy of the caller's context, so np.errstate
-    (a context variable) holds there too.  Every thread is joined, even
-    when one fails, and the exception of the first block that failed is
-    raised here.
+    Every block runs under the caller's floating-point error handling
+    (np.geterr, np.geterrcall), so its np.errstate holds in each thread,
+    whether numpy keeps that state per thread (1.x) or per context (2.x).
+    Every thread is joined, even when one fails, and the exception of the
+    first block that failed is raised here.
     """
-    workers = min(_available_cpus(), Z.size // _VALUES_PER_WORKER, len(Z))
-    if workers < 2:
-        np.cos(Z, out=Z)
-        return
+    workers = max(1, min(_available_cpus(), Z.size // _VALUES_PER_WORKER,
+                         len(Z)))
     bounds = [len(Z) * k // workers for k in range(workers + 1)]
     errors: list[BaseException | None] = [None] * workers
+    errstate = dict(np.geterr(), call=np.geterrcall())
 
     def run(k):
         try:
             block = Z[bounds[k]:bounds[k + 1]]
-            np.cos(block, out=block)
+            with np.errstate(**errstate):
+                np.cos(block, out=block)
         except BaseException as exc:    # re-raised by the caller below
             errors[k] = exc
 
     started = []
     try:
         for k in range(1, workers):
-            thread = threading.Thread(target=contextvars.copy_context().run,
-                                      args=(run, k))
+            thread = threading.Thread(target=run, args=(k,))
             thread.start()
             started.append(thread)
         run(0)

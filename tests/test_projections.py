@@ -2,6 +2,7 @@ import math
 import os
 import threading
 import time
+import types
 import warnings
 
 import numpy as np
@@ -118,7 +119,8 @@ def cpus(request, monkeypatch):
 def started(monkeypatch):
     """The worker threads project starts; each waits 20 ms before its
     block, so a call that returned before joining them would find them
-    alive."""
+    alive.  Only the module's own name is patched, so threads started
+    elsewhere meanwhile are neither slowed nor counted."""
     threads = []
 
     class SlowWorker(threading.Thread):
@@ -130,7 +132,8 @@ def started(monkeypatch):
             time.sleep(0.02)
             super().run()
 
-    monkeypatch.setattr(projections.threading, "Thread", SlowWorker)
+    monkeypatch.setattr(projections, "threading",
+                        types.SimpleNamespace(Thread=SlowWorker))
     return threads
 
 
@@ -185,6 +188,18 @@ def test_errstate_raise_holds_in_every_block(cpus, started, row):
     with np.errstate(invalid="raise"), pytest.raises(FloatingPointError):
         project(pmap, X)
     assert threading.active_count() == before
+    assert len(started) == cpus - 1
+
+
+@pytest.mark.parametrize("row", [0, -1], ids=["caller-block", "last-block"])
+def test_errstate_ignore_holds_in_every_block(cpus, started, row):
+    pmap, X = threaded_input(-(-cpus * PER_WORKER // 100) + 1, 10, 100)
+    X[row, 0] = np.inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with np.errstate(invalid="ignore"):
+            out = project(pmap, X)
+    assert np.isnan(out[row]).all()
     assert len(started) == cpus - 1
 
 
