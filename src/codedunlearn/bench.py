@@ -67,7 +67,12 @@ class SweepSpec:
 
 @dataclass
 class TradeoffRecord:
-    """Mean metrics of one sweep cell over `runs` repetitions."""
+    """Mean metrics of one sweep cell over `runs` repetitions.
+
+    learn_seconds_mean is learn's wall time divided by r: the r learners
+    are solved concurrently, in learner blocks (numerics.ridge_solve), so
+    it is not any one learner's solve time.  unlearn_seconds_mean is the
+    whole unlearn call of one sample (AffectedReport.total_seconds)."""
 
     dataset: str
     s: int

@@ -196,11 +196,20 @@ def cmd_unlearn(session_dir, ids, ids_file):
                f"in {report.total_seconds:.4f}s")
 
 
+def _nonnegative(ctx, param, value):
+    """A NaN or negative tolerance would fail every verify; refuse it as a
+    usage error before the session is read."""
+    if not value >= 0:      # NaN fails the comparison
+        raise click.BadParameter(f"{value} is not a nonnegative number",
+                                 ctx, param)
+    return value
+
+
 @main.command("verify")
 @click.option("--session", "session_dir", required=True,
               type=click.Path(exists=True))
 @click.option("--tolerance", type=float, default=ensemble.DEFAULT_TOLERANCE,
-              show_default=True)
+              show_default=True, callback=_nonnegative)
 def cmd_verify(session_dir, tolerance):
     """Check the live model against a full retrain on surviving samples."""
     model, store, _ = load_session(session_dir)

@@ -196,12 +196,18 @@ class CodedStore:
         return (np.where(keep[:, None], self.base_features[rows], 0.0),
                 np.where(keep, self.base_response[rows], 0.0))
 
+    def rebuild_coded_shards(self, lo: int, hi: int,
+                             ) -> tuple[np.ndarray, np.ndarray]:
+        """Recompute coded shards lo, ..., hi - 1 from the base rows as
+        construction does, unmasked, as one (hi - lo, nbar, D) and one
+        (hi - lo, nbar) array: a store whose unlearned rows still hold
+        values rebuilds to other shards, and verify reports it."""
+        return _encode(self.base_features, self.base_response,
+                       self.generator.entries[:, lo:hi])
+
     def rebuild_coded_shard(self, j: int) -> tuple[np.ndarray, np.ndarray]:
-        """Recompute coded shard j from the base rows as construction does,
-        unmasked: a store whose unlearned rows still hold values rebuilds to
-        other shards, and verify reports it."""
-        G = self.generator.entries[:, [j]]
-        X, y = _encode(self.base_features, self.base_response, G)
+        """Coded shard j alone, as rebuild_coded_shards gives it."""
+        X, y = self.rebuild_coded_shards(j, j + 1)
         return X[0], y[0]
 
     def rebuild_coded_row(self, j: int, row: int) -> tuple[np.ndarray, float]:

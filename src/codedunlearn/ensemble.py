@@ -25,7 +25,7 @@ from .errors import (
     SingularSystem,
     UnknownSample,
 )
-from .numerics import refit, ridge_solve
+from .numerics import in_learner_blocks, refit, ridge_solve, solve_stack
 from .projections import ProjectionMap, project
 
 DEFAULT_TOLERANCE = 1e-8
@@ -107,17 +107,17 @@ def learn(train: Dataset, s: int, r: int, rho, lam: float,
     rho is a Bernoulli density in [1/r, 1] or the string "minimal" for
     one-hot rows.  With s == 1 the code degenerates to G = [[1]] and the
     model equals a single learner on the full training set.  A pre-built
-    generator may be supplied to reuse an existing code.
+    generator may be supplied to reuse an existing code.  The r learners
+    are solved as one stack (numerics.ridge_solve, in learner blocks on
+    the available CPUs), bitwise as r single solves would be.
     """
     feats = project(projection, train.features) if projection is not None \
         else train.features
     if generator is None:
         generator = _make_generator(s, r, rho, seed)
     store = encode(feats, train.response, train.ids, generator)
-    weights = np.column_stack([
-        ridge_solve(X, y, lam)
-        for X, y in zip(store.coded_features, store.coded_response)
-    ])
+    weights = np.ascontiguousarray(
+        ridge_solve(store.coded_features, store.coded_response, lam).T)
     model = EnsembleModel(weights, lam, generator, projection)
     return model, store, generator
 
@@ -229,6 +229,20 @@ def _rel_diff(a: np.ndarray, b: np.ndarray) -> float:
     return diff / max(denom, np.finfo(float).tiny)
 
 
+def _reference_weights(X: np.ndarray, y: np.ndarray,
+                       lam: float) -> np.ndarray:
+    """solve_stack on the (k, nbar, D) stack X, with NaN weights for a
+    learner that cannot be solved: a stack that fails is solved again one
+    learner at a time, so only the learners that fail alone get NaN."""
+    try:
+        return solve_stack(X, y, lam)
+    except (ValueError, np.linalg.LinAlgError, SingularSystem):
+        if len(X) == 1:
+            return np.full((1, X.shape[2]), np.nan)
+        return np.concatenate([_reference_weights(X[j:j + 1], y[j:j + 1], lam)
+                               for j in range(len(X))])
+
+
 def verify_perfect_unlearning(model: EnsembleModel, store: CodedStore,
                               tolerance: float = DEFAULT_TOLERANCE,
                               ) -> VerificationReport:
@@ -240,20 +254,31 @@ def verify_perfect_unlearning(model: EnsembleModel, store: CodedStore,
     store that still holds a forgotten sample's values rebuilds to other
     shards and fails, since it has not been perfectly unlearned.
 
+    The learners are rebuilt and solved in learner blocks
+    (numerics.in_learner_blocks), a chunk of coded shards at a time, with
+    the solves learn makes, so the weights are bitwise those of a retrain.
+
     Report-only: passes iff the worst relative discrepancy (per learner and
     for the aggregate) is within tolerance; a NaN discrepancy fails.  A
     reference solve that raises gives its learner a NaN discrepancy rather
-    than an error.  With no unlearned samples the rebuild reproduces the
-    encode-time sums bitwise and the discrepancy is exactly zero.
+    than an error, and leaves the other learners' solves as they are.  With
+    no unlearned samples the rebuild reproduces the encode-time sums bitwise
+    and the discrepancy is exactly zero.  A tolerance that is NaN or
+    negative is refused with ValueError.
     """
+    if not tolerance >= 0:      # NaN fails the comparison
+        raise ValueError(f"tolerance must be nonnegative, got {tolerance}")
     r = store.generator.coded_shards
-    fresh = np.empty_like(model.weights)
-    for j in range(r):
-        X, y = store.rebuild_coded_shard(j)
-        try:
-            fresh[:, j] = ridge_solve(X, y, model.lam)
-        except (ValueError, np.linalg.LinAlgError, SingularSystem):
-            fresh[:, j] = np.nan
+    width = store.base_features.shape[1]
+    solved = np.empty((r, width))
+
+    def solve(lo, hi):
+        X, y = store.rebuild_coded_shards(lo, hi)
+        solved[lo:hi] = _reference_weights(X, y, model.lam)
+
+    in_learner_blocks(solve, r, store.shard_size, width)
+    fresh = np.empty_like(model.weights)    # model.agg's layout and sum
+    fresh[...] = solved.T
     per_learner = np.array([
         _rel_diff(model.weights[:, j], fresh[:, j]) for j in range(r)
     ])

@@ -1,17 +1,32 @@
-"""Dense numeric substrate: closed-form ridge solver and exact binary rank.
+"""Dense numeric substrate: closed-form ridge solver, exact binary rank, and
+the thread blocks that spread array work over the available CPUs.
 
 All operations are pure functions of their arguments; arrays are treated as
 immutable and never modified in place.  Only numpy is used.  An
 unregularized ridge solve is refused when the exact condition number of X'X
 exceeds COND_LIMIT.
 
-Every ridge solve goes through refit.  With lam > 0 it forms X'X and X'y
-as the ascending-order sum of per-slice products: slice b is rows
-[b*h, (b+1)*h) of the n x d X, the last one possibly partial, with h = 4d
-rows (at least 2**17 / d**2, see SLICE_MIN_WORK).  Given the products of an
-earlier X it recomputes only the slices holding the changed rows, so a
-retrain from scratch (ensemble.learn and verify, through ridge_solve) and an
+Every ridge solve is a solve of a stack of learners: an (r, n, d) X and an
+(r, n) y (one learner is a stack of one).  With lam > 0, each learner's X'X
+and X'y are the ascending-order sum of per-slice products: slice b is rows
+[b*h, (b+1)*h) of its n x d X, the last one possibly partial, with h = 4d
+rows (at least 2**17 / d**2, see SLICE_MIN_WORK).  The products of all the
+full slices of the stack are one batched np.matmul, those of the partial
+last slices another, and the stack's d x d systems one np.linalg.solve;
+each learner's bits are those of the same calls on it alone.  Given the
+products of an earlier X, refit recomputes only the slices holding the
+changed rows, so a retrain from scratch (ensemble.learn and verify) and an
 unlearn that reuses its cached products (ensemble.unlearn) agree bitwise.
+
+ridge_solve spreads a stack over contiguous learner blocks, and
+projections.project its cosine over row blocks, through run_in_blocks: the
+calling thread takes the first block and one thread each the rest, one per
+available CPU (the process's affinity set) but never more than the work
+asks for.  A block holds whole learners and rows, and every block runs the
+numpy calls the caller would, so the results are bitwise those of one
+block.  BLAS should be pinned to one thread (OPENBLAS_NUM_THREADS=1 or the
+like) when several CPUs are available, or the blocks' calls compete for
+them.
 
 The binary rank is exact over the rationals.  It is first certified by
 vectorised elimination modulo the prime 2**31 - 1: a minor that is nonzero
@@ -21,6 +36,9 @@ otherwise fraction-free (Bareiss) elimination on Python integers decides it.
 """
 
 from __future__ import annotations
+
+import os
+import threading
 
 import numpy as np
 
@@ -38,11 +56,59 @@ COND_LIMIT = 1e12
 SLICE_ROWS_PER_COLUMN = 4
 SLICE_MIN_WORK = 2**17
 
+# A stack of r learners of n x d is r*d*d*(n + d) multiply-adds of work in
+# round terms (its Gram products and its solves), and in_learner_blocks
+# starts one worker per LEARNER_WORK_PER_WORKER of it.  Measured on a 2-vCPU
+# VM (numpy 2.4, one BLAS thread, medians of 41 interleaved pairs), two
+# blocks first beat one at 2**24.0 (n = 1000, d = 16 and n = 2000, d = 32),
+# 2**24.2 (n = 20, d = 100) and 2**25.3 (n = 400, d = 100); below that a
+# second thread costs 0.4-0.7 ms.  So two workers start from 2**25.
+LEARNER_WORK_PER_WORKER = 1 << 24
+# A block takes its learners in chunks of about this many float64 values
+# (a learner's n*d rows, its k*d*d slice products, and d*d each for their
+# sum and its LU copy), so its transient arrays stay near 2 MB: at
+# 200k x 32, r = 20, verify took 11.8 ms in chunks of 2**18 values against
+# 18.7 ms in one chunk, on one worker.
+LEARNER_CHUNK_VALUES = 1 << 18
+
 
 def ridge_solve(X, y, lam: float) -> np.ndarray:
-    """Minimize (1/n) * sum_i (y_i - x_i.w)^2 + lam * w.w in closed form:
-    refit from scratch, keeping only the weights."""
-    return refit(X, y, lam)[0]
+    """Minimize (1/n) * sum_i (y_i - x_i.w)^2 + lam * w.w in closed form.
+
+    An (n, d) X and (n,) y give the (d,) weights, as refit does from
+    scratch.  An (r, n, d) X and (r, n) y are r learners; their (r, d)
+    weights are solved in learner blocks (in_learner_blocks), bitwise equal
+    to r single solves.  A learner that cannot be solved raises as refit
+    would, and so fails the whole stack.
+    """
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if X.ndim != 3:
+        return refit(X, y, lam)[0]
+    _check_system(X, y, lam, 3)
+    r, n, d = X.shape
+    weights = np.empty((r, d))
+
+    def solve(lo, hi):
+        weights[lo:hi] = solve_stack(X[lo:hi], y[lo:hi], lam)
+
+    in_learner_blocks(solve, r, n, d)
+    return weights
+
+
+def solve_stack(X, y, lam: float) -> np.ndarray:
+    """Ridge weights of every learner of the (r, n, d) X and (r, n) y, as
+    (r, d), on the calling thread: one refit per learner in effect, with
+    the lam > 0 products and solves batched over the stack (module
+    docstring).  It raises as the first failing learner's refit would
+    (with lam > 0, ValueError when any learner's sums are not finite)."""
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=float)
+    _check_system(X, y, lam, 3)
+    r, n, d = X.shape
+    if lam > 0:
+        return _solve_normal(*_slice_products(X, y), n, lam)
+    return np.array([_lstsq(Xj, yj) for Xj, yj in zip(X, y)]).reshape(r, d)
 
 
 def refit(X, y, lam: float, products=None, rows=(),
@@ -66,20 +132,34 @@ def refit(X, y, lam: float, products=None, rows=(),
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
-    if X.ndim != 2 or y.ndim != 1 or X.shape[0] != y.shape[0]:
+    _check_system(X, y, lam, 2)
+    n, d = X.shape
+    if lam == 0:
+        return _lstsq(X, y), None
+    if products is None:
+        products = _slice_products(X, y)
+    else:
+        grams, rhs = products[0].copy(), products[1].copy()
+        h = _slice_height(d)
+        slices = np.array(sorted({int(row) // h for row in rows}), dtype=int)
+        grams[slices], rhs[slices] = _slice_products(X, y, slices)
+        products = grams, rhs
+    return _solve_normal(*products, n, lam), products
+
+
+def _check_system(X: np.ndarray, y: np.ndarray, lam: float,
+                  ndim: int) -> None:
+    """Refuse an X that is not ndim-dimensional, a y that is not X without
+    its column axis, and a lam outside 0 <= lam < inf."""
+    if X.ndim != ndim or X.shape[:-1] != y.shape:
         raise DimensionMismatch(f"ridge_solve: X is {X.shape}, y is {y.shape}")
     if not 0 <= lam < np.inf:   # NaN fails both comparisons
         raise ValueError(f"lam must be nonnegative and finite, got {lam}")
-    n, d = X.shape
-    if lam > 0:
-        if products is None:
-            products = _slice_products(X, y)
-        else:
-            grams, rhs = products[0].copy(), products[1].copy()
-            slices = np.unique(np.asarray(rows, dtype=int) // _slice_height(d))
-            grams[slices], rhs[slices] = _slice_products(X, y, slices)
-            products = grams, rhs
-        return _solve_normal(*products, n, lam), products
+
+
+def _lstsq(X: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The unregularized solve of one learner (refit, lam == 0)."""
+    d = X.shape[1]
     if not (np.isfinite(X).all() and np.isfinite(y).all()):
         raise ValueError("X or y contains NaN or Inf")
     w, _, _, sv = np.linalg.lstsq(X, y, rcond=None)
@@ -87,7 +167,7 @@ def refit(X, y, lam: float, products=None, rows=(),
         raise SingularSystem(
             "X'X is numerically singular; use lam > 0 or a full-rank design"
         )
-    return w, None
+    return w
 
 
 def _slice_height(d: int) -> int:
@@ -97,40 +177,125 @@ def _slice_height(d: int) -> int:
 
 def _slice_products(X: np.ndarray, y: np.ndarray,
                     slices=None) -> tuple[np.ndarray, np.ndarray]:
-    """X_b'X_b and X_b'y_b of each listed slice b of the (n, d) X and (n,) y
-    (every slice, ascending, when slices is None), as one (k, d, d) and one
-    (k, d) array in the order listed.  Entries may overflow to Inf;
-    _solve_normal refuses them."""
-    n, d = X.shape
+    """X_b'X_b and X_b'y_b of each listed slice b of every learner of the
+    (..., n, d) X and (..., n) y, as one (..., k, d, d) and one (..., k, d)
+    array in the order listed (every slice when slices is None; a list
+    must ascend without repeats).  The full slices take one batched matmul
+    and the partial last slice another, for the Grams and for X'y alike.
+    Entries may overflow to Inf; _solve_normal refuses them."""
+    lead, (n, d) = X.shape[:-2], X.shape[-2:]
     h = _slice_height(d)
+    full = n // h
     if slices is None:
-        slices = range(-(-n // h))
-    grams = np.empty((len(slices), d, d))
-    rhs = np.empty((len(slices), d))
+        slices = np.arange(-(-n // h))
+    k = len(slices)
+    nf = k - bool(k and n % h and slices[-1] == full)   # the full ones
+    grams = np.empty(lead + (k, d, d))
+    rhs = np.empty(lead + (k, d))
+    parts = []
+    if nf:
+        a, b = int(slices[0]), int(slices[nf - 1]) + 1
+        if b - a == nf:     # adjacent slices: a view of their rows
+            Xb = X[..., a * h:b * h, :].reshape(lead + (nf, h, d))
+            yb = y[..., a * h:b * h].reshape(lead + (nf, h, 1))
+        else:               # a copy of each, C-contiguous like a view's
+            Xb = X[..., :full * h, :].reshape(lead + (full, h, d)) \
+                .take(slices[:nf], axis=-3)
+            yb = y[..., :full * h].reshape(lead + (full, h, 1)) \
+                .take(slices[:nf], axis=-3)
+        parts.append((Xb, yb, slice(0, nf)))
+    if nf < k:              # the partial last slice
+        parts.append((X[..., full * h:, :], y[..., full * h:, None], nf))
     with np.errstate(over="ignore", invalid="ignore"):
-        for k, b in enumerate(slices):
-            Xb = X[b * h:(b + 1) * h]
-            grams[k] = Xb.T @ Xb
-            rhs[k] = Xb.T @ y[b * h:(b + 1) * h]
+        for Xb, yb, at in parts:
+            Xt = Xb.swapaxes(-1, -2)
+            np.matmul(Xt, Xb, out=grams[..., at, :, :])
+            np.matmul(Xt, yb, out=rhs[..., at, :, None])
     return grams, rhs
 
 
 def _solve_normal(grams: np.ndarray, rhs: np.ndarray, n: int,
                   lam: float) -> np.ndarray:
-    """Solve (X'X + n*lam*I) w = X'y by LU, with X'X and X'y the sums of all
-    the slice products of an n-row X (_slice_products, every slice in
-    ascending order); numpy reduces a leading axis one slice after another.
-    An Inf or NaN anywhere in X or y makes these sums non-finite, so the
-    O(d**2) check below is a regularized solve's one finiteness check; it
-    also refuses finite input whose products overflow."""
+    """Solve (X'X + n*lam*I) w = X'y by LU for every learner, with X'X and
+    X'y the sums of all the slice products of its n-row X (_slice_products,
+    (..., k, d, d) and (..., k, d), every slice in ascending order); numpy
+    reduces the slice axis one slice after another, into new arrays.  An
+    Inf or NaN anywhere in a learner's X or y makes its sums non-finite, so
+    the O(d**2) check below is a regularized solve's one finiteness check;
+    it also refuses finite input whose products overflow."""
     with np.errstate(over="ignore", invalid="ignore"):
-        A = grams.sum(axis=0)
-        b = rhs.sum(axis=0)
+        A = grams.sum(axis=-3)
+        b = rhs.sum(axis=-2)
     if not (np.isfinite(A).all() and np.isfinite(b).all()):
         raise ValueError("X or y holds NaN or Inf, or X'X or X'y overflows; "
                          "rescale the features or the response")
-    A.flat[::A.shape[0] + 1] += n * lam
-    return np.linalg.solve(A, b)
+    d = A.shape[-1]
+    A.reshape(A.shape[:-2] + (d * d,))[..., ::d + 1] += n * lam
+    return np.linalg.solve(A, b[..., None])[..., 0]
+
+
+def _available_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:      # no sched_getaffinity on this platform
+        return os.cpu_count() or 1
+
+
+def run_in_blocks(task, count: int, workers: int) -> None:
+    """task(lo, hi) over contiguous blocks [lo, hi) that cover range(count),
+    one block per worker: at most `workers`, one per available CPU and one
+    per item, and at least one.  The calling thread takes the first block
+    and one thread each the rest.
+
+    Every block runs under the caller's floating-point error handling
+    (np.geterr, np.geterrcall), so its np.errstate holds in each thread,
+    whether numpy keeps that state per thread (1.x) or per context (2.x).
+    Every thread is joined, even when one fails, and the exception of the
+    first block that failed is raised here.  Blocks must write disjoint
+    outputs and call nothing that keeps per-process state, such as a
+    function perfbench's tracer wraps (it keeps one span stack per
+    process).
+    """
+    workers = max(1, min(_available_cpus(), workers, count))
+    bounds = [count * k // workers for k in range(workers + 1)]
+    errors: list[BaseException | None] = [None] * workers
+    errstate = dict(np.geterr(), call=np.geterrcall())
+
+    def run(k):
+        try:
+            with np.errstate(**errstate):
+                task(bounds[k], bounds[k + 1])
+        except BaseException as exc:    # re-raised by the caller below
+            errors[k] = exc
+
+    started = []
+    try:
+        for k in range(1, workers):
+            thread = threading.Thread(target=run, args=(k,))
+            thread.start()
+            started.append(thread)
+        run(0)
+    finally:
+        for thread in started:
+            thread.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
+
+
+def in_learner_blocks(task, r: int, n: int, d: int) -> None:
+    """task(lo, hi) over chunks [lo, hi) that cover learners range(r) of n
+    rows and d columns: run_in_blocks over the learners, one block per
+    LEARNER_WORK_PER_WORKER of their work, each block taking its learners
+    in chunks of about LEARNER_CHUNK_VALUES values."""
+    per_learner = n * d + (-(-n // _slice_height(d)) + 2) * d * d
+    chunk = max(1, LEARNER_CHUNK_VALUES // max(per_learner, 1))
+
+    def block(lo, hi):
+        for start in range(lo, hi, chunk):
+            task(start, min(start + chunk, hi))
+
+    run_in_blocks(block, r, r * d * d * (n + d) // LEARNER_WORK_PER_WORKER)
 
 
 # Modulus of the rank certificate: a prime below 2**31, so the product of two

@@ -6,20 +6,21 @@ and unlearning.  No output scaling is applied: scale is absorbed by the
 learned regression weights.
 
 `project` takes its one matmul on the calling thread and then the cosine
-over contiguous row blocks, one per available CPU but no more than one
-per _VALUES_PER_WORKER values (fewer than twice that is one call).  The
-cosine is elementwise, so the blocks give the same bits as one np.cos call.
+over contiguous row blocks (numerics.run_in_blocks, the thread blocks the
+stacked ridge solves use too): one per available CPU but no more than one
+per _VALUES_PER_WORKER values (fewer than twice that is one call) or per
+row.  The cosine is elementwise, so the blocks give the same bits as one
+np.cos call.
 """
 
 from __future__ import annotations
 
-import os
-import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionMismatch
+from .numerics import run_in_blocks
 
 
 @dataclass(frozen=True)
@@ -59,7 +60,12 @@ def project(pmap: ProjectionMap, X) -> np.ndarray:
     # np.cos(X @ directions + offsets), which allocates three
     Z = X @ pmap.directions
     Z += pmap.offsets
-    _cos_in_row_blocks(Z)
+
+    def cos(lo, hi):
+        block = Z[lo:hi]
+        np.cos(block, out=block)
+
+    run_in_blocks(cos, len(Z), Z.size // _VALUES_PER_WORKER)
     return Z
 
 
@@ -67,52 +73,6 @@ def project(pmap: ProjectionMap, X) -> np.ndarray:
 # (numpy 2.4) two blocks first beat one np.cos call at about 2**14 values
 # in all, while this asks for 2**17 before it starts a second worker
 _VALUES_PER_WORKER = 1 << 16
-
-
-def _available_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:      # no sched_getaffinity on this platform
-        return os.cpu_count() or 1
-
-
-def _cos_in_row_blocks(Z: np.ndarray) -> None:
-    """np.cos(Z, out=Z) on a C-contiguous Z, over contiguous row blocks: the
-    calling thread takes the first, one thread each the rest.
-
-    Every block runs under the caller's floating-point error handling
-    (np.geterr, np.geterrcall), so its np.errstate holds in each thread,
-    whether numpy keeps that state per thread (1.x) or per context (2.x).
-    Every thread is joined, even when one fails, and the exception of the
-    first block that failed is raised here.
-    """
-    workers = max(1, min(_available_cpus(), Z.size // _VALUES_PER_WORKER,
-                         len(Z)))
-    bounds = [len(Z) * k // workers for k in range(workers + 1)]
-    errors: list[BaseException | None] = [None] * workers
-    errstate = dict(np.geterr(), call=np.geterrcall())
-
-    def run(k):
-        try:
-            block = Z[bounds[k]:bounds[k + 1]]
-            with np.errstate(**errstate):
-                np.cos(block, out=block)
-        except BaseException as exc:    # re-raised by the caller below
-            errors[k] = exc
-
-    started = []
-    try:
-        for k in range(1, workers):
-            thread = threading.Thread(target=run, args=(k,))
-            thread.start()
-            started.append(thread)
-        run(0)
-    finally:
-        for thread in started:
-            thread.join()
-    for exc in errors:
-        if exc is not None:
-            raise exc
 
 
 def save_projection(pmap: ProjectionMap, file) -> None:

@@ -324,12 +324,19 @@ class TestErrorBoundary:
          "missing or empty: n_train"),
         (["bench-influence", "--spec", "{no_kind}", "--out", "{out}"], 2,
          "spec dataset needs a path or a kind"),
+        (["verify", "--session", "{session}", "--tolerance", "nan"], 2,
+         "nan is not a nonnegative number"),
+        (["verify", "--session", "{session}", "--tolerance", "-1"], 2,
+         "-1.0 is not a nonnegative number"),
+        (["verify", "--session", "{session}", "--tolerance", "-inf"], 2,
+         "-inf is not a nonnegative number"),
     ], ids=["r-above-s", "negative-lam", "rho-not-a-number", "tau-zero",
             "config-s-not-an-integer", "config-data-missing",
             "config-not-an-object", "nan-lam", "inf-lam",
             "id-not-an-integer", "ids-file-not-json",
             *REFUSED_REQUEST_NAMES, "percentile-too-large",
-            "spec-without-n-train", "dataset-without-kind"])
+            "spec-without-n-train", "dataset-without-kind",
+            "nan-tolerance", "negative-tolerance", "minus-inf-tolerance"])
     def test_exit_code_and_message(self, tmp_path, runner, data_csv, args,
                                    code, message):
         dataset = {"kind": "gaussian-linear", "n": 200, "d": 3, "seed": 2}
@@ -349,7 +356,7 @@ class TestErrorBoundary:
         }
         paths = {"data": data_csv, "out": tmp_path / "out.csv",
                  "session": (train_session(runner, tmp_path, data_csv)
-                             if args[0] == "unlearn"
+                             if args[0] in ("unlearn", "verify")
                              else tmp_path / "new-session")}
         for name, text in files.items():
             paths[name] = tmp_path / f"{name}.json"

@@ -24,6 +24,14 @@ def make_train(n, d, seed=0):
     return Dataset(rng.normal(size=(n, d)), rng.normal(size=n), np.arange(n))
 
 
+def force_learner_blocks(monkeypatch, cpus):
+    """Split every learner stack into min(cpus, r) blocks of one-learner
+    chunks, whatever its size."""
+    monkeypatch.setattr(numerics, "_available_cpus", lambda: cpus)
+    monkeypatch.setattr(numerics, "LEARNER_WORK_PER_WORKER", 1)
+    monkeypatch.setattr(numerics, "LEARNER_CHUNK_VALUES", 1)
+
+
 class TestLearn:
     def test_single_shard_equals_single_learner(self):
         ds = make_train(30, 4)
@@ -67,6 +75,20 @@ class TestLearn:
             w = ridge_solve(store.coded_features[j], store.coded_response[j],
                             1e-2)
             assert model.weights[:, j].tobytes() == w.tobytes()
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 4], ids=lambda c: f"{c}cpus")
+    def test_learner_blocks_equal_refit_bitwise(self, monkeypatch, cpus):
+        # every learner its own chunk, in min(cpus, r) threaded blocks
+        force_learner_blocks(monkeypatch, cpus)
+        ds = make_train(1200, 32, seed=9)
+        model, store, _ = learn(ds, 12, 5, 0.5, 1e-3, seed=4)
+        assert model.weights.flags.c_contiguous
+        for j in range(5):
+            w, _ = numerics.refit(store.coded_features[j],
+                                  store.coded_response[j], 1e-3)
+            assert model.weights[:, j].tobytes() == w.tobytes()
+        unlearn(model, store, [3, 700])
+        assert verify_perfect_unlearning(model, store).max_discrepancy == 0.0
 
     def test_overflowing_feature_refused(self):
         ds = make_train(40, 3, seed=2)
@@ -329,18 +351,43 @@ class TestVerify:
         calls = []
 
         def failing_second_solve(X, y, lam):
+            # verify solves a stack of learners, and a stack that fails is
+            # solved again one learner at a time; the second learner's
+            # solve fails, and so does every stack that holds it
+            if len(X) > 1:
+                raise error("reference solve failed")
             calls.append(lam)
             if len(calls) == 2:
                 raise error("reference solve failed")
             return ridge_solve(X, y, lam)
 
-        monkeypatch.setattr(ensemble, "ridge_solve", failing_second_solve)
+        monkeypatch.setattr(ensemble, "solve_stack", failing_second_solve)
         report = verify_perfect_unlearning(model, store)
         assert len(calls) == 3
         assert report.passed is False
         assert report.per_learner[[0, 2]].tolist() == [0.0, 0.0]
         assert np.isnan(report.per_learner[1])
         assert np.isnan(report.agg_discrepancy)
+
+    @pytest.mark.parametrize("cpus", [1, 2, 4], ids=lambda c: f"{c}cpus")
+    def test_learner_with_overflowing_sums_alone_is_nan(self, monkeypatch,
+                                                        cpus):
+        force_learner_blocks(monkeypatch, cpus)
+        ds = make_train(400, 3, seed=4)
+        model, store, G = learn(ds, 8, 4, "minimal", 1e-3, seed=6)
+        j = int(G.entries[2].argmax())     # the one learner shard 2 feeds
+        store.base_features[2 * store.shard_size] = 1e200   # X'X overflows
+        report = verify_perfect_unlearning(model, store)
+        assert not report.passed
+        assert np.isnan(report.per_learner[j])
+        assert np.delete(report.per_learner, j).tolist() == [0.0] * 3
+
+    @pytest.mark.parametrize("tolerance", [np.nan, -1e-300, -np.inf])
+    def test_tolerance_outside_nonnegative_reals_refused(self, tolerance):
+        ds = make_train(40, 3, seed=4)
+        model, store, _ = learn(ds, 4, 2, "minimal", 1e-2, seed=6)
+        with pytest.raises(ValueError, match="tolerance must be nonnegative"):
+            verify_perfect_unlearning(model, store, tolerance)
 
     def test_nan_aggregate_fails(self):
         ds = make_train(40, 3, seed=4)

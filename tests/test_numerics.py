@@ -1,3 +1,6 @@
+import sys
+import threading
+import types
 import warnings
 
 import numpy as np
@@ -172,8 +175,8 @@ class TestRefit:
                              ids=["first-slice", "middle-slice",
                                   "partial-last-slice", "row-listed-twice",
                                   "two-slices"])
-    def test_changed_rows_match_solve_from_scratch(self, rows):
-        X, y = self.system()
+    def test_changed_rows_match_solve_from_scratch(self, rows, n=300):
+        X, y = self.system(n=n)
         _, products = numerics.refit(X, y, 1e-3)
         kept = [a.copy() for a in products]
         X2, y2 = X.copy(), y.copy()
@@ -188,6 +191,12 @@ class TestRefit:
             assert a.tobytes() == b.tobytes()
         for a, b in zip(products, kept):
             assert a.tobytes() == b.tobytes()
+
+    def test_changed_rows_in_slices_apart(self):
+        # n = 600: full slices 0-3 and a partial one; rows in slices 0 and
+        # 2 are recomputed from a copy of each, not from one view
+        self.test_changed_rows_match_solve_from_scratch([5, 300, 590],
+                                                        n=600)
 
     @pytest.mark.parametrize("lam", [np.nan, np.inf, -np.inf, -1e-300],
                              ids=["nan", "inf", "minus-inf", "tiny-negative"])
@@ -286,3 +295,217 @@ class TestBinaryRank:
         monkeypatch.setattr(numerics, "_bareiss_rank", refuse)
         G = rand_matrix_minimal(2000, 400, seed=3)
         assert binary_rank(G.entries) == 400
+
+
+# (r, n, d) learner stacks: d = 1, one slice (k = 1, full or partial), a
+# partial last slice, r = 1, and the shapes of the benchmark's workloads
+STACKS = [
+    (3, 50, 1),                # d = 1, one partial slice
+    (2, 2**17 + 5, 1),         # d = 1, a full slice and a partial one
+    (4, 128, 32),              # k = 1, a full slice
+    (4, 100, 32),              # k = 1, a partial slice
+    (3, 300, 32),              # a partial last slice
+    (2, 1024, 32),             # whole slices
+    (1, 1200, 32),             # r = 1
+    (5, 7, 3),
+    (20, 2000, 32),            # forget-lib: 200k x 32, s = 100, r = 20
+    (10, 1000, 16),            # forget-cli: 10 learners of 1000 x 16
+    (200, 20, 100),            # tradeoff-sweep, s = 1000
+    (1, 4000, 100),            # tradeoff-sweep, s = 5
+]
+STACK_IDS = [f"r{r}-n{n}-d{d}" for r, n, d in STACKS]
+
+
+def stack(r, n, d, seed=0):
+    rng = np.random.default_rng([r, n, d, seed])
+    return rng.normal(size=(r, n, d)), rng.normal(size=(r, n))
+
+
+def slice_products_by_loop(X, y):
+    """One X_b'X_b and X_b'y_b per slice of one (n, d) learner, each its
+    own matmul: the products the batched calls must reproduce."""
+    n, d = X.shape
+    h = numerics._slice_height(d)
+    starts = range(0, n, h)
+    return (np.array([X[b:b + h].T @ X[b:b + h] for b in starts]),
+            np.array([X[b:b + h].T @ y[b:b + h] for b in starts]))
+
+
+class TestStackedSolve:
+    @pytest.mark.parametrize("r,n,d", STACKS, ids=STACK_IDS)
+    def test_stack_equals_refit_of_each_learner_bitwise(self, r, n, d):
+        X, y = stack(r, n, d)
+        grams, rhs = numerics._slice_products(X, y)
+        W = ridge_solve(X, y, 1e-3)
+        assert W.shape == (r, d)
+        assert W.tobytes() == numerics.solve_stack(X, y, 1e-3).tobytes()
+        for j in range(r):
+            w, (g, b) = numerics.refit(X[j], y[j], 1e-3)
+            assert W[j].tobytes() == w.tobytes()
+            assert grams[j].tobytes() == g.tobytes()
+            assert rhs[j].tobytes() == b.tobytes()
+            loop_g, loop_b = slice_products_by_loop(X[j], y[j])
+            assert g.tobytes() == loop_g.tobytes()
+            assert b.tobytes() == loop_b.tobytes()
+
+    @pytest.mark.parametrize("r,n,d", [(4, 300, 32), (7, 20, 10)])
+    def test_unregularized_stack_equals_refit_of_each_learner(self, r, n, d):
+        X, y = stack(r, n, d)
+        W = ridge_solve(X, y, 0.0)
+        for j in range(r):
+            assert W[j].tobytes() == numerics.refit(X[j], y[j], 0.0)[0] \
+                .tobytes()
+
+    def test_one_learner_products_keep_their_shape(self):
+        X, y = stack(1, 300, 32)
+        grams, rhs = numerics._slice_products(X[0], y[0])
+        assert grams.shape == (3, 32, 32) and rhs.shape == (3, 32)
+
+    @pytest.mark.parametrize("n", [100, 128, 300],
+                             ids=["partial-only", "one-full", "three"])
+    def test_solve_leaves_the_products_untouched(self, n):
+        # with one slice, a sum over it that aliased the cached products
+        # would carry n*lam into them
+        X, y = stack(1, n, 32)
+        w, products = numerics.refit(X[0], y[0], 1e-3)
+        kept = [a.copy() for a in products]
+        again, _ = numerics.refit(X[0], y[0], 1e-3, products, [5])
+        numerics.refit(X[0], y[0], 1e-3, products)
+        numerics._solve_normal(*products, n, 1e-3)
+        assert again.tobytes() == w.tobytes()
+        for a, b in zip(products, kept):
+            assert a.tobytes() == b.tobytes()
+        fresh = numerics._slice_products(X[0], y[0])
+        for a, b in zip(products, fresh):
+            assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("where", ["X", "y"])
+    def test_one_non_finite_learner_fails_the_stack(self, where):
+        X, y = stack(4, 300, 32)
+        (X if where == "X" else y)[2, 10] = np.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="NaN or Inf"):
+                ridge_solve(X, y, 1e-3)
+
+    @pytest.mark.parametrize("X,y", [
+        (np.zeros((2, 5, 3)), np.zeros((2, 4))),
+        (np.zeros((2, 5, 3)), np.zeros((3, 5))),
+        (np.zeros((2, 5, 3)), np.zeros(5)),
+    ], ids=["rows", "learners", "one-response"])
+    def test_stack_shape_mismatch(self, X, y):
+        with pytest.raises(DimensionMismatch):
+            ridge_solve(X, y, 1e-3)
+        with pytest.raises(DimensionMismatch):
+            numerics.solve_stack(X, y, 1e-3)
+
+    def test_solve_stack_refuses_one_learner(self):
+        with pytest.raises(DimensionMismatch):
+            numerics.solve_stack(np.eye(3), np.ones(3), 1e-3)
+
+
+@pytest.fixture
+def started(monkeypatch):
+    """The worker threads run_in_blocks starts; only numerics' own name is
+    patched, so threads started elsewhere are not counted."""
+    threads = []
+
+    class CountedThread(threading.Thread):
+        def start(self):
+            threads.append(self)
+            super().start()
+
+    monkeypatch.setattr(numerics, "threading",
+                        types.SimpleNamespace(Thread=CountedThread))
+    return threads
+
+
+@pytest.fixture(params=[1, 2, 3, 4], ids=lambda c: f"{c}cpus")
+def forced_blocks(request, monkeypatch, started):
+    """Every stack split into min(CPUs, r) learner blocks of one-learner
+    chunks, whatever its size; yields the CPU count and the threads
+    started."""
+    monkeypatch.setattr(numerics, "_available_cpus", lambda: request.param)
+    monkeypatch.setattr(numerics, "LEARNER_WORK_PER_WORKER", 1)
+    monkeypatch.setattr(numerics, "LEARNER_CHUNK_VALUES", 1)
+    return request.param, started
+
+
+class TestLearnerBlocks:
+    @pytest.mark.parametrize("r,n,d", [(3, 300, 32), (5, 7, 3),
+                                       (10, 1000, 16), (1, 1200, 32)],
+                             ids=["r3", "r5", "forget-cli", "r1"])
+    def test_threaded_stack_equals_refit_bitwise(self, forced_blocks, r, n,
+                                                 d):
+        cpus, started = forced_blocks
+        X, y = stack(r, n, d)
+        before = threading.active_count()
+        W = ridge_solve(X, y, 1e-3)
+        assert threading.active_count() == before
+        assert len(started) == min(cpus, r) - 1
+        for j in range(r):
+            assert W[j].tobytes() == numerics.refit(X[j], y[j], 1e-3)[0] \
+                .tobytes()
+
+    def test_more_blocks_than_cores_with_rapid_switching(self, monkeypatch,
+                                                          started):
+        # 8 blocks write disjoint rows of one output; a thread switch every
+        # microsecond must not lose or mix any of them
+        monkeypatch.setattr(numerics, "_available_cpus", lambda: 8)
+        monkeypatch.setattr(numerics, "LEARNER_WORK_PER_WORKER", 1)
+        monkeypatch.setattr(numerics, "LEARNER_CHUNK_VALUES", 1)
+        X, y = stack(24, 300, 32)
+        expected = [numerics.refit(X[j], y[j], 1e-3)[0].tobytes()
+                    for j in range(24)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            results = [ridge_solve(X, y, 1e-3) for _ in range(5)]
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(started) == 5 * 7
+        assert all(not thread.is_alive() for thread in started)
+        for W in results:
+            assert [w.tobytes() for w in W] == expected
+
+    def test_failing_block_raises_after_every_join(self, forced_blocks):
+        cpus, started = forced_blocks
+        X, y = stack(4, 300, 32)
+        X[-1, 0] = np.nan           # in the last block
+        before = threading.active_count()
+        with pytest.raises(ValueError, match="NaN or Inf"):
+            ridge_solve(X, y, 1e-3)
+        assert threading.active_count() == before
+        assert len(started) == min(cpus, 4) - 1
+
+    @pytest.mark.parametrize("r,n,d,workers", [
+        (10, 1000, 16, 1),     # forget-cli's verify: 2**21.3 of work
+        (20, 2000, 32, 2),     # forget-lib's: 2**25.3
+        (200, 20, 100, 4),     # the sweep's s = 1000 cell: 2**27.8
+        (1, 4000, 100, 1),     # one learner cannot be split
+    ])
+    def test_worker_count(self, monkeypatch, started, r, n, d, workers):
+        # min(available CPUs, r * d * d * (n + d) // 2**24, r), the
+        # caller being one of them
+        monkeypatch.setattr(numerics, "_available_cpus", lambda: 4)
+        chunks = []
+        numerics.in_learner_blocks(lambda lo, hi: chunks.append((lo, hi)),
+                                   r, n, d)
+        assert len(started) == workers - 1
+        assert sorted(chunks)[0][0] == 0
+        assert all(a[1] == b[0] for a, b in zip(sorted(chunks),
+                                               sorted(chunks)[1:]))
+        assert sorted(chunks)[-1][1] == r
+
+    @pytest.mark.parametrize("r,n,d,chunk", [
+        (20, 2000, 32, 3),     # 64000 + (16 + 2) * 1024 values a learner
+        (200, 20, 100, 8),     # 2000 + (1 + 2) * 10000
+        (2, 2**20, 1, 1),      # more than 2**18 values: one at a time
+    ])
+    def test_chunks_hold_about_2_mb(self, monkeypatch, r, n, d, chunk):
+        monkeypatch.setattr(numerics, "_available_cpus", lambda: 1)
+        blocks = []
+        numerics.in_learner_blocks(lambda lo, hi: blocks.append((lo, hi)),
+                                   r, n, d)
+        assert blocks == [(lo, min(lo + chunk, r))
+                          for lo in range(0, r, chunk)]

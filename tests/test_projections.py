@@ -8,8 +8,8 @@ import warnings
 import numpy as np
 import pytest
 
-from codedunlearn import (DimensionMismatch, make_projection, project,
-                          projections)
+from codedunlearn import (DimensionMismatch, make_projection, numerics,
+                          project, projections)
 from codedunlearn.projections import load_projection, save_projection
 
 
@@ -111,7 +111,7 @@ PER_WORKER = projections._VALUES_PER_WORKER
 
 @pytest.fixture(params=[2, 3, 4], ids=lambda c: f"{c}cpus")
 def cpus(request, monkeypatch):
-    monkeypatch.setattr(projections, "_available_cpus", lambda: request.param)
+    monkeypatch.setattr(numerics, "_available_cpus", lambda: request.param)
     return request.param
 
 
@@ -132,7 +132,7 @@ def started(monkeypatch):
             time.sleep(0.02)
             super().run()
 
-    monkeypatch.setattr(projections, "threading",
+    monkeypatch.setattr(numerics, "threading",
                         types.SimpleNamespace(Thread=SlowWorker))
     return threads
 
@@ -145,7 +145,7 @@ def threaded_input(n, d, D, seed=0):
 def test_available_cpus_is_the_affinity_set():
     expected = (len(os.sched_getaffinity(0))
                 if hasattr(os, "sched_getaffinity") else os.cpu_count())
-    assert projections._available_cpus() == expected
+    assert numerics._available_cpus() == expected
 
 
 @pytest.mark.parametrize("n,d,D", [
@@ -174,7 +174,7 @@ def test_threaded_bitwise_equal_to_one_call(cpus, started, n, d, D):
 def test_worker_count(monkeypatch, started, n, D, workers):
     # min(available CPUs, values // _VALUES_PER_WORKER, rows), the caller
     # being one of them
-    monkeypatch.setattr(projections, "_available_cpus", lambda: 4)
+    monkeypatch.setattr(numerics, "_available_cpus", lambda: 4)
     pmap = make_projection(1, D, 0)
     project(pmap, np.ones((n, 1)))
     assert len(started) == min(4, workers) - 1
