@@ -166,18 +166,33 @@ def cmd_predict(session_dir, data, out):
         click.echo(lines, nl=False)
 
 
+def _id_cells(ctx, param, value):
+    """--ids as a list of integers; a cell that is not one is a usage error,
+    refused before the session is locked."""
+    if value is None:
+        return None
+    ids = []
+    for cell in filter(None, value.split(",")):
+        try:
+            ids.append(int(cell))
+        except ValueError:
+            raise click.BadParameter(f"{cell!r} is not an integer", ctx,
+                                     param) from None
+    return ids
+
+
 @main.command("unlearn")
 @click.option("--session", "session_dir", required=True,
               type=click.Path(exists=True))
-@click.option("--ids", default=None, help="Comma-separated sample ids.")
+@click.option("--ids", default=None, callback=_id_cells,
+              help="Comma-separated sample ids.")
 @click.option("--ids-file", type=click.Path(exists=True), default=None,
               help="JSON file with a list of sample ids.")
 def cmd_unlearn(session_dir, ids, ids_file):
     """Unlearn samples from a session in place and print the report."""
     if (ids is None) == (ids_file is None):
         raise click.UsageError("give exactly one of --ids / --ids-file")
-    id_list = (json.loads(Path(ids_file).read_text()) if ids_file
-               else [int(v) for v in ids.split(",") if v])
+    id_list = json.loads(Path(ids_file).read_text()) if ids_file else ids
     if not isinstance(id_list, list) or not id_list:   # before the lock
         raise click.UsageError("give a nonempty list of sample ids "
                                "(a JSON list in --ids-file)")

@@ -144,12 +144,11 @@ class CodedStore:
     their rows, from the base rows and G alone.
 
     slice_grams maps learner j to the per-slice X'X and X'y of coded shard
-    j, as numerics.refit returns them, so that a regularized unlearn
-    recomputes only the slices it changed.  It is derived state too: never
-    persisted, empty on construction and at lam = 0, filled for a learner by
-    the first unlearn that retrains it, and kept equal to the products of
-    the live coded shard by every unlearn after that.  Coded shards are
-    changed only by ensemble.unlearn, which keeps it so.
+    j (numerics.refit), so that a regularized unlearn recomputes only the
+    slices it changed.  It is derived state too: never persisted, empty on
+    construction and at lam = 0, filled for a learner by the first unlearn
+    that retrains it, and updated in place by every later one, which
+    re-derives them from the restored rows if it fails (ensemble.unlearn).
 
     Concurrent reads are safe; unlearning mutation requires exclusive access.
     """
@@ -210,17 +209,17 @@ class CodedStore:
         X, y = self.rebuild_coded_shards(j, j + 1)
         return X[0], y[0]
 
-    def rebuild_coded_row(self, j: int, row: int) -> tuple[np.ndarray, float]:
-        """Recompute one coded row bitwise as the encoder does: the sum from
-        +0.0 of row `row` of every uncoded shard with a nonzero entry in
-        column j, ascending and unmasked, nbar-fold less than a shard."""
+    def rebuild_coded_row(self, j: int, rows):
+        """Rows `rows` (an int or an array) of coded shard j, summed as the
+        encoder does (from +0.0, ascending, unmasked) by one gather and one
+        np.add.accumulate; np.add.reduce would sum 8 or more pairwise."""
         used = self.generator.entries[:, j].nonzero()[0]
-        x, yv = np.zeros(self.base_features.shape[1]), 0.0
-        # Python ints and floats: numpy scalars index and add more slowly
-        for p in (used * self.shard_size + row).tolist():
-            x += self.base_features[p]
-            yv += float(self.base_response[p])
-        return x, yv
+        at = np.add.outer(used * self.shard_size, rows)
+        X, y = self.base_features.take(at, axis=0), self.base_response.take(at)
+        X[0] += 0.0     # the +0.0 start: turns a leading -0.0 into +0.0
+        y[0] += 0.0
+        return (np.add.accumulate(X, axis=0, out=X)[-1],
+                np.add.accumulate(y, axis=0, out=y)[-1])
 
 
 def encode(features, response, ids, G: GeneratorMatrix) -> CodedStore:

@@ -25,7 +25,8 @@ from .errors import (
     SingularSystem,
     UnknownSample,
 )
-from .numerics import in_learner_blocks, refit, ridge_solve, solve_stack
+from .numerics import (in_learner_blocks, refit, ridge_solve, solve_stack,
+                       update_slices)
 from .projections import ProjectionMap, project
 
 DEFAULT_TOLERANCE = 1e-8
@@ -139,26 +140,26 @@ def unlearn(model: EnsembleModel, store: CodedStore, ids,
     For every sample: locate its base row through the store's id index,
     find the nonzero generator-row columns of its uncoded shard, and remove
     its contribution from the matching coded row of each of those shards:
-    its base row is zeroed first, then each touched row is re-summed from
-    all its contributors by CodedStore.rebuild_coded_row in the encoder's
-    order, so the reconstruction invariant stays bitwise exact.  One retrain
-    per unique affected learner, regardless of batch size.
+    its base row is zeroed first, then one CodedStore.rebuild_coded_row
+    call per affected learner re-sums all its touched rows in the encoder's
+    order, so the reconstruction invariant stays bitwise exact.
 
-    Each affected learner is re-solved by one numerics.refit call on its
-    live coded shard.  With lam > 0 that reuses the learner's cached
-    per-slice Gram products (CodedStore.slice_grams) and recomputes only the
-    slices holding touched rows; the cache is filled on a learner's first
-    retrain and stays empty at lam = 0.  The sums are the ones a retrain
-    from scratch forms, so the weights equal ridge_solve on the live coded
-    shard bitwise.
+    Each affected learner is then re-solved by one numerics.refit call on
+    its live coded shard.  With lam > 0 that reuses the learner's cached
+    per-slice Gram products (CodedStore.slice_grams) and recomputes, in
+    place, only the slices holding touched rows; the cache is filled on a
+    learner's first retrain and stays empty at lam = 0.  The sums are the
+    ones a retrain from scratch forms, so the weights equal ridge_solve on
+    the live coded shard bitwise.
 
     An id that is not an integer (a float, a bool, a string) is refused
     with UnknownSample before anything changes.
 
-    Zero first, re-derive on failure: weights and cache entries change only
-    once every solve has succeeded; if a step raises, the forgotten rows
-    (the one copy kept) and alive are put back and the same coded rows are
-    rebuilt, bitwise as they were, before the error propagates.
+    Zero first, re-derive on failure: weights change, and learners without
+    a cache entry get one, only once every solve has succeeded.  If a step
+    raises, the forgotten rows (the one copy kept) and alive are put back,
+    and the same coded rows and cached slices are re-derived from them,
+    bitwise as they were, before the error propagates.
     """
     t_start = time.perf_counter()
     ids = list(ids)
@@ -174,19 +175,15 @@ def unlearn(model: EnsembleModel, store: CodedStore, ids,
     if len(set(ids)) != len(ids):
         raise AlreadyUnlearned("duplicate ids in one unlearn request")
 
-    G = store.generator.entries
-    touched = sorted({(int(j), p % store.shard_size)   # (coded shard, row)
-                      for p in pos.tolist()
-                      for j in G[p // store.shard_size].nonzero()[0]})
-    rows_of: dict[int, list[int]] = {}   # affected learner -> its rows
-    for j, row in touched:
-        rows_of.setdefault(j, []).append(row)
-    affected = list(rows_of)             # ascending, as touched is sorted
+    shard, row = np.divmod(pos, store.shard_size)
+    hits = store.generator.entries.take(shard, axis=0)   # G's row of each id
+    affected = hits.any(axis=0).nonzero()[0].tolist()
+    rows_of = {j: row.compress(hits[:, j]) for j in affected}  # may repeat
+    X, y = store.coded_features, store.coded_response
 
-    def rebuild():
-        for j, row in touched:
-            store.coded_features[j, row], store.coded_response[j, row] = \
-                store.rebuild_coded_row(j, row)
+    def rebuild(j):
+        X[j, rows_of[j]], y[j, rows_of[j]] = \
+            store.rebuild_coded_row(j, rows_of[j])
 
     retrain_seconds: dict[int, float] = {}
     fresh: dict[int, np.ndarray] = {}
@@ -196,17 +193,19 @@ def unlearn(model: EnsembleModel, store: CodedStore, ids,
     store.base_features[pos] = 0.0
     store.base_response[pos] = 0.0
     try:
-        rebuild()
         for j in affected:
+            rebuild(j)
             t0 = time.perf_counter()
-            fresh[j], grams[j] = refit(
-                store.coded_features[j], store.coded_response[j], model.lam,
-                store.slice_grams.get(j), rows_of[j])
+            fresh[j], grams[j] = refit(X[j], y[j], model.lam,
+                                       store.slice_grams.get(j), rows_of[j])
             retrain_seconds[j] = time.perf_counter() - t0
     except BaseException:
         store.alive[pos] = True
         store.base_features[pos], store.base_response[pos] = held
-        rebuild()
+        for j in affected:
+            rebuild(j)
+            if j in store.slice_grams:
+                update_slices(X[j], y[j], store.slice_grams[j], rows_of[j])
         raise
     store.slice_grams.update(
         {j: g for j, g in grams.items() if g is not None})

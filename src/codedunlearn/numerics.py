@@ -1,10 +1,10 @@
 """Dense numeric substrate: closed-form ridge solver, exact binary rank, and
 the thread blocks that spread array work over the available CPUs.
 
-All operations are pure functions of their arguments; arrays are treated as
-immutable and never modified in place.  Only numpy is used.  An
-unregularized ridge solve is refused when the exact condition number of X'X
-exceeds COND_LIMIT.
+Arrays are treated as immutable and never modified in place, except the
+slice products refit is given, which it updates in place.  Only numpy is
+used.  An unregularized ridge solve is refused when the exact condition
+number of X'X exceeds COND_LIMIT.
 
 Every ridge solve is a solve of a stack of learners: an (r, n, d) X and an
 (r, n) y (one learner is a stack of one).  With lam > 0, each learner's X'X
@@ -14,7 +14,7 @@ rows (at least 2**17 / d**2, see SLICE_MIN_WORK).  The products of all the
 full slices of the stack are one batched np.matmul, those of the partial
 last slices another, and the stack's d x d systems one np.linalg.solve;
 each learner's bits are those of the same calls on it alone.  Given the
-products of an earlier X, refit recomputes only the slices holding the
+products of an earlier X, refit updates in place the slices holding the
 changed rows, so a retrain from scratch (ensemble.learn and verify) and an
 unlearn that reuses its cached products (ensemble.unlearn) agree bitwise.
 
@@ -121,30 +121,32 @@ def refit(X, y, lam: float, products=None, rows=(),
 
     With lam > 0, X'X and X'y are summed from per-slice products (module
     docstring): every slice, or, given the products of an X that differs
-    from this one only in the listed rows, a copy of them with the slices
-    holding those rows recomputed.  The d x d system is solved by LU
-    (np.linalg.solve) and refused with ValueError when X or y holds NaN or
-    Inf or X'X or X'y overflows.  With lam == 0 it is solved by least
-    squares (np.linalg.lstsq) and refused (SingularSystem) unless X has
-    d > 0 nonzero singular values sv and the exact condition number of
-    X'X, (max(sv) / min(sv))**2, is at most COND_LIMIT (tested unsquared,
-    so it cannot overflow).
+    from this one only in the listed rows, those products after
+    update_slices.  The d x d system is solved by LU (np.linalg.solve) and
+    refused with ValueError when X or y holds NaN or Inf or X'X or X'y
+    overflows.  With lam == 0 it is solved by least squares
+    (np.linalg.lstsq) and refused (SingularSystem) unless X has d > 0
+    nonzero singular values sv and the exact condition number of X'X,
+    (max(sv) / min(sv))**2, is at most COND_LIMIT (tested unsquared, so it
+    cannot overflow).
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     _check_system(X, y, lam, 2)
-    n, d = X.shape
     if lam == 0:
         return _lstsq(X, y), None
-    if products is None:
-        products = _slice_products(X, y)
-    else:
-        grams, rhs = products[0].copy(), products[1].copy()
-        h = _slice_height(d)
-        slices = np.array(sorted({int(row) // h for row in rows}), dtype=int)
-        grams[slices], rhs[slices] = _slice_products(X, y, slices)
-        products = grams, rhs
-    return _solve_normal(*products, n, lam), products
+    products = (_slice_products(X, y) if products is None
+                else update_slices(X, y, products, rows))
+    return _solve_normal(*products, len(X), lam), products
+
+
+def update_slices(X, y, products, rows):
+    """The per-slice products (grams, rhs) of the (n, d) X and (n,) y, with
+    the slices that hold the listed rows recomputed in place."""
+    h = _slice_height(X.shape[1])
+    slices = np.array(sorted({int(row) // h for row in rows}), dtype=int)
+    products[0][slices], products[1][slices] = _slice_products(X, y, slices)
+    return products
 
 
 def _check_system(X: np.ndarray, y: np.ndarray, lam: float,

@@ -18,7 +18,9 @@ whose content is new (each through a temporary name and os.replace), then
 swaps in manifest.json with os.replace, and only then deletes the data
 files the new manifest does not name.  A save interrupted at any point
 leaves the previous session loadable; load_session refuses any file whose
-hash does not match the manifest.
+hash does not match the manifest.  Readers take no lock: a load whose
+files a concurrent save has replaced reads the new manifest and loads that
+generation, while a file that mismatches an unchanged manifest is refused.
 
 Version 2 sessions also load.  They name one more file, agg-<h>.npy, the
 aggregate weights; it is hash-checked like every file the manifest names
@@ -65,6 +67,9 @@ from .projections import load_projection, save_projection
 
 FORMAT_VERSION = 3
 READABLE_VERSIONS = (2, 3)
+# manifests a load reads through before it gives up on a session that
+# concurrent saves keep replacing
+LOAD_ATTEMPTS = 5
 
 ARRAYS = ("base_features", "base_response", "ids", "weights")
 ROLES = ("generator", "store", *ARRAYS)   # plus "projection" when used
@@ -302,11 +307,30 @@ def _read_payload(directory: Path, role: str, data: bytes) -> dict:
     return obj
 
 
-def load_session(directory) -> tuple[EnsembleModel, CodedStore, dict]:
-    directory = Path(directory)
+def _read_generation(directory: Path) -> tuple[dict, dict[str, bytearray]]:
+    """The manifest and the checked bytes of every file it names.  A file
+    that is missing or fails its hash sends the reader back to the
+    manifest: if a save has swapped in a new one meanwhile (and deleted the
+    files of the old), that generation is read instead, up to
+    LOAD_ATTEMPTS generations in all; under an unchanged manifest the file
+    is stale and refused at once."""
     manifest = _read_manifest(directory)
-    data = {role: _read_checked(directory, entry)
-            for role, entry in manifest["files"].items()}
+    for attempt in range(1, LOAD_ATTEMPTS + 1):
+        try:
+            return manifest, {role: _read_checked(directory, entry)
+                              for role, entry in manifest["files"].items()}
+        except SessionError:
+            current = _read_manifest(directory)
+            if current == manifest or attempt == LOAD_ATTEMPTS:
+                raise
+            manifest = current
+
+
+def load_session(directory) -> tuple[EnsembleModel, CodedStore, dict]:
+    """The model, store and config of a session.  A load that races a save
+    reads whichever generation it finds whole (_read_generation)."""
+    directory = Path(directory)
+    manifest, data = _read_generation(directory)
     try:
         X, y, ids, W = (_npy_array(data[role]) for role in ARRAYS)
         pmap = (load_projection(io.BytesIO(data["projection"]))

@@ -127,6 +127,24 @@ class TestSessionWorkflow:
         assert "is not an integer" in result.output
         assert {p.name: p.read_bytes() for p in session.iterdir()} == before
 
+    @pytest.mark.parametrize("ids", ["a", "1.5", "3,1e2"])
+    def test_unlearn_non_integer_ids_cell_is_a_usage_error(
+            self, tmp_path, runner, data_csv, ids):
+        # refused before the session lock is taken: a held lock would
+        # otherwise turn it into exit 3
+        session = train_session(runner, tmp_path, data_csv)
+        (session / "lock").write_text("held")
+        before = {p.name: p.read_bytes() for p in session.iterdir()}
+        result = runner.invoke(main, [
+            "unlearn", "--session", str(session), "--ids", ids,
+        ])
+        assert result.exit_code == 2, result.output
+        bad = ids.split(",")[-1]
+        assert f"Invalid value for '--ids': '{bad}' is not an integer" \
+            in result.output
+        assert "locked" not in result.output
+        assert {p.name: p.read_bytes() for p in session.iterdir()} == before
+
     def test_predict_writes_one_value_per_row(self, tmp_path, runner,
                                               data_csv):
         session = train_session(runner, tmp_path, data_csv)
@@ -312,8 +330,8 @@ class TestErrorBoundary:
           "nan"], 3, "lam must be nonnegative"),
         (["train", "--data", "{data}", "--s", "4", "--r", "2", "--lam",
           "inf"], 3, "lam must be nonnegative"),
-        (["unlearn", "--session", "{session}", "--ids", "1,x"], 3,
-         "invalid literal for int()"),
+        (["unlearn", "--session", "{session}", "--ids", "1,x"], 2,
+         "'x' is not an integer"),
         (["unlearn", "--session", "{session}", "--ids-file", "{bad_json}"],
          3, "Expecting value"),
         *[(["unlearn", "--session", "{session}", *request], 2,

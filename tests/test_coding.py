@@ -315,6 +315,34 @@ class TestEncoder:
                 assert x.tobytes() == ref_X[j, row].tobytes()
                 assert np.float64(yv).tobytes() == ref_y[j, row].tobytes()
 
+    def test_row_rebuild_of_many_contributors_is_the_encoders_sum(self):
+        # 16 shards feed column 0, where np.add.reduce would sum each row
+        # pairwise; magnitudes spread over 16 decades make most such sums
+        # round differently from the encoder's ascending one
+        s, nbar, d = 16, 40, 3
+        entries = np.zeros((s, 2), dtype=int)
+        entries[:, 0] = 1
+        entries[::2, 1] = 1
+        G = GeneratorMatrix(s, 2, entries, 0.75)
+        rng = np.random.default_rng(3)
+        n = s * nbar
+        X = rng.normal(size=(n, d)) * 10.0 ** rng.uniform(-8, 8, (n, d))
+        y = rng.normal(size=n) * 10.0 ** rng.uniform(-8, 8, n)
+        X[0], y[0] = -0.0, -0.0            # the first contributor of row 0
+        X[1::nbar], y[1::nbar] = -0.0, -0.0   # every contributor of row 1
+        store = CodedStore(G, X, y, np.arange(n), [], np.ones(n, dtype=bool))
+        ref_X, ref_y = store.rebuild_coded_shards(0, 2)
+        assert ref_X[0, 1].tobytes() == bytes(8 * d)   # +0.0, as encoded
+        for j in range(2):
+            for row in range(nbar):
+                x, yv = store.rebuild_coded_row(j, row)
+                assert x.tobytes() == ref_X[j, row].tobytes()
+                assert np.float64(yv).tobytes() == ref_y[j, row].tobytes()
+            for rows in (np.array([1]), np.array([0, 1, 7, 39, 5])):
+                xs, ys = store.rebuild_coded_row(j, rows)
+                assert xs.tobytes() == ref_X[j, rows].tobytes()
+                assert ys.tobytes() == ref_y[j, rows].tobytes()
+
     # sha256 of the coded shards, base rows and alive after a seeded learn
     # and 10 unlearn batches, recorded before the shards were stacked into
     # one array.  They are fixed-order elementwise sums, so the digest does

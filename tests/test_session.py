@@ -6,6 +6,8 @@ import hashlib
 import io
 import json
 import os
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from codedunlearn import (
     unlearn,
     verify_perfect_unlearning,
 )
+from codedunlearn import session as session_mod
 from codedunlearn.session import load_session, save_session
 
 
@@ -262,6 +265,91 @@ class TestCrashSafety:
         assert {p.name for p in tmp_path.iterdir()} == names | {"manifest.json"}
         _, back_store, _ = load_session(tmp_path)
         assert set(back_store.ids[~back_store.alive].tolist()) == {7, 30}
+
+
+class TestConcurrentSave:
+    """Readers take no lock, so a save may replace a generation while a
+    load reads it."""
+
+    @staticmethod
+    def saved(tmp_path):
+        model, store, _ = learn(make_train(90, 3, seed=2), 6, 3, 0.5, 1e-3,
+                                seed=4)
+        save_session(tmp_path, model, store, {"seed": 4})
+        return model, store
+
+    def test_save_between_manifest_and_file_reads_loads_new_generation(
+            self, tmp_path, monkeypatch):
+        model, store = self.saved(tmp_path)
+        old = manifest_of(tmp_path)
+        read = session_mod._read_checked
+        calls = []
+
+        def save_first(directory, entry):
+            calls.append(entry["name"])
+            if len(calls) == 1:   # the old manifest is read by now
+                unlearn(model, store, [7, 30])
+                save_session(tmp_path, model, store, {"seed": 4})
+            return read(directory, entry)
+
+        monkeypatch.setattr(session_mod, "_read_checked", save_first)
+        back, back_store, config = load_session(tmp_path)
+        assert manifest_of(tmp_path) != old
+        assert old["files"]["store"]["name"] in calls   # it went missing
+        assert config == {"seed": 4}
+        assert back.weights.tobytes() == model.weights.tobytes()
+        assert set(back_store.ids[~back_store.alive].tolist()) == {7, 30}
+        assert verify_perfect_unlearning(back, back_store).max_discrepancy \
+            == 0.0
+
+    def test_flipped_bit_under_unchanged_manifest_refused_at_once(
+            self, tmp_path, monkeypatch):
+        self.saved(tmp_path)
+        path = tmp_path / manifest_of(tmp_path)["files"]["weights"]["name"]
+        data = bytearray(path.read_bytes())
+        data[-1] ^= 1
+        path.write_bytes(bytes(data))
+        read = session_mod._read_manifest
+        reads = []
+
+        def counted(directory):
+            reads.append(directory)
+            return read(directory)
+
+        monkeypatch.setattr(session_mod, "_read_manifest", counted)
+        with pytest.raises(SessionError, match="stale session"):
+            load_session(tmp_path)
+        assert len(reads) == 2   # the load's and the one check after
+
+    def test_loads_never_fail_while_a_writer_forgets(self, tmp_path):
+        model, store = self.saved(tmp_path)
+        victims = store.ids[:40].tolist()
+        errors = []
+
+        def writer():
+            try:
+                for u in victims:
+                    unlearn(model, store, [u])
+                    save_session(tmp_path, model, store, {"seed": 4})
+                    time.sleep(0.002)
+            except Exception as exc:   # reported by the reader below
+                errors.append(exc)
+
+        thread = threading.Thread(target=writer)
+        thread.start()
+        loads = 0
+        try:
+            while thread.is_alive():
+                _, back_store, _ = load_session(tmp_path)
+                assert back_store.alive.sum() >= len(store.ids) - 40
+                loads += 1
+        finally:
+            thread.join(timeout=60)
+        assert not thread.is_alive()
+        assert not errors
+        assert loads > 0
+        _, back_store, _ = load_session(tmp_path)
+        assert set(back_store.ids[~back_store.alive].tolist()) == set(victims)
 
 
 class TestRefusal:

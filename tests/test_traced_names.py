@@ -78,5 +78,6 @@ def test_traced_functions_run_on_the_calling_thread(monkeypatch, cpus):
     assert report.max_discrepancy == 0.0
     assert len(started) == 2 * (cpus - 1)      # learn's blocks and verify's
     assert {"ensemble.learn", "numerics.ridge_solve",
+            "coding.rebuild_coded_row",
             "ensemble.verify_perfect_unlearning"} <= {n for n, _ in calls}
     assert all(thread is threading.current_thread() for _, thread in calls)
