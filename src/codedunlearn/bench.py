@@ -52,6 +52,14 @@ class SweepSpec:
     projection_dim: int | None = None
     dataset_label: str = "dataset"
 
+    def __post_init__(self):
+        # refused here, before any cell runs: a rate of 0 would divide by
+        # zero in cells() and a negative one would give cells with r < 0
+        for name in ("rates", "shard_counts"):
+            low = [v for v in getattr(self, name) if v < 1]
+            if low:
+                raise InvalidSpec(f"{name} must be at least 1, got {low[0]}")
+
     def cells(self):
         idx = 0
         for lam in self.lambdas:

@@ -67,12 +67,15 @@ def rand_matrix(s: int, r: int, rho: float, seed=None,
 
     A draw with an all-zero row is rejected before its rank is computed;
     GeneratorMatrix itself is the one rank check.  Densities below 1/r are
-    refused since the no-zero-row condition then fails in expectation.
+    refused since the no-zero-row condition then fails in expectation, and
+    rho = 1 with r >= 2 since every draw is then the all-ones matrix, of
+    rank 1: the valid range is [1/r, 1), or rho = 1 when r = 1.
     """
     if not 1 <= r <= s:
         raise ValueError(f"need 1 <= r <= s, got s={s}, r={r}")
-    if not 1.0 / r <= rho <= 1.0:
-        raise DensityOutOfRange(f"rho={rho} outside [1/{r}, 1]")
+    if not 1.0 / r <= rho < 1.0 and not rho == r == 1:
+        raise DensityOutOfRange(f"rho={rho} outside [1/{r}, 1)" if r > 1
+                                else f"rho={rho} must be 1 for r=1")
     rng = np.random.default_rng(seed)
     for _ in range(guard):
         G = (rng.random((s, r)) < rho).astype(np.int64)

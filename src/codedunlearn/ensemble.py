@@ -105,7 +105,7 @@ def learn(train: Dataset, s: int, r: int, rho, lam: float,
           ) -> tuple[EnsembleModel, CodedStore, GeneratorMatrix]:
     """Train the coded ensemble.
 
-    rho is a Bernoulli density in [1/r, 1] or the string "minimal" for
+    rho is a Bernoulli density in [1/r, 1) (1 when r = 1) or "minimal" for
     one-hot rows.  With s == 1 the code degenerates to G = [[1]] and the
     model equals a single learner on the full training set.  A pre-built
     generator may be supplied to reuse an existing code.  The r learners

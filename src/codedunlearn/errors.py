@@ -34,7 +34,7 @@ class EmptyResult(CodedUnlearnError):
 
 
 class DensityOutOfRange(CodedUnlearnError):
-    """Generator-matrix density outside [1/r, 1]."""
+    """Generator-matrix density outside [1/r, 1) (exactly 1 when r = 1)."""
 
 
 class NonTermination(CodedUnlearnError):

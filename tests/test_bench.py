@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from codedunlearn import (
+    InvalidSpec,
     SweepSpec,
     SyntheticSpec,
     emit_results,
@@ -90,6 +91,14 @@ class TestRunTradeoff:
                          rates=(2,), shard_counts=(3,), runs=1, seed=2)
         with pytest.raises(Exception):
             list(spec.cells())
+
+    @pytest.mark.parametrize("rates,shard_counts", [
+        ((0,), (3,)), ((-1,), (3,)), ((1,), (0,)), ((1,), (3, -3))])
+    def test_rate_or_shard_count_below_one_rejected(
+            self, gaussian_spec, rates, shard_counts):
+        with pytest.raises(InvalidSpec, match="must be at least 1"):
+            SweepSpec(dataset=gaussian_spec, n_train=300, lambdas=(0.0,),
+                      rates=rates, shard_counts=shard_counts, runs=1, seed=2)
 
     def test_projects_each_split_once_with_unchanged_records(
             self, gaussian_spec, monkeypatch):

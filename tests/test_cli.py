@@ -321,6 +321,8 @@ class TestErrorBoundary:
          3, "could not convert string to float: 'abc'"),
         (["train", "--data", "{data}", "--s", "4", "--tau", "0"], 2,
          "tau=0 must be at least 1"),
+        (["train", "--data", "{data}", "--s", "10", "--tau", "5", "--rho",
+          "1"], 3, "rho=1.0 outside [1/2, 1)"),
         (["train", "--data", "{data}", "--config", "{config_s_x}"], 2,
          "'x' is not a valid integer"),
         (["train", "--config", "{config_no_data}"], 2, "does not exist"),
@@ -349,6 +351,7 @@ class TestErrorBoundary:
         (["verify", "--session", "{session}", "--tolerance", "-inf"], 2,
          "-inf is not a nonnegative number"),
     ], ids=["r-above-s", "negative-lam", "rho-not-a-number", "tau-zero",
+            "rho-all-ones",
             "config-s-not-an-integer", "config-data-missing",
             "config-not-an-object", "nan-lam", "inf-lam",
             "id-not-an-integer", "ids-file-not-json",
@@ -536,6 +539,28 @@ class TestBenchCommands:
         lines = out.read_text().splitlines()
         assert lines[0].startswith("# config:")
         assert len(lines) == 4  # comment + header + 2 cells
+
+    @pytest.mark.parametrize("rates,shard_counts,bad", [
+        ([0], [3], "rates must be at least 1, got 0"),
+        ([1, -1], [3], "rates must be at least 1, got -1"),
+        ([1], [0], "shard_counts must be at least 1, got 0"),
+    ], ids=["rate-zero", "rate-negative", "shard-count-zero"])
+    def test_rate_or_shard_count_below_one_is_one_error_line(
+            self, tmp_path, runner, rates, shard_counts, bad):
+        spec = tmp_path / "sweep.json"
+        spec.write_text(json.dumps({
+            "dataset": {"kind": "gaussian-linear", "n": 200, "d": 3,
+                        "seed": 2},
+            "n_train": 150, "lambdas": [0.001], "rates": rates,
+            "shard_counts": shard_counts, "runs": 1,
+        }))
+        out = tmp_path / "records.csv"
+        result = runner.invoke(main, [
+            "bench-tradeoff", "--spec", str(spec), "--out", str(out),
+        ])
+        assert result.exit_code == 3, result.output
+        assert result.output == f"error: {bad}\n"
+        assert not out.exists()
 
     def test_empty_sweep_is_usage_error(self, tmp_path, runner):
         spec = tmp_path / "sweep.json"

@@ -41,10 +41,29 @@ class TestRandMatrix:
         b = rand_matrix(6, 3, 0.5, 5)
         assert (a.entries == b.entries).all()
 
-    def test_all_ones_density_never_terminates(self):
-        # rho=1 forces rank 1, so the rank loop can never succeed for r >= 2
-        with pytest.raises(NonTermination):
-            rand_matrix(4, 2, 1.0, 0, guard=200)
+    def test_all_ones_density_is_refused(self):
+        # rho=1 draws only the all-ones matrix, of rank 1, so for r >= 2 the
+        # rank loop could only exhaust its guard: refused before any draw
+        with pytest.raises(DensityOutOfRange, match=r"outside \[1/2, 1\)"):
+            rand_matrix(4, 2, 1.0, 0)
+
+    def test_all_ones_density_is_the_one_density_for_one_column(self):
+        assert (rand_matrix(3, 1, 1.0, 0).entries == 1).all()
+        with pytest.raises(DensityOutOfRange, match="must be 1 for r=1"):
+            rand_matrix(3, 1, 0.5, 0)
+
+    def test_guard_exhausted_raises_non_termination(self, monkeypatch):
+        # a rank check that rejects every draw ends the loop at the guard
+        calls = []
+
+        def rank_zero(G):
+            calls.append(G.shape)
+            return 0
+
+        monkeypatch.setattr(coding, "binary_rank", rank_zero)
+        with pytest.raises(NonTermination, match="after 200 draws"):
+            rand_matrix(4, 2, 0.9, 0, guard=200)
+        assert 0 < len(calls) <= 200
 
     @pytest.mark.parametrize("seed", range(5))
     def test_one_rank_check_per_draw(self, monkeypatch, seed):

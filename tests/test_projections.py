@@ -1,5 +1,8 @@
+import json
 import math
 import os
+import subprocess
+import sys
 import threading
 import time
 import types
@@ -103,9 +106,10 @@ def test_serialized_bytes_depend_only_on_the_map(tmp_path, monkeypatch):
     assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
-# Threaded cosine: `project` splits np.cos into row blocks once Z holds
-# 2 * _VALUES_PER_WORKER values.  The CPU count is patched so that every
-# machine takes the threaded path with more workers than rows divide by.
+# Threaded chunks: `project` spreads its row chunks over workers once Z
+# holds 2 * _VALUES_PER_WORKER values and two chunks.  The CPU count is
+# patched so that every machine takes the threaded path with more workers
+# than rows divide by.
 PER_WORKER = projections._VALUES_PER_WORKER
 
 
@@ -137,9 +141,16 @@ def started(monkeypatch):
     return threads
 
 
-def threaded_input(n, d, D, seed=0):
+def threaded_input(n, d, D, seed=0, order="C"):
     pmap = make_projection(d, D, seed)
-    return pmap, np.random.default_rng(seed).normal(size=(n, d)) * 5
+    X = np.random.default_rng(seed).normal(size=(n, d)) * 5
+    return pmap, np.asarray(X, order=order)
+
+
+def every_cpu_rows(cpus, D=100):
+    # rows of an (n, 10) X that give each of `cpus` workers a chunk: as many
+    # whole chunks as CPUs and _VALUES_PER_WORKER values per CPU, plus one
+    return cpus * max(projections._chunk_rows(10, D), -(-PER_WORKER // D)) + 1
 
 
 def test_available_cpus_is_the_affinity_set():
@@ -182,7 +193,7 @@ def test_worker_count(monkeypatch, started, n, D, workers):
 
 @pytest.mark.parametrize("row", [0, -1], ids=["caller-block", "last-block"])
 def test_errstate_raise_holds_in_every_block(cpus, started, row):
-    pmap, X = threaded_input(-(-cpus * PER_WORKER // 100) + 1, 10, 100)
+    pmap, X = threaded_input(every_cpu_rows(cpus), 10, 100)
     X[row, 0] = np.inf
     before = threading.active_count()
     with np.errstate(invalid="raise"), pytest.raises(FloatingPointError):
@@ -193,7 +204,7 @@ def test_errstate_raise_holds_in_every_block(cpus, started, row):
 
 @pytest.mark.parametrize("row", [0, -1], ids=["caller-block", "last-block"])
 def test_errstate_ignore_holds_in_every_block(cpus, started, row):
-    pmap, X = threaded_input(-(-cpus * PER_WORKER // 100) + 1, 10, 100)
+    pmap, X = threaded_input(every_cpu_rows(cpus), 10, 100)
     X[row, 0] = np.inf
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -205,7 +216,7 @@ def test_errstate_ignore_holds_in_every_block(cpus, started, row):
 
 @pytest.mark.parametrize("row", [0, -1], ids=["caller-block", "last-block"])
 def test_invalid_value_warns_from_every_block(cpus, started, row):
-    pmap, X = threaded_input(-(-cpus * PER_WORKER // 100) + 1, 10, 100)
+    pmap, X = threaded_input(every_cpu_rows(cpus), 10, 100)
     X[row, 0] = np.inf
     before = threading.active_count()
     with pytest.warns(RuntimeWarning, match="invalid value"):
@@ -218,3 +229,105 @@ def test_invalid_value_warns_from_every_block(cpus, started, row):
             project(pmap, X)
     assert threading.active_count() == before
     assert len(started) == 2 * (cpus - 1)
+
+
+# Fused chunks: each chunk's matmul, offset add and cosine.  The shapes are
+# ones where a product split into row blocks of other lengths differs from
+# the whole product in the last bits on some BLAS builds: d >= 16 (a
+# separate small-matrix gemm kernel), D = 257 or 500 (a partial column
+# tile) and D = 1 (gemv); (10, 100) is the benchmark sweep's shape.
+CHUNKED_SHAPES = [(10, 100), (16, 100), (32, 17), (3, 7), (10, 257),
+                  (5, 500), (10, 1)]
+# A threaded BLAS splits the whole product by its own rule, which no fixed
+# chunking follows: with OpenBLAS on two threads the last three shapes
+# differ in the last bits.  They are checked with BLAS on one thread, as the
+# README asks for on several CPUs and as the benchmark runs it.
+ANY_BLAS_SHAPES = CHUNKED_SHAPES[:4]
+ONE_BLAS_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+                   "MKL_NUM_THREADS": "1"}
+
+
+def chunked_rows(d, D):
+    L = projections._chunk_rows(d, D)
+    return [0, 1, 2, 3, L - 1, L, L + 1, 2 * L + 1, 7 * L + 5]
+
+
+def chunked_mismatches(d, D, ncpus):
+    """(n, order) of every input in chunked_rows whose projection on ncpus
+    CPUs is not bitwise np.cos(X @ directions + offsets)."""
+    available = numerics._available_cpus
+    numerics._available_cpus = lambda: ncpus
+    try:
+        found = []
+        for n in chunked_rows(d, D):
+            for order in "CF":
+                pmap, X = threaded_input(n, d, D, seed=n, order=order)
+                expected = np.cos(X @ pmap.directions + pmap.offsets)
+                out = project(pmap, X)
+                assert out.shape == (n, D) and out.flags.c_contiguous
+                if out.tobytes() != expected.tobytes():
+                    found.append([n, order])
+        return found
+    finally:
+        numerics._available_cpus = available
+
+
+@pytest.mark.parametrize("ncpus", [1, 2, 3, 4], ids=lambda c: f"{c}cpus")
+@pytest.mark.parametrize("d,D", ANY_BLAS_SHAPES, ids=str)
+def test_chunked_bitwise_equal_to_unfused_expression(ncpus, d, D):
+    assert chunked_mismatches(d, D, ncpus) == []
+
+
+def test_chunked_bitwise_equal_with_one_blas_thread():
+    script = (
+        "import importlib.util, json, sys\n"
+        "spec = importlib.util.spec_from_file_location('t', sys.argv[1])\n"
+        "t = importlib.util.module_from_spec(spec)\n"
+        "spec.loader.exec_module(t)\n"
+        "print(json.dumps({f'{d}x{D}/{c}cpus': t.chunked_mismatches(d, D, c)"
+        " for d, D in t.CHUNKED_SHAPES for c in (1, 2, 3, 4)}))\n")
+    proc = subprocess.run([sys.executable, "-c", script, __file__],
+                          env={**os.environ, **ONE_BLAS_THREAD},
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    found = json.loads(proc.stdout.splitlines()[-1])
+    assert len(found) == 4 * len(CHUNKED_SHAPES)
+    assert {k: v for k, v in found.items() if v} == {}
+
+
+def test_strided_input_bitwise_equal(cpus):
+    _, X = threaded_input(every_cpu_rows(cpus) * 2, 20, 100)
+    X = X[::2, ::2]          # neither C nor Fortran ordered
+    pmap = make_projection(10, 100, 1)
+    expected = np.cos(X @ pmap.directions + pmap.offsets)
+    assert project(pmap, X).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("d,D", CHUNKED_SHAPES, ids=str)
+def test_chunk_bounds(d, D):
+    L = projections._chunk_rows(d, D)
+    # a multiple of 192 rows, and above 100**3 multiply-adds for gemm
+    assert L % 192 == 0 and (D == 1 or L * d * D > 100**3)
+    for n in chunked_rows(d, D):
+        bounds = projections._chunk_bounds(n, d, D)
+        assert bounds[0] == 0 and bounds[-1] == n
+        lengths = np.diff(bounds)
+        assert (lengths[:-1] == L).all()
+        assert n < L or L <= lengths[-1] < 2 * L
+
+
+def test_the_output_is_the_one_allocation(cpus):
+    # numpy reports its array buffers to tracemalloc: besides Z, only
+    # buffers well under a chunk's size (its ufunc buffers) are allocated
+    import tracemalloc
+
+    pmap, X = threaded_input(20_000, 10, 100)
+    chunk_bytes = projections._chunk_rows(10, 100) * 100 * 8
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = project(pmap, X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - before < out.nbytes + chunk_bytes // 2
