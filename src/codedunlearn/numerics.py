@@ -18,18 +18,19 @@ products of an earlier X, refit updates in place the slices holding the
 changed rows, so a retrain from scratch (ensemble.learn and verify) and an
 unlearn that reuses its cached products (ensemble.unlearn) agree bitwise.
 
-ridge_solve spreads a stack over contiguous learner blocks, and
-projections.project its fused row chunks (each chunk's matmul, offset add
-and cosine; the chunks are cut so that each chunk's product is bitwise
-those rows of the whole one, see projections), through run_in_blocks: the
-calling thread takes the first block and one thread each the rest, one per
-available CPU (the process's affinity set) but never more than the work
-asks for.  A block holds whole learners or whole chunks, and every block
-runs the numpy calls one block would on them, so the results are bitwise
-those of one block.  BLAS should be pinned to one thread
-(OPENBLAS_NUM_THREADS=1 or the like) when several CPUs are available, or
-the blocks' calls compete for them (and project's chunks no longer follow
-the threaded BLAS's split of the whole product).
+ridge_solve spreads a stack over contiguous learner blocks through
+run_in_blocks: the calling thread takes the first block and one thread each
+the rest, one per available CPU (the process's affinity set) but never more
+than the work asks for.  A block holds whole learners, and every block runs
+the numpy calls one block would on them, so the results are bitwise those
+of one block.  projections.project starts its workers through
+run_in_blocks too, and they take its fused row chunks (each chunk's matmul,
+offset add and cosine) one at a time, as each comes free; the chunks are
+cut so that each chunk's product is bitwise those rows of the whole one.
+BLAS should be pinned to one thread (OPENBLAS_NUM_THREADS=1 or the like)
+when several CPUs are available, or the blocks' calls compete for them
+(and project's chunks no longer follow the threaded BLAS's split of the
+whole product).
 
 The binary rank is exact over the rationals.  It is first certified by
 vectorised elimination modulo the prime 2**31 - 1: a minor that is nonzero

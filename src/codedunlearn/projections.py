@@ -7,24 +7,25 @@ learned regression weights.
 
 `project` is one fused pass over row chunks: it allocates its output once
 and gives each chunk its matmul, offset add and cosine in place, so a
-chunk's rows stay in cache across the three.  numerics.run_in_blocks
-spreads the chunks over contiguous blocks (the thread blocks the stacked
-ridge solves use too): one per available CPU but no more than one per
-_VALUES_PER_WORKER values or per chunk.  The add and the cosine are
-elementwise, but a row block's matmul is those rows of the whole product
-only when BLAS runs the same code on it, and measured on OpenBLAS, blocks
-of 2 or more rows can differ in the last bits.  So every chunk but the
-last holds a multiple of 192 rows and, for a map of more than one column,
-more than 100**3 multiply-adds (_CHUNK_ROW_ALIGN gives the measurements);
-the last runs to the end of X.  The chunks do not depend on the worker
-count, and with BLAS on one thread per call the result is bitwise
-np.cos(X @ directions + offsets).  A threaded BLAS splits the whole
+chunk's rows stay in cache across the three.  numerics.run_in_blocks starts
+its workers (the thread blocks the stacked ridge solves use too): one per
+available CPU but no more than one per _VALUES_PER_WORKER values or per
+chunk, and each worker takes the next unclaimed chunk until none is left.
+The add and the cosine are elementwise, but a row block's matmul is those
+rows of the whole product only when BLAS runs the same code on it, and
+measured on OpenBLAS, blocks of 2 or more rows can differ in the last bits.
+So every chunk but the last holds a multiple of 192 rows and, for a map of
+more than one column, more than 100**3 multiply-adds (_CHUNK_ROW_ALIGN
+gives the measurements); the last runs to the end of X.  The chunks do not
+depend on the workers, and with BLAS on one thread per call the result is
+bitwise np.cos(X @ directions + offsets).  A threaded BLAS splits the whole
 product by a rule of its own, which the chunks do not follow, and its
-threads compete with the blocks for the cores: pin it, as the README says.
+threads compete with the workers for the cores: pin it, as the README says.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,9 +71,18 @@ def project(pmap: ProjectionMap, X) -> np.ndarray:
     # as np.cos(X @ directions + offsets), which allocates three
     Z = np.empty((len(X), pmap.output_dim))
     bounds = _chunk_bounds(len(X), pmap.input_dim, pmap.output_dim)
+    unclaimed = iter(zip(bounds[:-1], bounds[1:]))
+    lock = threading.Lock()
 
     def fused(lo, hi):
-        for a, b in zip(bounds[lo:hi], bounds[lo + 1:hi + 1]):
+        # run_in_blocks only sizes and starts the workers: each takes the
+        # next unclaimed chunk until none is left, so a worker the OS holds
+        # back leaves its share to the others
+        while True:
+            with lock:
+                a, b = next(unclaimed, (None, None))
+            if a is None:
+                return
             chunk = Z[a:b]
             np.matmul(X[a:b], pmap.directions, out=chunk)
             chunk += pmap.offsets
@@ -83,12 +93,14 @@ def project(pmap: ProjectionMap, X) -> np.ndarray:
 
 
 def _chunk_bounds(n: int, d: int, D: int) -> list[int]:
-    """Row bounds of the chunks of an (n, d) X projected to D columns:
-    chunks of _chunk_rows(d, D) rows from row 0, the last one running to n
-    (so it holds between one and two chunks' rows, or all n rows when n is
-    less than two chunks'; n = 0 is one empty chunk)."""
-    rows = _chunk_rows(d, D)
-    return [*range(0, rows * max(1, n // rows), rows), n]
+    """Row bounds of the chunks of an (n, d) X projected to D columns: as
+    many chunks as _chunk_rows(d, D) rows fit in n (at least one), cut at
+    the multiple of _CHUNK_ROW_ALIGN at or below an even split, so that no
+    chunk is shorter than _chunk_rows and their lengths differ by less than
+    two alignments; the last runs to n.  n = 0 is one empty chunk."""
+    chunks = max(1, n // _chunk_rows(d, D))
+    align = _CHUNK_ROW_ALIGN
+    return [n * k // chunks // align * align for k in range(chunks)] + [n]
 
 
 def _chunk_rows(d: int, D: int) -> int:
@@ -102,10 +114,10 @@ def _chunk_rows(d: int, D: int) -> int:
 # of Z stays in cache across its matmul, add and cosine.  Medians of 61
 # interleaved in-process calls on a 2-vCPU VM (numpy 2.4, one BLAS thread),
 # 2**13 / 2**14 / 2**15 / 2**16 / 2**17 values, against the unfused matmul
-# and threaded cosine: 200k x 10 -> 1 took 4.42 / 4.40 / 4.60 / 5.81 / 8.01
-# ms (6.75 unfused), 20k x 64 -> 100 34.9 / 34.5 / 33.8 / 33.2 / 34.6 ms
-# (41.3).  At the sweep's 20k x 10 -> 100 the gemm bound below sets the
-# chunk (1152 rows): 29.4 ms against 33.1.
+# and threaded cosine: 200k x 10 -> 1 took 2.67 / 2.59 / 2.71 / 3.12 / 4.50
+# ms (4.06 unfused), 20k x 64 -> 100 25.0 / 24.8 / 23.6 / 23.6 / 23.8 ms
+# (31.2).  At the sweep's 20k x 10 -> 100 the gemm bound below sets the
+# chunks (1152 or 1344 rows): 20.8 ms against 26.5.
 _CHUNK_VALUES = 1 << 15
 # A row block of X @ directions is not in general bitwise those rows of the
 # whole product: BLAS may run other code on it.  Measured with numpy 2.4
@@ -116,11 +128,12 @@ _CHUNK_VALUES = 1 << 15
 # - gemm of at most 100**3 multiply-adds takes a small-matrix kernel whose
 #   bits differ from the large one's from d = 16 on (d = 16, D = 100: most
 #   rows of every block of up to 607 rows differ).
-# So every chunk but the last is a multiple of _CHUNK_ROW_ALIGN rows and,
-# for gemm (D > 1; numpy takes gemv for one column), more than
-# _GEMM_SMALL_WORK multiply-adds; the last runs to the end of X, as the
-# whole product does.  Chunked that way, 4640 products (d up to 200, D up
-# to 2000, C and Fortran order) matched the whole product bitwise, and the
+# So every chunk starts at a multiple of _CHUNK_ROW_ALIGN rows, every one
+# but the last is a multiple of it long, and for gemm (D > 1; numpy takes
+# gemv for one column) each holds more than _GEMM_SMALL_WORK multiply-adds;
+# the last runs to the end of X, as the whole product does.  Chunked that
+# way, 8036 products (d up to 200, D up to 2000, C and Fortran order, equal
+# and balanced chunk lengths) matched the whole product bitwise, and the
 # tests guard shapes that break each rule.  The gemm bound costs small
 # maps their threads: 20k x 3 -> 7 is one chunk.
 _CHUNK_ROW_ALIGN = 192
@@ -128,9 +141,9 @@ _GEMM_SMALL_WORK = 100**3
 
 # Workers are min(available CPUs, values // _VALUES_PER_WORKER, chunks).
 # A conservative bound, one no benchmark workload binds (at the sweep's 10k
-# and 20k rows the CPUs do): on a 2-vCPU VM (numpy 2.4) two blocks
-# first beat one np.cos call at about 2**14 values in all, while this asks
-# for 2**17 before it starts a second worker.
+# and 20k rows the CPUs do): on a 2-vCPU VM (numpy 2.4) two workers first
+# beat one np.cos call at about 2**14 values in all, while this asks for
+# 2**17 before it starts a second worker.
 _VALUES_PER_WORKER = 1 << 16
 
 

@@ -308,12 +308,14 @@ def test_chunk_bounds(d, D):
     L = projections._chunk_rows(d, D)
     # a multiple of 192 rows, and above 100**3 multiply-adds for gemm
     assert L % 192 == 0 and (D == 1 or L * d * D > 100**3)
-    for n in chunked_rows(d, D):
+    for n in chunked_rows(d, D) + [5 * L - 1, 11 * L + 191]:
         bounds = projections._chunk_bounds(n, d, D)
         assert bounds[0] == 0 and bounds[-1] == n
         lengths = np.diff(bounds)
-        assert (lengths[:-1] == L).all()
-        assert n < L or L <= lengths[-1] < 2 * L
+        assert len(lengths) == max(1, n // L)
+        assert (lengths[:-1] % 192 == 0).all()
+        if n >= L:
+            assert lengths.min() >= L and np.ptp(lengths) < 2 * 192
 
 
 def test_the_output_is_the_one_allocation(cpus):
@@ -331,3 +333,20 @@ def test_the_output_is_the_one_allocation(cpus):
     finally:
         tracemalloc.stop()
     assert peak - before < out.nbytes + chunk_bytes // 2
+
+
+def test_workers_share_the_chunks_under_contention(monkeypatch):
+    # more workers than cores, 40 chunks and a switch interval of 1 us: a
+    # chunk that no worker took would keep what np.empty left in it, and
+    # each input differs, so stale memory cannot pass for the output
+    monkeypatch.setattr(numerics, "_available_cpus", lambda: 8)
+    chunk = projections._chunk_rows(16, 100)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for seed in range(4):
+            pmap, X = threaded_input(40 * chunk + 7, 16, 100, seed=seed)
+            expected = np.cos(X @ pmap.directions + pmap.offsets)
+            assert project(pmap, X).tobytes() == expected.tobytes()
+    finally:
+        sys.setswitchinterval(interval)
