@@ -23,14 +23,14 @@ run_in_blocks: the calling thread takes the first block and one thread each
 the rest, one per available CPU (the process's affinity set) but never more
 than the work asks for.  A block holds whole learners, and every block runs
 the numpy calls one block would on them, so the results are bitwise those
-of one block.  projections.project starts its workers through
-run_in_blocks too, and they take its fused row chunks (each chunk's matmul,
-offset add and cosine) one at a time, as each comes free; the chunks are
-cut so that each chunk's product is bitwise those rows of the whole one.
-BLAS should be pinned to one thread (OPENBLAS_NUM_THREADS=1 or the like)
-when several CPUs are available, or the blocks' calls compete for them
-(and project's chunks no longer follow the threaded BLAS's split of the
-whole product).
+of one block.  projections.project puts its fused row chunks (each chunk's
+matmul, offset add and cosine) in run_in_blocks too, a contiguous run of
+whole chunks per block; the chunks are cut so that each chunk's product is
+bitwise those rows of the whole one.  BLAS should be on one thread (the
+package sets OPENBLAS_NUM_THREADS=1 and the like when it is imported before
+numpy) when several CPUs are available, or the blocks' calls compete for
+them (and project's chunks no longer follow the threaded BLAS's split of
+the whole product).
 
 The binary rank is exact over the rationals.  It is first certified by
 vectorised elimination modulo the prime 2**31 - 1: a minor that is nonzero

@@ -7,25 +7,25 @@ learned regression weights.
 
 `project` is one fused pass over row chunks: it allocates its output once
 and gives each chunk its matmul, offset add and cosine in place, so a
-chunk's rows stay in cache across the three.  numerics.run_in_blocks starts
-its workers (the thread blocks the stacked ridge solves use too): one per
-available CPU but no more than one per _VALUES_PER_WORKER values or per
-chunk, and each worker takes the next unclaimed chunk until none is left.
-The add and the cosine are elementwise, but a row block's matmul is those
-rows of the whole product only when BLAS runs the same code on it, and
-measured on OpenBLAS, blocks of 2 or more rows can differ in the last bits.
-So every chunk but the last holds a multiple of 192 rows and, for a map of
-more than one column, more than 100**3 multiply-adds (_CHUNK_ROW_ALIGN
-gives the measurements); the last runs to the end of X.  The chunks do not
-depend on the workers, and with BLAS on one thread per call the result is
-bitwise np.cos(X @ directions + offsets).  A threaded BLAS splits the whole
-product by a rule of its own, which the chunks do not follow, and its
-threads compete with the workers for the cores: pin it, as the README says.
+chunk's rows stay in cache across the three.  The chunks are spread over
+contiguous blocks by numerics.run_in_blocks (the thread blocks the stacked
+ridge solves use too): one per available CPU but no more than one per
+_VALUES_PER_WORKER values or per chunk, each block taking its chunks in
+order.  The add and the cosine are elementwise, but a row block's matmul is
+those rows of the whole product only when BLAS runs the same code on it,
+and measured on OpenBLAS, blocks of 2 or more rows can differ in the last
+bits.  So every chunk but the last holds a multiple of 192 rows and, for a
+map of more than one column, more than 100**3 multiply-adds
+(_CHUNK_ROW_ALIGN gives the measurements); the last runs to the end of X.
+The chunks do not depend on the workers, and with BLAS on one thread per
+call the result is bitwise np.cos(X @ directions + offsets).  A threaded
+BLAS splits the whole product by a rule of its own, which the chunks do not
+follow, and its threads compete with the workers for the cores: importing
+codedunlearn before numpy pins it to one thread (the package docstring).
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,18 +71,9 @@ def project(pmap: ProjectionMap, X) -> np.ndarray:
     # as np.cos(X @ directions + offsets), which allocates three
     Z = np.empty((len(X), pmap.output_dim))
     bounds = _chunk_bounds(len(X), pmap.input_dim, pmap.output_dim)
-    unclaimed = iter(zip(bounds[:-1], bounds[1:]))
-    lock = threading.Lock()
 
     def fused(lo, hi):
-        # run_in_blocks only sizes and starts the workers: each takes the
-        # next unclaimed chunk until none is left, so a worker the OS holds
-        # back leaves its share to the others
-        while True:
-            with lock:
-                a, b = next(unclaimed, (None, None))
-            if a is None:
-                return
+        for a, b in zip(bounds[lo:hi], bounds[lo + 1:hi + 1]):
             chunk = Z[a:b]
             np.matmul(X[a:b], pmap.directions, out=chunk)
             chunk += pmap.offsets
@@ -114,10 +105,10 @@ def _chunk_rows(d: int, D: int) -> int:
 # of Z stays in cache across its matmul, add and cosine.  Medians of 61
 # interleaved in-process calls on a 2-vCPU VM (numpy 2.4, one BLAS thread),
 # 2**13 / 2**14 / 2**15 / 2**16 / 2**17 values, against the unfused matmul
-# and threaded cosine: 200k x 10 -> 1 took 2.67 / 2.59 / 2.71 / 3.12 / 4.50
-# ms (4.06 unfused), 20k x 64 -> 100 25.0 / 24.8 / 23.6 / 23.6 / 23.8 ms
-# (31.2).  At the sweep's 20k x 10 -> 100 the gemm bound below sets the
-# chunks (1152 or 1344 rows): 20.8 ms against 26.5.
+# and threaded cosine: 200k x 10 -> 1 took 4.46 / 4.30 / 4.50 / 5.48 / 8.03
+# ms (6.79 unfused), 20k x 64 -> 100 35.0 / 35.1 / 33.9 / 34.4 / 34.2 ms
+# (41.6).  At the sweep's 20k x 10 -> 100 the gemm bound below sets the
+# chunks (1152 or 1344 rows): 29.3 ms against 33.5.
 _CHUNK_VALUES = 1 << 15
 # A row block of X @ directions is not in general bitwise those rows of the
 # whole product: BLAS may run other code on it.  Measured with numpy 2.4

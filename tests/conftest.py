@@ -1,5 +1,10 @@
 import sys
 
+# Imported before any test module imports numpy, so that the package sets
+# BLAS to one thread for the session, as it does for every CLI process
+# (codedunlearn/__init__).
+import codedunlearn  # noqa: F401
+
 
 def pytest_terminal_summary(terminalreporter):
     """Echo the per-criterion acceptance lines after the run, outside

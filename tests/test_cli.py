@@ -614,10 +614,10 @@ for lam in ("0", "0.001"):
 """
 
 
-def run_python(code, cwd):
+def run_python(code, cwd, env=os.environ):
     """Run `code` in a fresh interpreter that imports this codedunlearn."""
     src = str(Path(codedunlearn.__file__).resolve().parents[1])
-    env = {**os.environ,
+    env = {**env,
            "PYTHONPATH": os.pathsep.join(
                filter(None, [src, os.environ.get("PYTHONPATH")]))}
     return subprocess.run(
@@ -633,6 +633,27 @@ def test_cli_runs_without_scipy(tmp_path):
     assert out.returncode == 0, out.stderr
     assert out.stdout.splitlines() == [
         "max relative discrepancy: 0.000e+00 (tolerance 1e-08)"] * 2
+
+
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                    "MKL_NUM_THREADS")
+
+
+@pytest.mark.parametrize("first,preset,expected", [
+    ("", {}, ["1", "1", "1"]),
+    ("", {"OMP_NUM_THREADS": "2"}, [None, "2", None]),
+    ("import numpy; ", {}, [None, None, None]),
+], ids=["unset", "one-set", "numpy-first"])
+def test_import_pins_blas_before_numpy_loads(tmp_path, first, preset,
+                                             expected):
+    # BLAS reads its thread count when numpy loads: the package sets it to
+    # one thread only when it loads numpy and no count was asked for
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    out = run_python(f"{first}import os, codedunlearn.cli; print([os.environ"
+                     f".get(v) for v in {BLAS_THREAD_VARS}])", tmp_path,
+                     {**env, **preset})
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == str(expected)
 
 
 def test_cli_import_leaves_out_concurrent_futures(tmp_path):

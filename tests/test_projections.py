@@ -147,10 +147,19 @@ def threaded_input(n, d, D, seed=0, order="C"):
     return pmap, np.asarray(X, order=order)
 
 
+def threshold_rows(workers, D=100):
+    # the fewest rows of an (n, 10) X that give each of `workers` workers a
+    # chunk: as many whole chunks as workers, _VALUES_PER_WORKER values each
+    return workers * max(projections._chunk_rows(10, D), -(-PER_WORKER // D))
+
+
 def every_cpu_rows(cpus, D=100):
-    # rows of an (n, 10) X that give each of `cpus` workers a chunk: as many
-    # whole chunks as CPUs and _VALUES_PER_WORKER values per CPU, plus one
-    return cpus * max(projections._chunk_rows(10, D), -(-PER_WORKER // D)) + 1
+    return threshold_rows(cpus, D) + 1
+
+
+def expected_workers(n, d, D, cpus):
+    chunks = len(projections._chunk_bounds(n, d, D)) - 1
+    return max(1, min(cpus, n * D // PER_WORKER, chunks))
 
 
 def test_available_cpus_is_the_affinity_set():
@@ -160,9 +169,12 @@ def test_available_cpus_is_the_affinity_set():
 
 
 @pytest.mark.parametrize("n,d,D", [
-    (-(-2 * PER_WORKER // 100), 10, 100),      # just above the threshold
-    (-(-3 * PER_WORKER // 100) + 2, 10, 100),  # rows not divisible by 3
-    (-(-4 * PER_WORKER // 100) + 3, 10, 100),  # nor by 2 or 4
+    (-(-2 * PER_WORKER // 100), 10, 100),      # one or two chunks
+    (-(-3 * PER_WORKER // 100) + 2, 10, 100),  # (1152-row chunks at
+    (-(-4 * PER_WORKER // 100) + 3, 10, 100),  # 10 -> 100)
+    (threshold_rows(2), 10, 100),              # just above the threshold
+    (threshold_rows(3) + 2, 10, 100),          # rows not divisible by 3
+    (threshold_rows(4) + 3, 10, 100),          # nor by 2 or 4
     (3 * PER_WORKER + 1, 3, 1),                # tall, D = 1
     (2 * PER_WORKER - 1, 3, 1),                # one value short: serial
 ])
@@ -172,6 +184,7 @@ def test_threaded_bitwise_equal_to_one_call(cpus, started, n, d, D):
     before = threading.active_count()
     out = project(pmap, X)
     assert threading.active_count() == before
+    assert len(started) == expected_workers(n, d, D, cpus) - 1
     assert out.flags.c_contiguous and out.shape == (n, D)
     assert out.tobytes() == expected.tobytes()
 
@@ -215,6 +228,24 @@ def test_errstate_ignore_holds_in_every_block(cpus, started, row):
 
 
 @pytest.mark.parametrize("row", [0, -1], ids=["caller-block", "last-block"])
+def test_errstate_call_runs_in_the_block_that_erred(cpus, started, row):
+    # the caller's error callback runs in the thread whose chunk held the
+    # inf row: the calling thread for the first row, the last started
+    # worker for the last row (a worker without the caller's errstate
+    # would warn instead)
+    pmap, X = threaded_input(every_cpu_rows(cpus), 10, 100)
+    X[row, 0] = np.inf
+    callers = []
+    with np.errstate(invalid="call", call=lambda *_: callers.append(
+            threading.current_thread())):
+        out = project(pmap, X)
+    assert np.isnan(out[row]).all()
+    assert len(started) == cpus - 1
+    assert callers == ([threading.current_thread()] if row == 0
+                       else [started[-1]])
+
+
+@pytest.mark.parametrize("row", [0, -1], ids=["caller-block", "last-block"])
 def test_invalid_value_warns_from_every_block(cpus, started, row):
     pmap, X = threaded_input(every_cpu_rows(cpus), 10, 100)
     X[row, 0] = np.inf
@@ -239,10 +270,9 @@ def test_invalid_value_warns_from_every_block(cpus, started, row):
 CHUNKED_SHAPES = [(10, 100), (16, 100), (32, 17), (3, 7), (10, 257),
                   (5, 500), (10, 1)]
 # A threaded BLAS splits the whole product by its own rule, which no fixed
-# chunking follows: with OpenBLAS on two threads the last three shapes
-# differ in the last bits.  They are checked with BLAS on one thread, as the
-# README asks for on several CPUs and as the benchmark runs it.
-ANY_BLAS_SHAPES = CHUNKED_SHAPES[:4]
+# chunking follows (with OpenBLAS on two threads the last three shapes
+# differ in the last bits), so the shapes are checked in a child with BLAS
+# on one thread, whatever this process was started with.
 ONE_BLAS_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
                    "MKL_NUM_THREADS": "1"}
 
@@ -270,12 +300,6 @@ def chunked_mismatches(d, D, ncpus):
         return found
     finally:
         numerics._available_cpus = available
-
-
-@pytest.mark.parametrize("ncpus", [1, 2, 3, 4], ids=lambda c: f"{c}cpus")
-@pytest.mark.parametrize("d,D", ANY_BLAS_SHAPES, ids=str)
-def test_chunked_bitwise_equal_to_unfused_expression(ncpus, d, D):
-    assert chunked_mismatches(d, D, ncpus) == []
 
 
 def test_chunked_bitwise_equal_with_one_blas_thread():
@@ -335,9 +359,9 @@ def test_the_output_is_the_one_allocation(cpus):
     assert peak - before < out.nbytes + chunk_bytes // 2
 
 
-def test_workers_share_the_chunks_under_contention(monkeypatch):
+def test_every_chunk_is_written_under_contention(monkeypatch):
     # more workers than cores, 40 chunks and a switch interval of 1 us: a
-    # chunk that no worker took would keep what np.empty left in it, and
+    # chunk that no block wrote would keep what np.empty left in it, and
     # each input differs, so stale memory cannot pass for the output
     monkeypatch.setattr(numerics, "_available_cpus", lambda: 8)
     chunk = projections._chunk_rows(16, 100)
