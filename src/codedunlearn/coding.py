@@ -137,6 +137,7 @@ class CodedStore:
     The base rows fill the s uncoded shards exactly and are kept, not
     copied.  Unlearning ids[p] sets alive[p] False and zeroes base row p;
     locate finds p through a sorted index of ids that is never persisted.
+    Ids are unique: construction refuses a repeated one with ValueError.
     An unlearned base row is +0.0: construction zeroes, in place, every row
     alive marks unlearned, whatever it held, and unlearn zeroes a row before
     it rebuilds anything.  So encoding and rebuilds never read alive; it
@@ -147,11 +148,17 @@ class CodedStore:
     their rows, from the base rows and G alone.
 
     slice_grams maps learner j to the per-slice X'X and X'y of coded shard
-    j (numerics.refit), so that a regularized unlearn recomputes only the
-    slices it changed.  It is derived state too: never persisted, empty on
-    construction and at lam = 0, filled for a learner by the first unlearn
-    that retrains it, and updated in place by every later one, which
-    re-derives them from the restored rows if it fails (ensemble.unlearn).
+    j, (k, D, D) and (k, D), so that a regularized unlearn recomputes only
+    the slices it changed.  Its values are views of learner j in
+    slice_stack, one (r, k, D, D) and one (r, k, D) array
+    (numerics.empty_products), so one batched pass updates and one solve
+    reads every learner's.  Both are derived state: never persisted;
+    slice_stack is allocated, uninitialised, by the first regularized
+    unlearn, so a learner never retrained costs no resident memory, and
+    slice_grams is empty on construction and at lam = 0, gains a learner
+    when an unlearn first retrains it, and is updated in place by every
+    later one, which re-derives it from the restored rows if it fails
+    (ensemble.unlearn).
 
     Concurrent reads are safe; unlearning mutation requires exclusive access.
     """
@@ -167,16 +174,21 @@ class CodedStore:
     coded_response: np.ndarray = field(init=False, repr=False)
     slice_grams: dict[int, tuple[np.ndarray, np.ndarray]] = field(
         init=False, repr=False, default_factory=dict)
+    slice_stack: tuple[np.ndarray, np.ndarray] | None = field(
+        init=False, repr=False, default=None)
     _order: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
+        self._order = np.argsort(self.ids)
+        ordered = self.ids.take(self._order)
+        if (ordered[1:] == ordered[:-1]).any():
+            raise ValueError("sample ids must be unique")
         self.shard_size = len(self.ids) // self.generator.uncoded_shards
         dead = ~self.alive
         self.base_features[dead] = 0.0
         self.base_response[dead] = 0.0
         self.coded_features, self.coded_response = _encode(
             self.base_features, self.base_response, self.generator.entries)
-        self._order = np.argsort(self.ids, kind="stable")
 
     def locate(self, ids) -> np.ndarray:
         """Base-row positions of the given sample ids; UnknownSample names

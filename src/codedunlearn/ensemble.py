@@ -25,11 +25,14 @@ from .errors import (
     SingularSystem,
     UnknownSample,
 )
-from .numerics import (in_learner_blocks, refit, ridge_solve, solve_stack,
-                       update_slices)
+from .numerics import (empty_products, in_learner_blocks, ridge_solve,
+                       solve_normal, solve_stack, update_products)
 from .projections import ProjectionMap, project
 
 DEFAULT_TOLERANCE = 1e-8
+
+# The phases of an unlearn call that AffectedReport times, in call order.
+PHASES = ("validate", "rebuild_rows", "slice_products", "solve")
 
 
 @dataclass
@@ -58,12 +61,12 @@ class EnsembleModel:
 @dataclass
 class AffectedReport:
     """Which learners an unlearn request touched and what it cost:
-    retrain_seconds times each learner's solve, total_seconds the whole
-    unlearn call (validation, row rebuilds, solves and commit)."""
+    phase_seconds times each phase of the call by name (PHASES), and
+    total_seconds the whole call, those phases and the commit."""
 
     unlearned_ids: list[int]
     affected_learners: list[int]
-    retrain_seconds: dict[int, float]
+    phase_seconds: dict[str, float]
     total_seconds: float
 
     @property
@@ -144,24 +147,29 @@ def unlearn(model: EnsembleModel, store: CodedStore, ids,
     call per affected learner re-sums all its touched rows in the encoder's
     order, so the reconstruction invariant stays bitwise exact.
 
-    Each affected learner is then re-solved by one numerics.refit call on
-    its live coded shard.  With lam > 0 that reuses the learner's cached
-    per-slice Gram products (CodedStore.slice_grams) and recomputes, in
-    place, only the slices holding touched rows; the cache is filled on a
-    learner's first retrain and stays empty at lam = 0.  The sums are the
-    ones a retrain from scratch forms, so the weights equal ridge_solve on
-    the live coded shard bitwise.
+    The affected learners are then retrained together.  With lam > 0 their
+    per-slice Gram products live in the store's stacked cache
+    (CodedStore.slice_grams): a learner not yet cached gets every slice's
+    products from a view of its coded shard, and the slices holding touched
+    rows of all the cached learners are recomputed in place by one batched
+    pass (numerics.update_products).  One numerics.solve_normal then solves
+    every affected learner on a view of the stack (a copy when the learners
+    are not adjacent).  The sums are the ones a retrain from scratch forms,
+    so the weights equal ridge_solve on the live coded shards bitwise.  With
+    lam = 0 each learner is solved by least squares (numerics.solve_stack)
+    and nothing is cached.
 
     An id that is not an integer (a float, a bool, a string) is refused
     with UnknownSample before anything changes.
 
-    Zero first, re-derive on failure: weights change, and learners without
-    a cache entry get one, only once every solve has succeeded.  If a step
+    Zero first, re-derive on failure: weights change, and learners not yet
+    cached enter the cache, only once every solve has succeeded.  If a step
     raises, the forgotten rows (the one copy kept) and alive are put back,
-    and the same coded rows and cached slices are re-derived from them,
-    bitwise as they were, before the error propagates.
+    and the same coded rows and, by the same batched pass, the cached
+    learners' touched slices are re-derived from them, bitwise as they
+    were, before the error propagates.
     """
-    t_start = time.perf_counter()
+    marks = [time.perf_counter()]   # the start and the end of each phase
     ids = list(ids)
     for u in ids:   # bool is an int subclass; int(1.5) would truncate
         if isinstance(u, bool) or not isinstance(u, (int, np.integer)):
@@ -179,43 +187,57 @@ def unlearn(model: EnsembleModel, store: CodedStore, ids,
     hits = store.generator.entries.take(shard, axis=0)   # G's row of each id
     affected = hits.any(axis=0).nonzero()[0].tolist()
     rows_of = {j: row.compress(hits[:, j]) for j in affected}  # may repeat
+    cold = [j for j in affected if j not in store.slice_grams]
+    at, learner = hits.nonzero()    # one (id, learner) pair per coded row
+    touched = learner, row[at]
     X, y = store.coded_features, store.coded_response
+    lo = affected[0] if affected else 0     # adjacent learners: a view
+    stack = (slice(lo, lo + len(affected))
+             if affected == list(range(lo, lo + len(affected))) else affected)
+    marks.append(time.perf_counter())
 
-    def rebuild(j):
-        X[j, rows_of[j]], y[j, rows_of[j]] = \
-            store.rebuild_coded_row(j, rows_of[j])
+    def rebuild():
+        for j in affected:
+            X[j, rows_of[j]], y[j, rows_of[j]] = \
+                store.rebuild_coded_row(j, rows_of[j])
 
-    retrain_seconds: dict[int, float] = {}
-    fresh: dict[int, np.ndarray] = {}
-    grams: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     held = store.base_features[pos], store.base_response[pos]   # copies
     store.alive[pos] = False
     store.base_features[pos] = 0.0
     store.base_response[pos] = 0.0
+    products = None
     try:
-        for j in affected:
-            rebuild(j)
-            t0 = time.perf_counter()
-            fresh[j], grams[j] = refit(X[j], y[j], model.lam,
-                                       store.slice_grams.get(j), rows_of[j])
-            retrain_seconds[j] = time.perf_counter() - t0
+        rebuild()
+        marks.append(time.perf_counter())
+        if model.lam > 0:
+            if store.slice_stack is None:
+                store.slice_stack = empty_products(*X.shape)
+            products = store.slice_stack
+            update_products(X, y, *products, cold, *touched)
+            marks.append(time.perf_counter())
+            fresh = solve_normal(products[0][stack], products[1][stack],
+                                 store.shard_size, model.lam)
+        else:
+            marks.append(time.perf_counter())
+            fresh = solve_stack(X[stack], y[stack], 0.0)
+        marks.append(time.perf_counter())
     except BaseException:
         store.alive[pos] = True
         store.base_features[pos], store.base_response[pos] = held
-        for j in affected:
-            rebuild(j)
-            if j in store.slice_grams:
-                update_slices(X[j], y[j], store.slice_grams[j], rows_of[j])
+        rebuild()
+        if products is not None:
+            update_products(X, y, *products, cold, *touched)
         raise
-    store.slice_grams.update(
-        {j: g for j, g in grams.items() if g is not None})
-    for j, w in fresh.items():
-        model.weights[:, j] = w
+    if products is not None:
+        grams, rhs = products
+        store.slice_grams.update({j: (grams[j], rhs[j]) for j in cold})
+    model.weights[:, stack] = fresh.T
     report = AffectedReport(
         unlearned_ids=ids,
         affected_learners=affected,
-        retrain_seconds=retrain_seconds,
-        total_seconds=time.perf_counter() - t_start,
+        phase_seconds={phase: b - a for phase, a, b
+                       in zip(PHASES, marks, marks[1:])},
+        total_seconds=time.perf_counter() - marks[0],
     )
     return model, store, report
 

@@ -2,9 +2,9 @@
 the thread blocks that spread array work over the available CPUs.
 
 Arrays are treated as immutable and never modified in place, except the
-slice products refit is given, which it updates in place.  Only numpy is
-used.  An unregularized ridge solve is refused when the exact condition
-number of X'X exceeds COND_LIMIT.
+slice products update_products is given.  Only numpy is used.  An
+unregularized ridge solve is refused when the exact condition number of
+X'X exceeds COND_LIMIT.
 
 Every ridge solve is a solve of a stack of learners: an (r, n, d) X and an
 (r, n) y (one learner is a stack of one).  With lam > 0, each learner's X'X
@@ -12,11 +12,14 @@ and X'y are the ascending-order sum of per-slice products: slice b is rows
 [b*h, (b+1)*h) of its n x d X, the last one possibly partial, with h = 4d
 rows (at least 2**17 / d**2, see SLICE_MIN_WORK).  The products of all the
 full slices of the stack are one batched np.matmul, those of the partial
-last slices another, and the stack's d x d systems one np.linalg.solve;
-each learner's bits are those of the same calls on it alone.  Given the
-products of an earlier X, refit updates in place the slices holding the
-changed rows, so a retrain from scratch (ensemble.learn and verify) and an
-unlearn that reuses its cached products (ensemble.unlearn) agree bitwise.
+last slices another, and solve_normal sums them and solves the stack's
+d x d systems with one np.linalg.solve; each learner's bits are those of
+the same calls on it alone.  update_products recomputes in place the
+slices of a stack's products (empty_products) that changed rows touch, in
+any learners, with one gather and one batched np.matmul each for X'X and
+X'y, plus one pair for the partial last slices, on the same bits.  So a
+retrain from scratch (ensemble.learn and verify) and an unlearn that
+reuses its cached products (ensemble.unlearn) agree bitwise.
 
 ridge_solve spreads a stack over contiguous learner blocks through
 run_in_blocks: the calling thread takes the first block and one thread each
@@ -32,11 +35,13 @@ numpy) when several CPUs are available, or the blocks' calls compete for
 them (and project's chunks no longer follow the threaded BLAS's split of
 the whole product).
 
-The binary rank is exact over the rationals.  It is first certified by
-vectorised elimination modulo the prime 2**31 - 1: a minor that is nonzero
-mod p is nonzero over Q, so the rank mod p is a lower bound on the rank over
-Q, which is at most min(m, n).  When the two bounds meet the rank is known;
-otherwise fraction-free (Bareiss) elimination on Python integers decides it.
+The binary rank is exact over the rationals.  A matrix with at most one 1
+per row has as rank the number of columns it uses; any other is first
+certified by vectorised elimination modulo the prime 2**31 - 1: a minor
+that is nonzero mod p is nonzero over Q, so the rank mod p is a lower bound
+on the rank over Q, which is at most min(m, n).  When the two bounds meet
+the rank is known; otherwise fraction-free (Bareiss) elimination on Python
+integers decides it.
 """
 
 from __future__ import annotations
@@ -111,11 +116,11 @@ def solve_stack(X, y, lam: float) -> np.ndarray:
     _check_system(X, y, lam, 3)
     r, n, d = X.shape
     if lam > 0:
-        return _solve_normal(*_slice_products(X, y), n, lam)
+        return solve_normal(*_slice_products(X, y), n, lam)
     return np.array([_lstsq(Xj, yj) for Xj, yj in zip(X, y)]).reshape(r, d)
 
 
-def refit(X, y, lam: float, products=None, rows=(),
+def refit(X, y, lam: float,
           ) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray] | None]:
     """Ridge weights of the (n, d) X and (n,) y, and the per-slice products
     they were solved from, as (w, (grams, rhs)); (w, None) when lam == 0.
@@ -123,11 +128,9 @@ def refit(X, y, lam: float, products=None, rows=(),
     The squared-error term is averaged over the n rows, so the regularized
     normal equations carry n*lam:  w = (X'X + n*lam*I)^{-1} X'y.
 
-    With lam > 0, X'X and X'y are summed from per-slice products (module
-    docstring): every slice, or, given the products of an X that differs
-    from this one only in the listed rows, those products after
-    update_slices.  The d x d system is solved by LU (np.linalg.solve) and
-    refused with ValueError when X or y holds NaN or Inf or X'X or X'y
+    With lam > 0, X'X and X'y are summed from every slice's products
+    (module docstring); the d x d system is solved by LU (np.linalg.solve)
+    and refused with ValueError when X or y holds NaN or Inf or X'X or X'y
     overflows.  With lam == 0 it is solved by least squares
     (np.linalg.lstsq) and refused (SingularSystem) unless X has d > 0
     nonzero singular values sv and the exact condition number of X'X,
@@ -139,18 +142,57 @@ def refit(X, y, lam: float, products=None, rows=(),
     _check_system(X, y, lam, 2)
     if lam == 0:
         return _lstsq(X, y), None
-    products = (_slice_products(X, y) if products is None
-                else update_slices(X, y, products, rows))
-    return _solve_normal(*products, len(X), lam), products
+    products = _slice_products(X, y)
+    return solve_normal(*products, len(X), lam), products
 
 
-def update_slices(X, y, products, rows):
-    """The per-slice products (grams, rhs) of the (n, d) X and (n,) y, with
-    the slices that hold the listed rows recomputed in place."""
-    h = _slice_height(X.shape[1])
-    slices = np.array(sorted({int(row) // h for row in rows}), dtype=int)
-    products[0][slices], products[1][slices] = _slice_products(X, y, slices)
-    return products
+def empty_products(r: int, n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Uninitialised (r, k, d, d) and (r, k, d) arrays for the slice
+    products of r learners of n rows and d columns (k slices each), to be
+    filled by update_products."""
+    k = -(-n // _slice_height(d))
+    return np.empty((r, k, d, d)), np.empty((r, k, d))
+
+
+def update_products(X, y, grams: np.ndarray, rhs: np.ndarray, whole,
+                    learners, rows) -> None:
+    """Recompute in place slice products of the (r, n, d) X and (r, n) y,
+    held in grams (r, k, d, d) and rhs (r, k, d) as _slice_products lays
+    them out: every slice of each learner listed in whole, each learner's
+    from a view of its rows, and, for every i whose learner is not in
+    whole, the slice of learner learners[i] that holds row rows[i] (pairs
+    may repeat).  The full slices of those pairs take one batched np.matmul
+    for X'X and one for X'y, on a view of their rows when they are adjacent
+    slices of one learner (one id of a minimal code), else on one fancy
+    gather from X's (r, n // h, h, d) view; touched partial last slices
+    take one more pair.  Every product has the bits _slice_products gives
+    it."""
+    r, n, d = X.shape
+    h = _slice_height(d)
+    full = n // h
+    for j in whole:
+        _slice_products(X[j], y[j], out=(grams[j], rhs[j]))
+    done = set(whole)
+    pairs = sorted({(j, b) for j, b in zip(
+        np.asarray(learners).tolist(), (np.asarray(rows) // h).tolist())
+        if j not in done})
+    part = [j for j, b in pairs if b == full]   # partial last slices
+    touched = [(j, b) for j, b in pairs if b < full]
+    if touched:
+        (j, a), (last, b) = touched[0], touched[-1]
+        b += 1
+        if last == j and b - a == len(touched):
+            _block_products(X[j, a * h:b * h].reshape(b - a, h, d),
+                            y[j, a * h:b * h].reshape(b - a, h, 1),
+                            grams[j, a:b], rhs[j, a:b])
+        else:
+            at, slices = np.array(touched).T
+            Xb = X[:, :full * h].reshape(r, full, h, d)[at, slices]
+            yb = y[:, :full * h].reshape(r, full, h, 1)[at, slices]
+            grams[at, slices], rhs[at, slices] = _block_products(Xb, yb)
+    if part:
+        grams[part, full], rhs[part, full] = \
+            _block_products(X[part, full * h:], y[part, full * h:, None])
 
 
 def _check_system(X: np.ndarray, y: np.ndarray, lam: float,
@@ -182,53 +224,54 @@ def _slice_height(d: int) -> int:
 
 
 def _slice_products(X: np.ndarray, y: np.ndarray,
-                    slices=None) -> tuple[np.ndarray, np.ndarray]:
-    """X_b'X_b and X_b'y_b of each listed slice b of every learner of the
+                    out=None) -> tuple[np.ndarray, np.ndarray]:
+    """X_b'X_b and X_b'y_b of every slice b of every learner of the
     (..., n, d) X and (..., n) y, as one (..., k, d, d) and one (..., k, d)
-    array in the order listed (every slice when slices is None; a list
-    must ascend without repeats).  The full slices take one batched matmul
-    and the partial last slice another, for the Grams and for X'y alike.
-    Entries may overflow to Inf; _solve_normal refuses them."""
+    array, written into out = (grams, rhs) when it is given.  The full
+    slices take one batched matmul over a view of their rows and the
+    partial last slice another, for the Grams and for X'y alike."""
     lead, (n, d) = X.shape[:-2], X.shape[-2:]
     h = _slice_height(d)
     full = n // h
-    if slices is None:
-        slices = np.arange(-(-n // h))
-    k = len(slices)
-    nf = k - bool(k and n % h and slices[-1] == full)   # the full ones
-    grams = np.empty(lead + (k, d, d))
-    rhs = np.empty(lead + (k, d))
-    parts = []
-    if nf:
-        a, b = int(slices[0]), int(slices[nf - 1]) + 1
-        if b - a == nf:     # adjacent slices: a view of their rows
-            Xb = X[..., a * h:b * h, :].reshape(lead + (nf, h, d))
-            yb = y[..., a * h:b * h].reshape(lead + (nf, h, 1))
-        else:               # a copy of each, C-contiguous like a view's
-            Xb = X[..., :full * h, :].reshape(lead + (full, h, d)) \
-                .take(slices[:nf], axis=-3)
-            yb = y[..., :full * h].reshape(lead + (full, h, 1)) \
-                .take(slices[:nf], axis=-3)
-        parts.append((Xb, yb, slice(0, nf)))
-    if nf < k:              # the partial last slice
-        parts.append((X[..., full * h:, :], y[..., full * h:, None], nf))
-    with np.errstate(over="ignore", invalid="ignore"):
-        for Xb, yb, at in parts:
-            Xt = Xb.swapaxes(-1, -2)
-            np.matmul(Xt, Xb, out=grams[..., at, :, :])
-            np.matmul(Xt, yb, out=rhs[..., at, :, None])
+    k = -(-n // h)
+    grams, rhs = out if out is not None else (
+        np.empty(lead + (k, d, d)), np.empty(lead + (k, d)))
+    _block_products(X[..., :full * h, :].reshape(lead + (full, h, d)),
+                    y[..., :full * h].reshape(lead + (full, h, 1)),
+                    grams[..., :full, :, :], rhs[..., :full, :])
+    if full < k:
+        _block_products(X[..., full * h:, :], y[..., full * h:, None],
+                        grams[..., full, :, :], rhs[..., full, :])
     return grams, rhs
 
 
-def _solve_normal(grams: np.ndarray, rhs: np.ndarray, n: int,
-                  lam: float) -> np.ndarray:
+def _block_products(Xb: np.ndarray, yb: np.ndarray, grams=None, rhs=None,
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """Xb'Xb and Xb'yb of the stacked blocks Xb (..., m, d) and yb
+    (..., m, 1), one batched np.matmul each, as one (..., d, d) and one
+    (..., d) array: grams and rhs when given, else new ones laid out alike.
+    Entries may overflow to Inf; solve_normal refuses them."""
+    if grams is None:
+        lead, d = Xb.shape[:-2], Xb.shape[-1]
+        grams, rhs = np.empty(lead + (d, d)), np.empty(lead + (d,))
+    Xt = Xb.swapaxes(-1, -2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.matmul(Xt, Xb, out=grams)
+        np.matmul(Xt, yb, out=rhs[..., None])
+    return grams, rhs
+
+
+def solve_normal(grams: np.ndarray, rhs: np.ndarray, n: int,
+                 lam: float) -> np.ndarray:
     """Solve (X'X + n*lam*I) w = X'y by LU for every learner, with X'X and
-    X'y the sums of all the slice products of its n-row X (_slice_products,
-    (..., k, d, d) and (..., k, d), every slice in ascending order); numpy
-    reduces the slice axis one slice after another, into new arrays.  An
-    Inf or NaN anywhere in a learner's X or y makes its sums non-finite, so
-    the O(d**2) check below is a regularized solve's one finiteness check;
-    it also refuses finite input whose products overflow."""
+    X'y the sums of all the slice products of its n-row X ((..., k, d, d)
+    and (..., k, d), every slice in ascending order, as _slice_products
+    and update_products lay them out); numpy reduces the slice axis one
+    slice after another, into new arrays, so the products are left as they
+    are.  An Inf or NaN anywhere in a learner's X or y makes its sums
+    non-finite, so the O(d**2) check below is a regularized solve's one
+    finiteness check; it also refuses finite input whose products overflow,
+    and one such learner fails the whole stack."""
     with np.errstate(over="ignore", invalid="ignore"):
         A = grams.sum(axis=-3)
         b = rhs.sum(axis=-2)
@@ -312,17 +355,21 @@ _PRIME = 2**31 - 1
 def binary_rank(G) -> int:
     """Rank of a 0/1 matrix over the rationals, computed exactly.
 
-    The rank modulo the prime 2**31 - 1 never exceeds the rank over Q, which
-    never exceeds min(m, n); when the rank mod p reaches min(m, n) it is
-    returned.  Otherwise fraction-free (Bareiss) elimination on Python
-    integers gives the exact rank.  No floating-point tolerance is involved,
-    so the result is deterministic.
+    A matrix whose rows each hold at most one 1 (a minimal-density code)
+    has as rank the number of columns it uses: those columns have disjoint
+    supports.  Otherwise the rank modulo the prime 2**31 - 1 never exceeds
+    the rank over Q, which never exceeds min(m, n); when the rank mod p
+    reaches min(m, n) it is returned.  Otherwise fraction-free (Bareiss)
+    elimination on Python integers gives the exact rank.  No floating-point
+    tolerance is involved, so the result is deterministic.
     """
     G = np.asarray(G)
     if G.ndim != 2:
         raise DimensionMismatch("binary_rank expects a 2-d matrix")
     if not ((G == 0) | (G == 1)).all():
         raise ValueError("entries must be 0 or 1")
+    if (G.sum(axis=1) <= 1).all():
+        return int(G.any(axis=0).sum())
     full = min(G.shape)
     if _rank_mod_p(G) == full:
         return full

@@ -364,8 +364,12 @@ def load_session(directory) -> tuple[EnsembleModel, CodedStore, dict]:
             f"float base rows for s={s} equal shards, and a float weights "
             f"column per coded shard (r={r}) as long as a base row; got "
             f"{shapes}")
-    store = CodedStore(G, X, y, ids, list(meta["dropped_ids"]),
-                       ~np.isin(ids, meta["unlearned_ids"]))
+    try:
+        store = CodedStore(G, X, y, ids, list(meta["dropped_ids"]),
+                           ~np.isin(ids, meta["unlearned_ids"]))
+    except ValueError as exc:   # a repeated sample id
+        raise SessionError(f"inconsistent session {directory}: {exc}") \
+            from None
     model = EnsembleModel(W, float(meta["lambda"]), G, pmap)
     return model, store, manifest["config"]
 

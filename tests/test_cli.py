@@ -502,6 +502,28 @@ class TestSessionFormat:
         assert result.exit_code == 3, result.output
         assert "error:" in result.output and "manifest" in result.output
 
+    def test_duplicated_id_refused(self, tmp_path, runner, data_csv):
+        # ids file with one id repeated, under a manifest re-hashed to
+        # match it: locate would otherwise pick one of the two copies
+        session = train_session(runner, tmp_path, data_csv)
+        path = session / "manifest.json"
+        manifest = json.loads(path.read_text())
+        entry = manifest["files"]["ids"]
+        ids_file = session / entry["name"]
+        ids = np.load(ids_file)
+        ids[1] = ids[0]
+        np.save(ids_file, ids)
+        entry["sha256"] = hashlib.sha256(ids_file.read_bytes()).hexdigest()
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(SessionError, match="ids must be unique"):
+            load_session(session)
+        for cmd in (["verify"], ["unlearn", "--ids", "3"],
+                    ["predict", "--data", str(data_csv)]):
+            result = runner.invoke(main, [*cmd, "--session", str(session)])
+            assert result.exit_code == 3, result.output
+            assert result.output.startswith("error: inconsistent session")
+            assert result.output.count("\n") == 1
+
     def test_malformed_store_payload_refused(self, tmp_path, runner,
                                              data_csv):
         # a store file swapped for one that lacks unlearned_ids, under a

@@ -241,8 +241,8 @@ class TestUnlearn:
             == 0.0
 
     def test_total_seconds_is_the_whole_call(self, monkeypatch):
-        # the row rebuilds lie outside every learner's solve, so slowing
-        # them shows in total_seconds and in no retrain_seconds entry
+        # the row rebuilds lie outside the solve phase, so slowing them
+        # shows in total_seconds and not in the solve
         ds = make_train(60, 3, seed=3)
         model, store, _ = learn(ds, 6, 3, 0.5, 1e-3, seed=1)
         rebuild = store.rebuild_coded_row
@@ -253,10 +253,14 @@ class TestUnlearn:
 
         monkeypatch.setattr(store, "rebuild_coded_row", slow_rebuild)
         _, _, report = unlearn(model, store, [4, 20, 41])
-        solves = sum(report.retrain_seconds.values())
-        assert len(report.retrain_seconds) == report.num_affected > 0
+        solves = report.phase_seconds["solve"]
+        assert list(report.phase_seconds) == list(ensemble.PHASES)
+        assert report.num_affected > 0
+        assert report.total_seconds >= sum(report.phase_seconds.values())
         assert report.total_seconds >= solves
         assert report.total_seconds >= solves + 0.002 * report.num_affected
+        assert report.phase_seconds["rebuild_rows"] \
+            >= 0.002 * report.num_affected
 
     def test_failed_unlearn_leaves_state_untouched(self):
         # lam=0 with an identity code: forgetting every row of shard 0
@@ -294,15 +298,18 @@ class TestUnlearn:
         victims = [4, 20, 41]
         pos = store.locate(victims)
         seen = []
-        solve = ensemble.refit
+        # the batched solve of every affected learner: their slice products
+        # with lam > 0, their coded shards with lam = 0
+        seam = "solve_normal" if lam else "solve_stack"
+        solve = getattr(ensemble, seam)
 
-        def recording_refit(*args):
-            seen.append((store.base_features[pos].tobytes(),
-                         store.base_response[pos].tobytes(),
-                         store.alive[pos].tolist()))
-            return solve(*args)
+        def recording_solve(stack, *args):
+            seen.extend([(store.base_features[pos].tobytes(),
+                          store.base_response[pos].tobytes(),
+                          store.alive[pos].tolist())] * len(stack))
+            return solve(stack, *args)
 
-        monkeypatch.setattr(ensemble, "refit", recording_refit)
+        monkeypatch.setattr(ensemble, seam, recording_solve)
         _, _, report = unlearn(model, store, victims)
         assert len(seen) == report.num_affected > 0
         # +0.0 exactly: tobytes tells -0.0 apart from it
@@ -318,10 +325,10 @@ class TestUnlearn:
         unlearn(model, store, [7])   # fills a learner's Gram cache
         before = TestSliceCache.state(model, store)
 
-        def failing_refit(*args):
+        def failing_solve(*args):
             raise FloatingPointError("injected")
 
-        monkeypatch.setattr(ensemble, "refit", failing_refit)
+        monkeypatch.setattr(ensemble, "solve_normal", failing_solve)
         with pytest.raises(FloatingPointError):
             unlearn(model, store, [4, 20, 41])
         assert TestSliceCache.state(model, store) == before
@@ -476,6 +483,38 @@ class TestSliceCache:
                 == ridge_solve(X, y, 1e-3).tobytes()
         assert verify_perfect_unlearning(model, store).max_discrepancy == 0.0
 
+    def test_mixed_request_equals_products_of_live_shards(self):
+        # one request under a Bernoulli code that retrains cached and
+        # uncached learners, touches a partial last slice and holds two
+        # ids of one slice; two of its learners are cached, so their
+        # touched slices are gathered, and its learners are not adjacent,
+        # so the solve reads a copy of their stack
+        rng = np.random.default_rng(4)
+        ds = Dataset(rng.normal(size=(3600, 32)), rng.normal(size=3600),
+                     np.arange(3600))
+        model, store, G = learn(ds, 12, 5, 0.5, 1e-3, seed=8)
+        cols = [set(row.nonzero()[0].tolist()) for row in G.entries]
+        nbar = store.shard_size     # 300: slices of 128, 128 and 44 rows
+        a, b = next((a, b) for a in range(12) for b in range(12)
+                    if len(cols[b] & cols[a]) >= 2 and cols[b] - cols[a]
+                    and max(cols[b]) - min(cols[b]) >= len(cols[b]))
+        unlearn(model, store, [a * nbar])
+        assert sorted(store.slice_grams) == sorted(cols[a])
+        _, _, report = unlearn(model, store,
+                               [b * nbar + 10, b * nbar + 20, b * nbar + 280])
+        assert report.affected_learners == sorted(cols[b])
+        assert sorted(store.slice_grams) == sorted(cols[a] | cols[b])
+        for j in range(5):
+            X, y = store.coded_features[j], store.coded_response[j]
+            assert model.weights[:, j].tobytes() \
+                == ridge_solve(X, y, 1e-3).tobytes()
+            if j in store.slice_grams:
+                fresh = numerics._slice_products(X, y)
+                for cached, want in zip(store.slice_grams[j], fresh,
+                                        strict=True):
+                    assert cached.tobytes() == want.tobytes()
+        assert verify_perfect_unlearning(model, store).max_discrepancy == 0.0
+
     def test_unregularized_unlearn_leaves_cache_empty(self):
         rng = np.random.default_rng(6)
         ds = Dataset(rng.normal(size=(600, 4)), rng.normal(size=600),
@@ -503,18 +542,15 @@ class TestSliceCache:
         victim = int(store.ids[b * nbar + 150])   # slice 1 of 3
         before = self.state(model, store)
         calls = []
-        solve = numerics._solve_normal
 
-        def fail_second(*args):
+        def fail(*args):
             calls.append(1)
-            if len(calls) == 2:
-                raise FloatingPointError("injected")
-            return solve(*args)
+            raise FloatingPointError("injected")
 
-        monkeypatch.setattr(numerics, "_solve_normal", fail_second)
+        monkeypatch.setattr(ensemble, "solve_normal", fail)
         with pytest.raises(FloatingPointError):
             unlearn(model, store, [victim])
-        assert len(calls) == 2
+        assert len(calls) == 1
         assert self.state(model, store) == before
         monkeypatch.undo()
         _, _, report = unlearn(model, store, [victim])

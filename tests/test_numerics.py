@@ -182,18 +182,21 @@ class TestRefit:
         rng = np.random.default_rng(1)
         X2[rows] = rng.normal(size=(len(rows), X.shape[1]))
         y2[rows] = rng.normal(size=len(rows))
-        w, updated = numerics.refit(X2, y2, 1e-3, products, rows)
+        # the products of a stack of one learner, updated in place
+        grams, rhs = (a[None] for a in products)
+        numerics.update_products(X2[None], y2[None], grams, rhs, (),
+                                 [0] * len(rows), rows)
+        w = numerics.solve_normal(grams, rhs, n, 1e-3)[0]
         w_fresh, fresh = numerics.refit(X2, y2, 1e-3)
         assert w.tobytes() == w_fresh.tobytes()
         assert w.tobytes() == ridge_solve(X2, y2, 1e-3).tobytes()
-        # the given products are updated in place and equal the fresh ones
-        assert updated is products
+        assert grams.base is products[0] and rhs.base is products[1]
         for a, b in zip(products, fresh):
             assert a.tobytes() == b.tobytes()
 
     def test_changed_rows_in_slices_apart(self):
         # n = 600: full slices 0-3 and a partial one; rows in slices 0 and
-        # 2 are recomputed from a copy of each, not from one view
+        # 2 are gathered into one batch, not read from one view
         self.test_changed_rows_match_solve_from_scratch([5, 300, 590],
                                                         n=600)
 
@@ -287,6 +290,26 @@ class TestBinaryRank:
             # seeded, so this cannot flake: p divides none of these minors
             assert numerics._rank_mod_p(G) == expected
 
+    def test_one_hot_rows_need_no_elimination(self, monkeypatch):
+        # at most one 1 per row: the rank is the number of columns used,
+        # with repeated columns, unused columns and zero rows alike
+        eliminated = []
+        rank_mod_p = numerics._rank_mod_p
+        monkeypatch.setattr(numerics, "_rank_mod_p",
+                            lambda G: eliminated.append(G) or rank_mod_p(G))
+        rng = np.random.default_rng(5)
+        for _ in range(200):
+            m, n = (int(v) for v in rng.integers(1, 25, size=2))
+            G = np.zeros((m, n), dtype=int)
+            used = rng.random(m) < 0.8      # the other rows stay zero
+            G[used, rng.integers(0, n // 2 + 1, used.sum())] = 1
+            assert binary_rank(G) == numerics._bareiss_rank(G)
+        assert eliminated == []
+        # one two-hot row falls through to elimination
+        G = np.array([[1, 1, 0], [0, 1, 0], [1, 0, 0], [0, 0, 0]])
+        assert binary_rank(G) == numerics._bareiss_rank(G) == 2
+        assert len(eliminated) == 1
+
     def test_full_rank_one_hot_skips_fallback(self, monkeypatch):
         def refuse(G):
             raise AssertionError("Bareiss fallback called")
@@ -368,11 +391,16 @@ class TestStackedSolve:
         X, y = stack(1, n, 32)
         w, products = numerics.refit(X[0], y[0], 1e-3)
         kept = [a.copy() for a in products]
-        again, _ = numerics.refit(X[0], y[0], 1e-3, products, [5])
-        numerics.refit(X[0], y[0], 1e-3, products)
-        numerics._solve_normal(*products, n, 1e-3)
+        grams, rhs = numerics.empty_products(1, n, 32)
+        numerics.update_products(X, y, grams, rhs, [0], [], [])
+        again = numerics.solve_normal(grams, rhs, n, 1e-3)[0]
+        numerics.update_products(X, y, grams, rhs, (), [0], [5])
+        numerics.solve_normal(grams, rhs, n, 1e-3)
+        numerics.solve_normal(*products, n, 1e-3)
         assert again.tobytes() == w.tobytes()
         for a, b in zip(products, kept):
+            assert a.tobytes() == b.tobytes()
+        for a, b in zip((grams[0], rhs[0]), kept):
             assert a.tobytes() == b.tobytes()
         fresh = numerics._slice_products(X[0], y[0])
         for a, b in zip(products, fresh):
