@@ -237,19 +237,47 @@ def cmd_verify(session_dir, tolerance):
     click.echo("verification passed")
 
 
+# field of a bench spec's dataset -> (what it must hold, its check); type()
+# is exact, so a bool is neither an integer nor a number
+_DATASET_FIELDS = {
+    **dict.fromkeys(("path", "response_column", "kind"),
+                    ("a string", lambda v: type(v) is str)),
+    **dict.fromkeys(("n", "d", "dof", "seed"),
+                    ("an integer", lambda v: type(v) is int)),
+    **dict.fromkeys(("mu", "sigma2"),
+                    ("a number", lambda v: type(v) in (int, float))),
+    "degree": ("an integer or null", lambda v: type(v) in (int, type(None))),
+    "layer_widths": ("a list of integers", lambda v: type(v) is list
+                     and all(type(w) is int for w in v)),
+    "expose_expanded": ("true or false", lambda v: type(v) is bool),
+}
+
+
 def _read_spec(path, *nonempty):
-    """A bench spec with a dataset, n_train and the listed keys nonempty."""
+    """A bench spec: a JSON object with a dataset, n_train and the listed
+    keys nonempty."""
     cfg = json.loads(Path(path).read_text())
+    needs = f"spec needs dataset, n_train and nonempty {', '.join(nonempty)}"
+    if not isinstance(cfg, dict):
+        raise click.UsageError(f"{needs}; it is not a JSON object")
     missing = [k for k in ("dataset", "n_train") if k not in cfg] \
         + [k for k in nonempty if not cfg.get(k)]
     if missing:
         raise click.UsageError(
-            f"spec needs dataset, n_train and nonempty {', '.join(nonempty)}; "
-            f"missing or empty: {', '.join(missing)}")
+            f"{needs}; missing or empty: {', '.join(missing)}")
     return cfg
 
 
 def _dataset_from_spec(entry):
+    """The dataset a spec names by a CSV path or SyntheticSpec fields, and
+    its label."""
+    if not isinstance(entry, dict):
+        raise click.UsageError(
+            "spec dataset must be a JSON object with a path or a kind")
+    for key, (needs, check) in _DATASET_FIELDS.items():
+        if key in entry and not check(entry[key]):
+            raise click.UsageError(
+                f"spec dataset {key} must be {needs}, got {entry[key]!r}")
     if "path" in entry:
         return load_csv(entry["path"], entry.get("response_column", "y")), \
             Path(entry["path"]).stem

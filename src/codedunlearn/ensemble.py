@@ -51,12 +51,6 @@ class EnsembleModel:
         derived on every read so it cannot drift from them."""
         return self.weights.mean(axis=1)
 
-    def encode_input(self, X_raw) -> np.ndarray:
-        X_raw = np.asarray(X_raw, dtype=float)
-        if self.projection is not None:
-            return project(self.projection, X_raw)
-        return X_raw
-
 
 @dataclass
 class AffectedReport:
@@ -104,21 +98,19 @@ def _make_generator(s: int, r: int, rho, seed) -> GeneratorMatrix:
 
 def learn(train: Dataset, s: int, r: int, rho, lam: float,
           projection: ProjectionMap | None = None, seed=None,
-          generator: GeneratorMatrix | None = None,
           ) -> tuple[EnsembleModel, CodedStore, GeneratorMatrix]:
     """Train the coded ensemble.
 
     rho is a Bernoulli density in [1/r, 1) (1 when r = 1) or "minimal" for
-    one-hot rows.  With s == 1 the code degenerates to G = [[1]] and the
-    model equals a single learner on the full training set.  A pre-built
-    generator may be supplied to reuse an existing code.  The r learners
-    are solved as one stack (numerics.ridge_solve, in learner blocks on
-    the available CPUs), bitwise as r single solves would be.
+    one-hot rows, and the generator is drawn from seed.  With s == 1 the
+    code degenerates to G = [[1]] and the model equals a single learner on
+    the full training set.  The r learners are solved as one stack
+    (numerics.ridge_solve, in learner blocks on the available CPUs),
+    bitwise as r single solves would be.
     """
     feats = project(projection, train.features) if projection is not None \
         else train.features
-    if generator is None:
-        generator = _make_generator(s, r, rho, seed)
+    generator = _make_generator(s, r, rho, seed)
     store = encode(feats, train.response, train.ids, generator)
     weights = np.ascontiguousarray(
         ridge_solve(store.coded_features, store.coded_response, lam).T)
@@ -127,12 +119,13 @@ def learn(train: Dataset, s: int, r: int, rho, lam: float,
 
 
 def predict(model: EnsembleModel, X_raw) -> np.ndarray:
-    """Predict through the aggregate weights, bypassing per-learner outputs."""
-    feats = model.encode_input(X_raw)
+    """Predict the (m, d) raw features through the aggregate weights."""
+    feats = np.asarray(X_raw, dtype=float) if model.projection is None \
+        else project(model.projection, X_raw)
     agg = model.agg
-    if feats.shape[1] != agg.shape[0]:
+    if feats.ndim != 2 or feats.shape[1] != agg.shape[0]:
         raise DimensionMismatch(
-            f"predict: {feats.shape[1]} features vs {agg.shape[0]} weights")
+            f"predict: features {feats.shape} vs {agg.shape[0]} weights")
     return feats @ agg
 
 

@@ -7,19 +7,20 @@ unregularized ridge solve is refused when the exact condition number of
 X'X exceeds COND_LIMIT.
 
 Every ridge solve is a solve of a stack of learners: an (r, n, d) X and an
-(r, n) y (one learner is a stack of one).  With lam > 0, each learner's X'X
-and X'y are the ascending-order sum of per-slice products: slice b is rows
-[b*h, (b+1)*h) of its n x d X, the last one possibly partial, with h = 4d
-rows (at least 2**17 / d**2, see SLICE_MIN_WORK).  The products of all the
-full slices of the stack are one batched np.matmul, those of the partial
-last slices another, and solve_normal sums them and solves the stack's
-d x d systems with one np.linalg.solve; each learner's bits are those of
-the same calls on it alone.  update_products recomputes in place the
-slices of a stack's products (empty_products) that changed rows touch, in
-any learners, with one gather and one batched np.matmul each for X'X and
-X'y, plus one pair for the partial last slices, on the same bits.  So a
-retrain from scratch (ensemble.learn and verify) and an unlearn that
-reuses its cached products (ensemble.unlearn) agree bitwise.
+(r, n) y, one learner's (n, d) X and (n,) y being a stack of one.  With
+lam > 0, each learner's X'X and X'y are the ascending-order sum of
+per-slice products: slice b is rows [b*h, (b+1)*h) of its n x d X, the
+last one possibly partial, with h = 4d rows (at least 2**17 / d**2, see
+SLICE_MIN_WORK).  The products of all the full slices of the stack are
+one batched np.matmul, those of the partial last slices another, and
+solve_normal sums them and solves the stack's d x d systems with one
+np.linalg.solve; each learner's bits are those of the same calls on it
+alone.  update_products recomputes in place the slices of a stack's
+products (empty_products) that changed rows touch, in any learners, with
+one gather and one batched np.matmul each for X'X and X'y, plus one pair
+for the partial last slices, on the same bits.  So a retrain from scratch
+(ensemble.learn and verify) and an unlearn that reuses its cached
+products (ensemble.unlearn) agree bitwise.
 
 ridge_solve spreads a stack over contiguous learner blocks through
 run_in_blocks: the calling thread takes the first block and one thread each
@@ -35,13 +36,8 @@ numpy) when several CPUs are available, or the blocks' calls compete for
 them (and project's chunks no longer follow the threaded BLAS's split of
 the whole product).
 
-The binary rank is exact over the rationals.  A matrix with at most one 1
-per row has as rank the number of columns it uses; any other is first
-certified by vectorised elimination modulo the prime 2**31 - 1: a minor
-that is nonzero mod p is nonzero over Q, so the rank mod p is a lower bound
-on the rank over Q, which is at most min(m, n).  When the two bounds meet
-the rank is known; otherwise fraction-free (Bareiss) elimination on Python
-integers decides it.
+The binary rank is exact over the rationals, with no floating-point
+tolerance (binary_rank).
 """
 
 from __future__ import annotations
@@ -84,49 +80,11 @@ LEARNER_CHUNK_VALUES = 1 << 18
 def ridge_solve(X, y, lam: float) -> np.ndarray:
     """Minimize (1/n) * sum_i (y_i - x_i.w)^2 + lam * w.w in closed form.
 
-    An (n, d) X and (n,) y give the (d,) weights, as refit does from
-    scratch.  An (r, n, d) X and (r, n) y are r learners; their (r, d)
-    weights are solved in learner blocks (in_learner_blocks), bitwise equal
-    to r single solves.  A learner that cannot be solved raises as refit
-    would, and so fails the whole stack.
-    """
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if X.ndim != 3:
-        return refit(X, y, lam)[0]
-    _check_system(X, y, lam, 3)
-    r, n, d = X.shape
-    weights = np.empty((r, d))
-
-    def solve(lo, hi):
-        weights[lo:hi] = solve_stack(X[lo:hi], y[lo:hi], lam)
-
-    in_learner_blocks(solve, r, n, d)
-    return weights
-
-
-def solve_stack(X, y, lam: float) -> np.ndarray:
-    """Ridge weights of every learner of the (r, n, d) X and (r, n) y, as
-    (r, d), on the calling thread: one refit per learner in effect, with
-    the lam > 0 products and solves batched over the stack (module
-    docstring).  It raises as the first failing learner's refit would
-    (with lam > 0, ValueError when any learner's sums are not finite)."""
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
-    _check_system(X, y, lam, 3)
-    r, n, d = X.shape
-    if lam > 0:
-        return solve_normal(*_slice_products(X, y), n, lam)
-    return np.array([_lstsq(Xj, yj) for Xj, yj in zip(X, y)]).reshape(r, d)
-
-
-def refit(X, y, lam: float,
-          ) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray] | None]:
-    """Ridge weights of the (n, d) X and (n,) y, and the per-slice products
-    they were solved from, as (w, (grams, rhs)); (w, None) when lam == 0.
-
-    The squared-error term is averaged over the n rows, so the regularized
-    normal equations carry n*lam:  w = (X'X + n*lam*I)^{-1} X'y.
+    An (r, n, d) X and (r, n) y are r learners, whose (r, d) weights
+    solve_stack solves in learner blocks (in_learner_blocks); an (n, d) X
+    and (n,) y are a stack of one, whose (d,) weights are returned.  The
+    squared error is averaged over the n rows, so the regularized normal
+    equations carry n*lam:  w = (X'X + n*lam*I)^{-1} X'y.
 
     With lam > 0, X'X and X'y are summed from every slice's products
     (module docstring); the d x d system is solved by LU (np.linalg.solve)
@@ -135,15 +93,33 @@ def refit(X, y, lam: float,
     (np.linalg.lstsq) and refused (SingularSystem) unless X has d > 0
     nonzero singular values sv and the exact condition number of X'X,
     (max(sv) / min(sv))**2, is at most COND_LIMIT (tested unsquared, so it
-    cannot overflow).
+    cannot overflow).  A learner that cannot be solved fails the stack.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
-    _check_system(X, y, lam, 2)
-    if lam == 0:
-        return _lstsq(X, y), None
-    products = _slice_products(X, y)
-    return solve_normal(*products, len(X), lam), products
+    one = X.ndim == 2
+    if one:
+        X, y = X[None], y[None]
+    _check_system(X, y, lam)
+    r, n, d = X.shape
+    weights = np.empty((r, d))
+
+    def solve(lo, hi):
+        weights[lo:hi] = solve_stack(X[lo:hi], y[lo:hi], lam)
+
+    in_learner_blocks(solve, r, n, d)
+    return weights[0] if one else weights
+
+
+def solve_stack(X, y, lam: float) -> np.ndarray:
+    """ridge_solve's (r, d) weights of the float (r, n, d) X and (r, n) y,
+    on the calling thread, each learner's bits those of a stack of it
+    alone; it raises as ridge_solve does."""
+    _check_system(X, y, lam)
+    r, n, d = X.shape
+    if lam > 0:
+        return solve_normal(*_slice_products(X, y), n, lam)
+    return np.array([_lstsq(Xj, yj) for Xj, yj in zip(X, y)]).reshape(r, d)
 
 
 def empty_products(r: int, n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
@@ -195,18 +171,17 @@ def update_products(X, y, grams: np.ndarray, rhs: np.ndarray, whole,
             _block_products(X[part, full * h:], y[part, full * h:, None])
 
 
-def _check_system(X: np.ndarray, y: np.ndarray, lam: float,
-                  ndim: int) -> None:
-    """Refuse an X that is not ndim-dimensional, a y that is not X without
+def _check_system(X: np.ndarray, y: np.ndarray, lam: float) -> None:
+    """Refuse an X that is not a stack (r, n, d), a y that is not X without
     its column axis, and a lam outside 0 <= lam < inf."""
-    if X.ndim != ndim or X.shape[:-1] != y.shape:
+    if X.ndim != 3 or X.shape[:-1] != y.shape:
         raise DimensionMismatch(f"ridge_solve: X is {X.shape}, y is {y.shape}")
     if not 0 <= lam < np.inf:   # NaN fails both comparisons
         raise ValueError(f"lam must be nonnegative and finite, got {lam}")
 
 
 def _lstsq(X: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """The unregularized solve of one learner (refit, lam == 0)."""
+    """The unregularized solve of one (n, d) learner (lam == 0)."""
     d = X.shape[1]
     if not (np.isfinite(X).all() and np.isfinite(y).all()):
         raise ValueError("X or y contains NaN or Inf")

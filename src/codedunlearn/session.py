@@ -270,7 +270,7 @@ def _is_number(v) -> bool:
 
 
 def _is_lambda(v) -> bool:
-    # the rule numerics.refit applies; NaN fails both comparisons
+    # the rule numerics.ridge_solve applies; NaN fails both comparisons
     return _is_number(v) and 0 <= v < np.inf
 
 

@@ -344,6 +344,15 @@ class TestErrorBoundary:
          "missing or empty: n_train"),
         (["bench-influence", "--spec", "{no_kind}", "--out", "{out}"], 2,
          "spec dataset needs a path or a kind"),
+        (["bench-tradeoff", "--spec", "{spec_list}", "--out", "{out}"], 2,
+         "spec needs dataset, n_train and nonempty rates, shard_counts, "
+         "lambdas; it is not a JSON object"),
+        (["bench-influence", "--spec", "{dataset_5}", "--out", "{out}"], 2,
+         "spec dataset must be a JSON object with a path or a kind"),
+        (["bench-tradeoff", "--spec", "{n_string}", "--out", "{out}"], 2,
+         "spec dataset n must be an integer, got '50'"),
+        (["bench-influence", "--spec", "{widths_5}", "--out", "{out}"], 2,
+         "spec dataset layer_widths must be a list of integers, got 5"),
         (["verify", "--session", "{session}", "--tolerance", "nan"], 2,
          "nan is not a nonnegative number"),
         (["verify", "--session", "{session}", "--tolerance", "-1"], 2,
@@ -357,6 +366,8 @@ class TestErrorBoundary:
             "id-not-an-integer", "ids-file-not-json",
             *REFUSED_REQUEST_NAMES, "percentile-too-large",
             "spec-without-n-train", "dataset-without-kind",
+            "spec-not-an-object", "dataset-not-an-object",
+            "dataset-n-a-string", "dataset-widths-not-a-list",
             "nan-tolerance", "negative-tolerance", "minus-inf-tolerance"])
     def test_exit_code_and_message(self, tmp_path, runner, data_csv, args,
                                    code, message):
@@ -374,6 +385,15 @@ class TestErrorBoundary:
                                       "rates": [1], "shard_counts": [3]}),
             "no_kind": json.dumps({"dataset": {"n": 200, "d": 3},
                                    "n_train": 150, "percentiles": [10]}),
+            "spec_list": "[]",
+            "dataset_5": json.dumps({"dataset": 5, "n_train": 150,
+                                     "percentiles": [10]}),
+            "n_string": json.dumps({"dataset": {**dataset, "n": "50"},
+                                    "n_train": 150, "lambdas": [0.001],
+                                    "rates": [1], "shard_counts": [3]}),
+            "widths_5": json.dumps({"dataset": {**dataset, "kind": "mlp",
+                                                "layer_widths": 5},
+                                    "n_train": 150, "percentiles": [10]}),
         }
         paths = {"data": data_csv, "out": tmp_path / "out.csv",
                  "session": (train_session(runner, tmp_path, data_csv)

@@ -6,9 +6,12 @@ import pytest
 from codedunlearn import (
     AlreadyUnlearned,
     Dataset,
+    DimensionMismatch,
+    EnsembleModel,
     GeneratorMatrix,
     SingularSystem,
     UnknownSample,
+    encode,
     learn,
     make_projection,
     predict,
@@ -84,8 +87,8 @@ class TestLearn:
         model, store, _ = learn(ds, 12, 5, 0.5, 1e-3, seed=4)
         assert model.weights.flags.c_contiguous
         for j in range(5):
-            w, _ = numerics.refit(store.coded_features[j],
-                                  store.coded_response[j], 1e-3)
+            w = ridge_solve(store.coded_features[j], store.coded_response[j],
+                            1e-3)
             assert model.weights[:, j].tobytes() == w.tobytes()
         unlearn(model, store, [3, 700])
         assert verify_perfect_unlearning(model, store).max_discrepancy == 0.0
@@ -133,6 +136,16 @@ class TestPredict:
         model, _, _ = learn(ds, 3, 3, "minimal", 1e-2, projection=pmap, seed=5)
         preds = predict(model, ds.features)
         assert preds.shape == (30,)
+
+    @pytest.mark.parametrize("projected", [False, True],
+                             ids=["raw", "projected"])
+    def test_one_dimensional_features_refused(self, projected):
+        ds = make_train(30, 4, seed=1)
+        pmap = make_projection(4, 8, 4) if projected else None
+        model, _, _ = learn(ds, 3, 3, "minimal", 1e-2, projection=pmap,
+                            seed=5)
+        with pytest.raises(DimensionMismatch):
+            predict(model, [1.0, 2.0, 3.0, 4.0])
 
 
 class TestUnlearn:
@@ -267,7 +280,10 @@ class TestUnlearn:
         # empties coded shard 0, so its solve raises SingularSystem
         ds = make_train(40, 3, seed=14)
         G = GeneratorMatrix(4, 4, np.eye(4, dtype=int), 0.25)
-        model, store, _ = learn(ds, 4, 4, "minimal", 0.0, generator=G)
+        store = encode(ds.features, ds.response, ds.ids, G)
+        weights = np.ascontiguousarray(
+            ridge_solve(store.coded_features, store.coded_response, 0.0).T)
+        model = EnsembleModel(weights, 0.0, G)
         unlearn(model, store, [25])
         nbar = store.shard_size
         shard0_ids = store.ids[:nbar].tolist()

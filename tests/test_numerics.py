@@ -177,7 +177,7 @@ class TestRefit:
                                   "two-slices"])
     def test_changed_rows_match_solve_from_scratch(self, rows, n=300):
         X, y = self.system(n=n)
-        _, products = numerics.refit(X, y, 1e-3)
+        products = numerics._slice_products(X, y)
         X2, y2 = X.copy(), y.copy()
         rng = np.random.default_rng(1)
         X2[rows] = rng.normal(size=(len(rows), X.shape[1]))
@@ -187,9 +187,10 @@ class TestRefit:
         numerics.update_products(X2[None], y2[None], grams, rhs, (),
                                  [0] * len(rows), rows)
         w = numerics.solve_normal(grams, rhs, n, 1e-3)[0]
-        w_fresh, fresh = numerics.refit(X2, y2, 1e-3)
+        w_fresh = ridge_solve(X2, y2, 1e-3)
+        fresh = numerics._slice_products(X2, y2)
         assert w.tobytes() == w_fresh.tobytes()
-        assert w.tobytes() == ridge_solve(X2, y2, 1e-3).tobytes()
+        assert w.tobytes() == numerics.solve_normal(*fresh, n, 1e-3).tobytes()
         assert grams.base is products[0] and rhs.base is products[1]
         for a, b in zip(products, fresh):
             assert a.tobytes() == b.tobytes()
@@ -207,13 +208,7 @@ class TestRefit:
         # all -0.0 weights
         X, y = self.system()
         with pytest.raises(ValueError, match="lam must be nonnegative"):
-            numerics.refit(X, y, lam)
-
-    def test_unregularized_has_no_products(self):
-        X, y = self.system()
-        w, products = numerics.refit(X, y, 0.0)
-        assert products is None
-        assert w.tobytes() == ridge_solve(X, y, 0.0).tobytes()
+            ridge_solve(X, y, lam)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
     @pytest.mark.parametrize("where", ["X", "y"])
@@ -224,7 +219,7 @@ class TestRefit:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="NaN or Inf"):
-                numerics.refit(X, y, 1e-3)
+                ridge_solve(X, y, 1e-3)
 
 
 def rank_by_minor_enumeration(G):
@@ -362,7 +357,8 @@ class TestStackedSolve:
         assert W.shape == (r, d)
         assert W.tobytes() == numerics.solve_stack(X, y, 1e-3).tobytes()
         for j in range(r):
-            w, (g, b) = numerics.refit(X[j], y[j], 1e-3)
+            w = ridge_solve(X[j], y[j], 1e-3)
+            g, b = numerics._slice_products(X[j], y[j])
             assert W[j].tobytes() == w.tobytes()
             assert grams[j].tobytes() == g.tobytes()
             assert rhs[j].tobytes() == b.tobytes()
@@ -375,8 +371,7 @@ class TestStackedSolve:
         X, y = stack(r, n, d)
         W = ridge_solve(X, y, 0.0)
         for j in range(r):
-            assert W[j].tobytes() == numerics.refit(X[j], y[j], 0.0)[0] \
-                .tobytes()
+            assert W[j].tobytes() == ridge_solve(X[j], y[j], 0.0).tobytes()
 
     def test_one_learner_products_keep_their_shape(self):
         X, y = stack(1, 300, 32)
@@ -389,7 +384,8 @@ class TestStackedSolve:
         # with one slice, a sum over it that aliased the cached products
         # would carry n*lam into them
         X, y = stack(1, n, 32)
-        w, products = numerics.refit(X[0], y[0], 1e-3)
+        w = ridge_solve(X[0], y[0], 1e-3)
+        products = numerics._slice_products(X[0], y[0])
         kept = [a.copy() for a in products]
         grams, rhs = numerics.empty_products(1, n, 32)
         numerics.update_products(X, y, grams, rhs, [0], [], [])
@@ -471,8 +467,7 @@ class TestLearnerBlocks:
         assert threading.active_count() == before
         assert len(started) == min(cpus, r) - 1
         for j in range(r):
-            assert W[j].tobytes() == numerics.refit(X[j], y[j], 1e-3)[0] \
-                .tobytes()
+            assert W[j].tobytes() == ridge_solve(X[j], y[j], 1e-3).tobytes()
 
     def test_more_blocks_than_cores_with_rapid_switching(self, monkeypatch,
                                                           started):
@@ -482,7 +477,7 @@ class TestLearnerBlocks:
         monkeypatch.setattr(numerics, "LEARNER_WORK_PER_WORKER", 1)
         monkeypatch.setattr(numerics, "LEARNER_CHUNK_VALUES", 1)
         X, y = stack(24, 300, 32)
-        expected = [numerics.refit(X[j], y[j], 1e-3)[0].tobytes()
+        expected = [ridge_solve(X[j], y[j], 1e-3).tobytes()
                     for j in range(24)]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
