@@ -237,25 +237,59 @@ def cmd_verify(session_dir, tolerance):
     click.echo("verification passed")
 
 
-# field of a bench spec's dataset -> (what it must hold, its check); type()
-# is exact, so a bool is neither an integer nor a number
+def _is_int(v) -> bool:
+    return type(v) is int   # exact, so a bool is not an integer
+
+
+def _is_number(v) -> bool:
+    return type(v) in (int, float)
+
+
+def _list_of(check):
+    return lambda v: type(v) is list and all(check(w) for w in v)
+
+
+# field of a bench spec's dataset -> (what it must hold, its check)
 _DATASET_FIELDS = {
     **dict.fromkeys(("path", "response_column", "kind"),
                     ("a string", lambda v: type(v) is str)),
-    **dict.fromkeys(("n", "d", "dof", "seed"),
-                    ("an integer", lambda v: type(v) is int)),
-    **dict.fromkeys(("mu", "sigma2"),
-                    ("a number", lambda v: type(v) in (int, float))),
-    "degree": ("an integer or null", lambda v: type(v) in (int, type(None))),
-    "layer_widths": ("a list of integers", lambda v: type(v) is list
-                     and all(type(w) is int for w in v)),
+    **dict.fromkeys(("n", "d", "dof", "seed"), ("an integer", _is_int)),
+    **dict.fromkeys(("mu", "sigma2"), ("a number", _is_number)),
+    "degree": ("an integer or null", lambda v: v is None or _is_int(v)),
+    "layer_widths": ("a list of integers", _list_of(_is_int)),
     "expose_expanded": ("true or false", lambda v: type(v) is bool),
 }
+
+# top-level key of a bench spec -> (what it must hold, its check)
+_SPEC_FIELDS = {
+    **dict.fromkeys(("n_train", "runs", "seed"), ("an integer", _is_int)),
+    **dict.fromkeys(("rates", "shard_counts"),
+                    ("a list of integers", _list_of(_is_int))),
+    **dict.fromkeys(("lambdas", "percentiles"),
+                    ("a list of numbers", _list_of(_is_number))),
+    "lambda": ("a number", _is_number),
+    "density": ('"minimal" or a number',
+                lambda v: v == "minimal" or _is_number(v)),
+    "projection_dim": ("an integer or null",
+                       lambda v: v is None or _is_int(v)),
+    "band_columns": ("a list of integers or null",
+                     lambda v: v is None or _list_of(_is_int)(v)),
+    "label": ("a string", lambda v: type(v) is str),
+}
+
+
+def _check_fields(entry: dict, checks: dict, where: str) -> None:
+    """A usage error naming the first key of entry whose value fails its
+    check."""
+    for key, (needs, check) in checks.items():
+        if key in entry and not check(entry[key]):
+            raise click.UsageError(
+                f"{where}{key} must be {needs}, got {entry[key]!r}")
 
 
 def _read_spec(path, *nonempty):
     """A bench spec: a JSON object with a dataset, n_train and the listed
-    keys nonempty."""
+    keys nonempty, and every key of _SPEC_FIELDS it holds of its type."""
     cfg = json.loads(Path(path).read_text())
     needs = f"spec needs dataset, n_train and nonempty {', '.join(nonempty)}"
     if not isinstance(cfg, dict):
@@ -265,6 +299,7 @@ def _read_spec(path, *nonempty):
     if missing:
         raise click.UsageError(
             f"{needs}; missing or empty: {', '.join(missing)}")
+    _check_fields(cfg, _SPEC_FIELDS, "spec ")
     return cfg
 
 
@@ -274,10 +309,7 @@ def _dataset_from_spec(entry):
     if not isinstance(entry, dict):
         raise click.UsageError(
             "spec dataset must be a JSON object with a path or a kind")
-    for key, (needs, check) in _DATASET_FIELDS.items():
-        if key in entry and not check(entry[key]):
-            raise click.UsageError(
-                f"spec dataset {key} must be {needs}, got {entry[key]!r}")
+    _check_fields(entry, _DATASET_FIELDS, "spec dataset ")
     if "path" in entry:
         return load_csv(entry["path"], entry.get("response_column", "y")), \
             Path(entry["path"]).stem

@@ -114,14 +114,23 @@ def _encode(features: np.ndarray, response: np.ndarray,
     is the sum, from +0.0 over ascending i with G[i, j] = 1, of uncoded
     shard i (G.nonzero() is row-major, so i ascends in each column).  No row
     is masked: the accumulator never holds -0.0, so adding a CodedStore's
-    zeroed unlearned row leaves it bitwise as it was."""
+    zeroed unlearned row leaves it bitwise as it was.
+
+    The sums are not zero-filled first: each column's first term (a full
+    rank G has one in every column) is written as X[i] + 0.0, which IEEE
+    addition makes bitwise 0.0 + X[i], -0.0 included."""
     s, k = G.shape
     X, y = (a.reshape(s, -1, *a.shape[1:]) for a in (features, response))
-    coded_X = np.zeros((k, *X.shape[1:]))
-    coded_y = np.zeros((k, y.shape[1]))
+    coded_X = np.empty((k, *X.shape[1:]))
+    coded_y = np.empty((k, y.shape[1]))
+    first = G.argmax(axis=0)    # each column's smallest i with G[i, j] = 1
     for i, j in zip(*G.nonzero()):
-        np.add(coded_X[j], X[i], out=coded_X[j])
-        np.add(coded_y[j], y[i], out=coded_y[j])
+        if i == first[j]:
+            np.add(X[i], 0.0, out=coded_X[j])
+            np.add(y[i], 0.0, out=coded_y[j])
+        else:
+            np.add(coded_X[j], X[i], out=coded_X[j])
+            np.add(coded_y[j], y[i], out=coded_y[j])
     return coded_X, coded_y
 
 
@@ -158,7 +167,9 @@ class CodedStore:
     slice_grams is empty on construction and at lam = 0, gains a learner
     when an unlearn first retrains it, and is updated in place by every
     later one, which re-derives it from the restored rows if it fails
-    (ensemble.unlearn).
+    (ensemble.unlearn).  Shards with fewer rows than columns are solved in
+    dual form (numerics.dual_form) from the coded shards alone, so they
+    never fill slice_grams and slice_stack stays None.
 
     Concurrent reads are safe; unlearning mutation requires exclusive access.
     """

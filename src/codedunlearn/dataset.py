@@ -49,8 +49,18 @@ class Dataset:
         return self.features.shape[1]
 
     def subset(self, index) -> "Dataset":
-        """Row subset (boolean mask or integer index array), ids preserved."""
-        return Dataset(self.features[index], self.response[index], self.ids[index])
+        """Row subset (boolean mask or integer index array), ids preserved.
+        The rows are gathered with take, a mask through its indices."""
+        index = np.asarray(index)
+        if index.dtype == bool:
+            if index.shape != self.ids.shape:
+                raise IndexError(f"boolean mask of shape {index.shape} for "
+                                 f"{self.n} rows")
+            index = np.flatnonzero(index)
+        elif not index.size:    # asarray makes [] float; numpy indexes by it
+            index = index.astype(np.intp)
+        return Dataset(self.features.take(index, axis=0),
+                       self.response.take(index), self.ids.take(index))
 
 
 @dataclass(frozen=True)
@@ -63,12 +73,16 @@ class NormalizationRecord:
     response_max: float
 
     def apply(self, ds: Dataset) -> Dataset:
+        """ds mapped through the train split's affine maps, a constant
+        column to 0, in one new features array and one new response."""
         span = self.feature_max - self.feature_min
-        safe = np.where(span > 0, span, 1.0)
-        feats = np.where(span > 0, (ds.features - self.feature_min) / safe, 0.0)
+        feats = ds.features - self.feature_min
+        feats /= np.where(span > 0, span, 1.0)
+        feats[:, ~(span > 0)] = 0.0
         yspan = self.response_max - self.response_min
         if yspan > 0:
-            resp = (ds.response - self.response_min) / yspan
+            resp = ds.response - self.response_min
+            resp /= yspan
         else:
             resp = np.zeros_like(ds.response)
         return Dataset(feats, resp, ds.ids)

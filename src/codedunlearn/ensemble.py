@@ -25,8 +25,9 @@ from .errors import (
     SingularSystem,
     UnknownSample,
 )
-from .numerics import (empty_products, in_learner_blocks, ridge_solve,
-                       solve_normal, solve_stack, update_products)
+from .numerics import (dual_form, empty_products, in_learner_blocks,
+                       ridge_solve, solve_normal, solve_stack,
+                       update_products)
 from .projections import ProjectionMap, project
 
 DEFAULT_TOLERANCE = 1e-8
@@ -56,7 +57,9 @@ class EnsembleModel:
 class AffectedReport:
     """Which learners an unlearn request touched and what it cost:
     phase_seconds times each phase of the call by name (PHASES), and
-    total_seconds the whole call, those phases and the commit."""
+    total_seconds the whole call, those phases and the commit.  Learners
+    solved without slice products (lam = 0, or in dual form) spend about
+    nothing in "slice_products"."""
 
     unlearned_ids: list[int]
     affected_learners: list[int]
@@ -140,17 +143,19 @@ def unlearn(model: EnsembleModel, store: CodedStore, ids,
     call per affected learner re-sums all its touched rows in the encoder's
     order, so the reconstruction invariant stays bitwise exact.
 
-    The affected learners are then retrained together.  With lam > 0 their
-    per-slice Gram products live in the store's stacked cache
-    (CodedStore.slice_grams): a learner not yet cached gets every slice's
-    products from a view of its coded shard, and the slices holding touched
-    rows of all the cached learners are recomputed in place by one batched
-    pass (numerics.update_products).  One numerics.solve_normal then solves
+    The affected learners are then retrained together.  With lam > 0 and
+    shards of at least as many rows as columns, their per-slice Gram
+    products live in the store's stacked cache (CodedStore.slice_grams): a
+    learner not yet cached gets every slice's products from a view of its
+    coded shard, and the slices holding touched rows of all the cached
+    learners are recomputed in place by one batched pass
+    (numerics.update_products).  One numerics.solve_normal then solves
     every affected learner on a view of the stack (a copy when the learners
     are not adjacent).  The sums are the ones a retrain from scratch forms,
-    so the weights equal ridge_solve on the live coded shards bitwise.  With
-    lam = 0 each learner is solved by least squares (numerics.solve_stack)
-    and nothing is cached.
+    so the weights equal ridge_solve on the live coded shards bitwise.
+    Otherwise (lam = 0, or shards with fewer rows than columns, which
+    numerics.dual_form solves in dual form) numerics.solve_stack solves the
+    affected learners' coded shards as learn does, and nothing is cached.
 
     An id that is not an integer (a float, a bool, a string) is refused
     with UnknownSample before anything changes.
@@ -184,6 +189,7 @@ def unlearn(model: EnsembleModel, store: CodedStore, ids,
     at, learner = hits.nonzero()    # one (id, learner) pair per coded row
     touched = learner, row[at]
     X, y = store.coded_features, store.coded_response
+    use_cache = model.lam > 0 and not dual_form(*X.shape[1:], model.lam)
     lo = affected[0] if affected else 0     # adjacent learners: a view
     stack = (slice(lo, lo + len(affected))
              if affected == list(range(lo, lo + len(affected))) else affected)
@@ -202,7 +208,7 @@ def unlearn(model: EnsembleModel, store: CodedStore, ids,
     try:
         rebuild()
         marks.append(time.perf_counter())
-        if model.lam > 0:
+        if use_cache:
             if store.slice_stack is None:
                 store.slice_stack = empty_products(*X.shape)
             products = store.slice_stack
@@ -212,7 +218,7 @@ def unlearn(model: EnsembleModel, store: CodedStore, ids,
                                  store.shard_size, model.lam)
         else:
             marks.append(time.perf_counter())
-            fresh = solve_stack(X[stack], y[stack], 0.0)
+            fresh = solve_stack(X[stack], y[stack], model.lam)
         marks.append(time.perf_counter())
     except BaseException:
         store.alive[pos] = True

@@ -8,19 +8,24 @@ X'X exceeds COND_LIMIT.
 
 Every ridge solve is a solve of a stack of learners: an (r, n, d) X and an
 (r, n) y, one learner's (n, d) X and (n,) y being a stack of one.  With
-lam > 0, each learner's X'X and X'y are the ascending-order sum of
-per-slice products: slice b is rows [b*h, (b+1)*h) of its n x d X, the
-last one possibly partial, with h = 4d rows (at least 2**17 / d**2, see
-SLICE_MIN_WORK).  The products of all the full slices of the stack are
-one batched np.matmul, those of the partial last slices another, and
-solve_normal sums them and solves the stack's d x d systems with one
-np.linalg.solve; each learner's bits are those of the same calls on it
-alone.  update_products recomputes in place the slices of a stack's
-products (empty_products) that changed rows touch, in any learners, with
-one gather and one batched np.matmul each for X'X and X'y, plus one pair
-for the partial last slices, on the same bits.  So a retrain from scratch
+lam > 0 and fewer rows than columns (dual_form), the stack is solved in
+dual form, w = X'(XX' + n*lam*I)^{-1} y, the same minimizer from n x n
+systems: one batched np.matmul for the XX', one np.linalg.solve and one
+more np.matmul, with no slice products.  With lam > 0 and n >= d, each
+learner's X'X and X'y are the ascending-order sum of per-slice products:
+slice b is rows [b*h, (b+1)*h) of its n x d X, the last one possibly
+partial, with h = 4d rows (at least 2**17 / d**2, see SLICE_MIN_WORK).
+The products of all the full slices of the stack are one batched
+np.matmul, those of the partial last slices another, and solve_normal
+sums them and solves the stack's d x d systems with one np.linalg.solve;
+each learner's bits are those of the same calls on it alone.
+update_products recomputes in place the slices of a stack's products
+(empty_products) that changed rows touch, in any learners, with one
+gather and one batched np.matmul each for X'X and X'y, plus one pair for
+the partial last slices, on the same bits.  So a retrain from scratch
 (ensemble.learn and verify) and an unlearn that reuses its cached
-products (ensemble.unlearn) agree bitwise.
+products (ensemble.unlearn) agree bitwise; an unlearn of dual-form
+learners calls solve_stack on their coded shards, as learn does.
 
 ridge_solve spreads a stack over contiguous learner blocks through
 run_in_blocks: the calling thread takes the first block and one thread each
@@ -76,6 +81,9 @@ LEARNER_WORK_PER_WORKER = 1 << 24
 # 18.7 ms in one chunk, on one worker.
 LEARNER_CHUNK_VALUES = 1 << 18
 
+_NON_FINITE = ("X or y holds NaN or Inf, or X'X or X'y overflows; "
+               "rescale the features or the response")
+
 
 def ridge_solve(X, y, lam: float) -> np.ndarray:
     """Minimize (1/n) * sum_i (y_i - x_i.w)^2 + lam * w.w in closed form.
@@ -86,10 +94,15 @@ def ridge_solve(X, y, lam: float) -> np.ndarray:
     squared error is averaged over the n rows, so the regularized normal
     equations carry n*lam:  w = (X'X + n*lam*I)^{-1} X'y.
 
-    With lam > 0, X'X and X'y are summed from every slice's products
-    (module docstring); the d x d system is solved by LU (np.linalg.solve)
-    and refused with ValueError when X or y holds NaN or Inf or X'X or X'y
-    overflows.  With lam == 0 it is solved by least squares
+    With lam > 0 and n >= d, X'X and X'y are summed from every slice's
+    products (module docstring); the d x d system is solved by LU
+    (np.linalg.solve) and refused with ValueError when X or y holds NaN or
+    Inf or X'X or X'y overflows.  With lam > 0 and n < d (dual_form), the
+    n x n system (XX' + n*lam*I) alpha = y is solved by LU and w = X'alpha,
+    with no slice products; it is refused with the same ValueError when X
+    or y holds NaN or Inf, XX' overflows or the weights do.  The two forms
+    agree to rounding (about 1e-12 relative at n = 20, d = 100).  With
+    lam == 0 it is solved by least squares
     (np.linalg.lstsq) and refused (SingularSystem) unless X has d > 0
     nonzero singular values sv and the exact condition number of X'X,
     (max(sv) / min(sv))**2, is at most COND_LIMIT (tested unsquared, so it
@@ -114,12 +127,45 @@ def ridge_solve(X, y, lam: float) -> np.ndarray:
 def solve_stack(X, y, lam: float) -> np.ndarray:
     """ridge_solve's (r, d) weights of the float (r, n, d) X and (r, n) y,
     on the calling thread, each learner's bits those of a stack of it
-    alone; it raises as ridge_solve does."""
+    alone; it raises as ridge_solve does.  Learners that dual_form picks
+    are solved in dual form, with no slice products."""
     _check_system(X, y, lam)
     r, n, d = X.shape
+    if dual_form(n, d, lam):
+        return _solve_dual(X, y, lam)
     if lam > 0:
         return solve_normal(*_slice_products(X, y), n, lam)
     return np.array([_lstsq(Xj, yj) for Xj, yj in zip(X, y)]).reshape(r, d)
+
+
+def dual_form(n: int, d: int, lam: float) -> bool:
+    """Whether learners of n rows and d columns are solved in dual form:
+    regularized, with fewer rows than columns.  Their n x n systems are
+    smaller than the d x d normal equations, and no slice products are
+    formed or cached for them."""
+    return lam > 0 and n < d
+
+
+def _solve_dual(X: np.ndarray, y: np.ndarray, lam: float) -> np.ndarray:
+    """w = X'(XX' + n*lam*I)^{-1} y for every learner of the (r, n, d) X
+    and (r, n) y, the minimizer the normal equations give: K = XX' is one
+    batched np.matmul, all the n x n systems one np.linalg.solve, and
+    X'alpha one more batched np.matmul.  Every entry of X is squared into
+    K's diagonal, so a finite K and y mean a finite input; a non-finite K
+    (NaN or Inf in X, or XX' overflowing) or y, or weights that overflow,
+    are refused with ValueError, and one such learner fails the stack."""
+    n = X.shape[-2]
+    Xt = X.swapaxes(-1, -2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        K = np.matmul(X, Xt)
+    if not (np.isfinite(K).all() and np.isfinite(y).all()):
+        raise ValueError(_NON_FINITE)
+    K.reshape(K.shape[:-2] + (n * n,))[..., ::n + 1] += n * lam
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = np.matmul(Xt, np.linalg.solve(K, y[..., None]))[..., 0]
+    if not np.isfinite(w).all():
+        raise ValueError(_NON_FINITE)
+    return w
 
 
 def empty_products(r: int, n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
@@ -251,8 +297,7 @@ def solve_normal(grams: np.ndarray, rhs: np.ndarray, n: int,
         A = grams.sum(axis=-3)
         b = rhs.sum(axis=-2)
     if not (np.isfinite(A).all() and np.isfinite(b).all()):
-        raise ValueError("X or y holds NaN or Inf, or X'X or X'y overflows; "
-                         "rescale the features or the response")
+        raise ValueError(_NON_FINITE)
     d = A.shape[-1]
     A.reshape(A.shape[:-2] + (d * d,))[..., ::d + 1] += n * lam
     return np.linalg.solve(A, b[..., None])[..., 0]

@@ -353,6 +353,18 @@ class TestErrorBoundary:
          "spec dataset n must be an integer, got '50'"),
         (["bench-influence", "--spec", "{widths_5}", "--out", "{out}"], 2,
          "spec dataset layer_widths must be a list of integers, got 5"),
+        (["bench-tradeoff", "--spec", "{n_train_string}", "--out", "{out}"],
+         2, "spec n_train must be an integer, got '150'"),
+        (["bench-tradeoff", "--spec", "{rates_5}", "--out", "{out}"], 2,
+         "spec rates must be a list of integers, got 5"),
+        (["bench-influence", "--spec", "{percentiles_x}", "--out", "{out}"],
+         2, "spec percentiles must be a list of numbers, got ['x']"),
+        (["bench-influence", "--spec", "{runs_string}", "--out", "{out}"], 2,
+         "spec runs must be an integer, got '1'"),
+        (["bench-tradeoff", "--spec", "{lambdas_x}", "--out", "{out}"], 2,
+         "spec lambdas must be a list of numbers, got ['x']"),
+        (["bench-influence", "--spec", "{lambda_x}", "--out", "{out}"], 2,
+         "spec lambda must be a number, got 'x'"),
         (["verify", "--session", "{session}", "--tolerance", "nan"], 2,
          "nan is not a nonnegative number"),
         (["verify", "--session", "{session}", "--tolerance", "-1"], 2,
@@ -368,10 +380,16 @@ class TestErrorBoundary:
             "spec-without-n-train", "dataset-without-kind",
             "spec-not-an-object", "dataset-not-an-object",
             "dataset-n-a-string", "dataset-widths-not-a-list",
+            "n-train-a-string", "rates-not-a-list", "percentile-a-string",
+            "runs-a-string", "lambdas-holds-a-string", "lambda-a-string",
             "nan-tolerance", "negative-tolerance", "minus-inf-tolerance"])
     def test_exit_code_and_message(self, tmp_path, runner, data_csv, args,
                                    code, message):
         dataset = {"kind": "gaussian-linear", "n": 200, "d": 3, "seed": 2}
+        sweep = {"dataset": dataset, "n_train": 150, "lambdas": [0.001],
+                 "rates": [1], "shard_counts": [3], "runs": 1}
+        influence = {"dataset": dataset, "n_train": 150,
+                     "percentiles": [10], "runs": 1}
         files = {
             **REQUEST_FILES,
             "bad_json": "[1,",
@@ -394,6 +412,12 @@ class TestErrorBoundary:
             "widths_5": json.dumps({"dataset": {**dataset, "kind": "mlp",
                                                 "layer_widths": 5},
                                     "n_train": 150, "percentiles": [10]}),
+            "n_train_string": json.dumps({**sweep, "n_train": "150"}),
+            "rates_5": json.dumps({**sweep, "rates": 5}),
+            "percentiles_x": json.dumps({**influence, "percentiles": ["x"]}),
+            "runs_string": json.dumps({**influence, "runs": "1"}),
+            "lambdas_x": json.dumps({**sweep, "lambdas": ["x"]}),
+            "lambda_x": json.dumps({**influence, "lambda": "x"}),
         }
         paths = {"data": data_csv, "out": tmp_path / "out.csv",
                  "session": (train_session(runner, tmp_path, data_csv)

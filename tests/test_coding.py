@@ -334,6 +334,38 @@ class TestEncoder:
                 assert x.tobytes() == ref_X[j, row].tobytes()
                 assert np.float64(yv).tobytes() == ref_y[j, row].tobytes()
 
+    @pytest.mark.parametrize("G", [
+        rand_matrix(6, 3, 0.5, 4),
+        rand_matrix_minimal(6, 3, 1),
+        # column 2 has one contributor, shard 2, which is all -0.0 below
+        GeneratorMatrix(6, 3, np.array([[1, 0, 0], [1, 1, 0], [0, 1, 1],
+                                        [1, 0, 0], [0, 1, 0], [1, 1, 0]]),
+                        0.5),
+    ], ids=["bernoulli", "minimal", "one-contributor"])
+    def test_encoder_equals_zeros_plus_ascending_adds_bitwise(self, G):
+        s, r = G.entries.shape
+        nbar, d = 5, 4
+        rng = np.random.default_rng(9)
+        X, y = rng.normal(size=(s * nbar, d)), rng.normal(size=s * nbar)
+        X[0], y[0] = -0.0, -0.0                 # a first term's row
+        X[2 * nbar:3 * nbar], y[2 * nbar:3 * nbar] = -0.0, -0.0
+        ref_X, ref_y = np.zeros((r, nbar, d)), np.zeros((r, nbar))
+        for i, j in zip(*G.entries.nonzero()):
+            ref_X[j] = ref_X[j] + X[i * nbar:(i + 1) * nbar]
+            ref_y[j] = ref_y[j] + y[i * nbar:(i + 1) * nbar]
+        coded_X, coded_y = coding._encode(X, y, G.entries)
+        assert coded_X.tobytes() == ref_X.tobytes()
+        assert coded_y.tobytes() == ref_y.tobytes()
+        for j in range(r):
+            if G.entries[:, j].nonzero()[0].tolist() == [2]:
+                assert coded_X[j].tobytes() == bytes(8 * nbar * d)   # +0.0
+        store = CodedStore(G, X, y, np.arange(s * nbar), [],
+                           np.ones(s * nbar, dtype=bool))
+        for lo, hi in ((0, r), (1, r), (r - 1, r)):
+            part_X, part_y = store.rebuild_coded_shards(lo, hi)
+            assert part_X.tobytes() == ref_X[lo:hi].tobytes()
+            assert part_y.tobytes() == ref_y[lo:hi].tobytes()
+
     def test_row_rebuild_of_many_contributors_is_the_encoders_sum(self):
         # 16 shards feed column 0, where np.add.reduce would sum each row
         # pairwise; magnitudes spread over 16 decades make most such sums

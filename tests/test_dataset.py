@@ -224,6 +224,45 @@ class TestNormalize:
         yback = train_n.response * yspan + rec.response_min
         np.testing.assert_allclose(yback, small_ds.response, atol=1e-12)
 
+    def test_equals_the_where_form_bitwise(self):
+        # a constant column and a test split outside the train range
+        rng = np.random.default_rng(4)
+        train = Dataset(rng.lognormal(size=(50, 4)), rng.normal(size=50),
+                        np.arange(50))
+        train.features[:, 2] = 3.0
+        test = Dataset(rng.lognormal(size=(20, 4)) * 3, rng.normal(size=20),
+                       np.arange(50, 70))
+        train_n, test_n, rec = normalize(train, test)
+        span = rec.feature_max - rec.feature_min
+        safe = np.where(span > 0, span, 1.0)
+        yspan = rec.response_max - rec.response_min
+        for ds, got in ((train, train_n), (test, test_n)):
+            want = np.where(span > 0, (ds.features - rec.feature_min) / safe,
+                            0.0)
+            assert got.features.tobytes() == want.tobytes()
+            assert got.response.tobytes() \
+                == ((ds.response - rec.response_min) / yspan).tobytes()
+        assert (train_n.features[:, 2] == 0.0).all()
+
+
+class TestSubset:
+    @pytest.mark.parametrize("index", [
+        np.array([3, 0, 7, -1]), [9, 2], np.arange(10)[::-2],
+        np.array([True, False] * 5), np.zeros(10, dtype=bool), []],
+        ids=["ints", "list", "strided", "mask", "empty-mask", "empty-list"])
+    def test_rows_equal_fancy_indexing(self, small_ds, index):
+        got = small_ds.subset(index)
+        for name in ("features", "response", "ids"):
+            want = getattr(small_ds, name)[index]
+            assert getattr(got, name).tobytes() == want.tobytes()
+            assert getattr(got, name).shape == want.shape
+
+    @pytest.mark.parametrize("index", [np.ones(9, dtype=bool), [10]],
+                             ids=["short-mask", "out-of-range"])
+    def test_bad_index_refused(self, small_ds, index):
+        with pytest.raises(IndexError):
+            small_ds.subset(index)
+
 
 class TestSplit:
     def test_sizes(self, small_ds):

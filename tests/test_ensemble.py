@@ -572,3 +572,62 @@ class TestSliceCache:
         _, _, report = unlearn(model, store, [victim])
         assert report.affected_learners == sorted(cols[b])
         assert verify_perfect_unlearning(model, store).max_discrepancy == 0.0
+
+
+class TestDualUnlearn:
+    # 10-row coded shards against 32 columns: every learner is solved in
+    # dual form, in learn, unlearn and verify alike
+    @staticmethod
+    def learned(rho, n=240, d=32, s=24, r=8, seed=3):
+        rng = np.random.default_rng(seed)
+        ds = Dataset(rng.normal(size=(n, d)), rng.normal(size=n),
+                     rng.permutation(n) * 3 + 2)
+        return learn(ds, s, r, rho, 1e-3, seed=5)
+
+    @pytest.mark.parametrize("rho", ["minimal", 0.5])
+    def test_each_unlearn_equals_ridge_solve_of_live_shards(self, rho):
+        model, store, _ = self.learned(rho)
+        assert store.shard_size < store.base_features.shape[1]
+        rng = np.random.default_rng(7)
+        for size in (1, 3, 17, 1, 5):
+            batch = rng.choice(store.ids[store.alive], size=size,
+                               replace=False)
+            _, _, report = unlearn(model, store, batch.tolist())
+            assert report.affected_learners
+            for j in range(store.generator.coded_shards):
+                w = ridge_solve(store.coded_features[j],
+                                store.coded_response[j], 1e-3)
+                assert model.weights[:, j].tobytes() == w.tobytes()
+            assert verify_perfect_unlearning(model, store).max_discrepancy \
+                == 0.0
+            assert store.slice_stack is None
+            assert store.slice_grams == {}
+
+    def test_failed_solve_leaves_rows_and_weights_untouched(
+            self, monkeypatch):
+        model, store, _ = self.learned(0.5)
+        unlearn(model, store, [int(store.ids[4])])
+        before = TestSliceCache.state(model, store)
+        calls = []
+
+        def fail(*args):
+            calls.append(1)
+            raise FloatingPointError("injected")
+
+        monkeypatch.setattr(ensemble, "solve_stack", fail)
+        with pytest.raises(FloatingPointError):
+            unlearn(model, store, [int(v) for v in store.ids[[30, 31, 200]]])
+        assert len(calls) == 1
+        assert TestSliceCache.state(model, store) == before
+        monkeypatch.undo()
+        unlearn(model, store, [int(v) for v in store.ids[[30, 31, 200]]])
+        assert verify_perfect_unlearning(model, store).max_discrepancy == 0.0
+
+    def test_square_shards_take_the_cache_path(self):
+        # shard_size == width: the normal equations and the slice cache
+        model, store, _ = self.learned("minimal", n=240, d=10, s=24, r=8)
+        assert store.shard_size == store.base_features.shape[1] == 10
+        _, _, report = unlearn(model, store, [int(store.ids[15])])
+        assert sorted(store.slice_grams) == report.affected_learners
+        assert store.slice_stack is not None
+        assert verify_perfect_unlearning(model, store).max_discrepancy == 0.0

@@ -531,3 +531,88 @@ class TestLearnerBlocks:
                                    r, n, d)
         assert blocks == [(lo, min(lo + chunk, r))
                           for lo in range(0, r, chunk)]
+
+
+# (r, n, d) stacks of learners with fewer rows than columns
+DUAL_STACKS = [(7, 3, 10), (200, 20, 100), (1, 1, 5), (3, 9, 10)]
+DUAL_IDS = ["r7-n3-d10", "sweep-s1000", "one-row", "n-is-d-minus-1"]
+
+
+class TestDualForm:
+    @pytest.mark.parametrize("r,n,d", DUAL_STACKS, ids=DUAL_IDS)
+    def test_matches_normal_equations(self, r, n, d):
+        X, y = stack(r, n, d)
+        lam = 1e-3
+        assert numerics.dual_form(n, d, lam)
+        W = ridge_solve(X, y, lam)
+        for j in range(r):
+            want = np.linalg.solve(X[j].T @ X[j] + n * lam * np.eye(d),
+                                   X[j].T @ y[j])
+            np.testing.assert_allclose(W[j], want, rtol=1e-10,
+                                       atol=1e-10 * np.abs(want).max())
+            g = ridge_loss_grad(X[j], y[j], lam, W[j])
+            assert np.linalg.norm(g) < 1e-8 * (1 + np.linalg.norm(y[j]))
+
+    @pytest.mark.parametrize("r,n,d", DUAL_STACKS, ids=DUAL_IDS)
+    def test_stack_rows_are_each_learner_alone_bitwise(self, r, n, d):
+        X, y = stack(r, n, d)
+        W = ridge_solve(X, y, 1e-3)
+        assert W.tobytes() == numerics.solve_stack(X, y, 1e-3).tobytes()
+        for j in range(r):
+            assert W[j].tobytes() == ridge_solve(X[j], y[j], 1e-3).tobytes()
+
+    @pytest.mark.parametrize("r,n,d", [(7, 3, 10), (12, 20, 100)],
+                             ids=["r7-n3-d10", "r12-n20-d100"])
+    def test_learner_blocks_are_each_learner_alone_bitwise(
+            self, forced_blocks, r, n, d):
+        cpus, started = forced_blocks
+        X, y = stack(r, n, d)
+        expected = [numerics.solve_stack(X[j:j + 1], y[j:j + 1], 1e-3)
+                    .tobytes() for j in range(r)]
+        W = ridge_solve(X, y, 1e-3)
+        assert len(started) == min(cpus, r) - 1
+        assert [w.tobytes() for w in W] == expected
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("where", ["X", "y"])
+    def test_refuses_non_finite_without_warning(self, value, where):
+        X, y = stack(4, 20, 100)
+        (X if where == "X" else y)[2, 5] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="NaN or Inf"):
+                ridge_solve(X, y, 1e-3)
+
+    def test_overflowing_gram_refused_without_warning(self):
+        X, y = stack(2, 3, 10)
+        X[1, 0, 4] = 1e200      # finite, but its square in XX' is not
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="overflow"):
+                ridge_solve(X, y, 1e-3)
+
+    def test_overflowing_weights_refused_without_warning(self):
+        # XX' of about 1e-19 against n*lam = 3e-300: alpha = y / K
+        # overflows, and so do the weights
+        X, y = stack(1, 3, 10)
+        X *= 1e-10
+        y *= 1e300
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="overflow"):
+                ridge_solve(X, y, 1e-300)
+
+    @pytest.mark.parametrize("n,d,lam,dual", [
+        (20, 100, 1e-3, True), (99, 100, 1e-3, True),
+        (100, 100, 1e-3, False), (101, 100, 1e-3, False),
+        (20, 100, 0.0, False)])
+    def test_rule(self, n, d, lam, dual):
+        assert numerics.dual_form(n, d, lam) is dual
+
+    def test_square_learners_take_the_slice_path(self):
+        # n == d: the normal equations from slice products, bitwise
+        X, y = stack(3, 10, 10)
+        W = ridge_solve(X, y, 1e-3)
+        want = numerics.solve_normal(*numerics._slice_products(X, y), 10,
+                                     1e-3)
+        assert W.tobytes() == want.tobytes()
