@@ -28,6 +28,8 @@ from .errors import CodedUnlearnError
 from .projections import make_projection
 from .session import (
     append_unlearn_log,
+    is_int,
+    is_number,
     load_session,
     save_session,
     session_lock,
@@ -237,14 +239,6 @@ def cmd_verify(session_dir, tolerance):
     click.echo("verification passed")
 
 
-def _is_int(v) -> bool:
-    return type(v) is int   # exact, so a bool is not an integer
-
-
-def _is_number(v) -> bool:
-    return type(v) in (int, float)
-
-
 def _list_of(check):
     return lambda v: type(v) is list and all(check(w) for w in v)
 
@@ -253,27 +247,27 @@ def _list_of(check):
 _DATASET_FIELDS = {
     **dict.fromkeys(("path", "response_column", "kind"),
                     ("a string", lambda v: type(v) is str)),
-    **dict.fromkeys(("n", "d", "dof", "seed"), ("an integer", _is_int)),
-    **dict.fromkeys(("mu", "sigma2"), ("a number", _is_number)),
-    "degree": ("an integer or null", lambda v: v is None or _is_int(v)),
-    "layer_widths": ("a list of integers", _list_of(_is_int)),
+    **dict.fromkeys(("n", "d", "dof", "seed"), ("an integer", is_int)),
+    **dict.fromkeys(("mu", "sigma2"), ("a number", is_number)),
+    "degree": ("an integer or null", lambda v: v is None or is_int(v)),
+    "layer_widths": ("a list of integers", _list_of(is_int)),
     "expose_expanded": ("true or false", lambda v: type(v) is bool),
 }
 
 # top-level key of a bench spec -> (what it must hold, its check)
 _SPEC_FIELDS = {
-    **dict.fromkeys(("n_train", "runs", "seed"), ("an integer", _is_int)),
+    **dict.fromkeys(("n_train", "runs", "seed"), ("an integer", is_int)),
     **dict.fromkeys(("rates", "shard_counts"),
-                    ("a list of integers", _list_of(_is_int))),
+                    ("a list of integers", _list_of(is_int))),
     **dict.fromkeys(("lambdas", "percentiles"),
-                    ("a list of numbers", _list_of(_is_number))),
-    "lambda": ("a number", _is_number),
+                    ("a list of numbers", _list_of(is_number))),
+    "lambda": ("a number", is_number),
     "density": ('"minimal" or a number',
-                lambda v: v == "minimal" or _is_number(v)),
+                lambda v: v == "minimal" or is_number(v)),
     "projection_dim": ("an integer or null",
-                       lambda v: v is None or _is_int(v)),
+                       lambda v: v is None or is_int(v)),
     "band_columns": ("a list of integers or null",
-                     lambda v: v is None or _list_of(_is_int)(v)),
+                     lambda v: v is None or _list_of(is_int)(v)),
     "label": ("a string", lambda v: type(v) is str),
 }
 

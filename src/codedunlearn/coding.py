@@ -156,20 +156,17 @@ class CodedStore:
     uncoded shard i, so construction encodes them, and unlearn rebuilds
     their rows, from the base rows and G alone.
 
-    slice_grams maps learner j to the per-slice X'X and X'y of coded shard
-    j, (k, D, D) and (k, D), so that a regularized unlearn recomputes only
-    the slices it changed.  Its values are views of learner j in
-    slice_stack, one (r, k, D, D) and one (r, k, D) array
-    (numerics.empty_products), so one batched pass updates and one solve
-    reads every learner's.  Both are derived state: never persisted;
-    slice_stack is allocated, uninitialised, by the first regularized
-    unlearn, so a learner never retrained costs no resident memory, and
-    slice_grams is empty on construction and at lam = 0, gains a learner
-    when an unlearn first retrains it, and is updated in place by every
-    later one, which re-derives it from the restored rows if it fails
-    (ensemble.unlearn).  Shards with fewer rows than columns are solved in
-    dual form (numerics.dual_form) from the coded shards alone, so they
-    never fill slice_grams and slice_stack stays None.
+    slice_stack is the per-slice X'X and X'y of every coded shard, one
+    (r, k, D, D) and one (r, k, D) array (numerics.slice_products), so
+    that a regularized unlearn recomputes only the slices it changed, in
+    one batched pass, and solves its learners from them.  It is derived
+    state, never persisted, and complete or absent: None on construction,
+    formed for all r learners by the first regularized unlearn and stored
+    only if that unlearn succeeds, then updated in place by every later
+    one, which re-derives its touched slices from the restored rows if it
+    fails (ensemble.unlearn).  It stays None at lam = 0 and for shards
+    with fewer rows than columns, which are solved in dual form
+    (numerics.dual_form) from the coded shards alone.
 
     Concurrent reads are safe; unlearning mutation requires exclusive access.
     """
@@ -183,8 +180,6 @@ class CodedStore:
     shard_size: int = field(init=False)
     coded_features: np.ndarray = field(init=False, repr=False)
     coded_response: np.ndarray = field(init=False, repr=False)
-    slice_grams: dict[int, tuple[np.ndarray, np.ndarray]] = field(
-        init=False, repr=False, default_factory=dict)
     slice_stack: tuple[np.ndarray, np.ndarray] | None = field(
         init=False, repr=False, default=None)
     _order: np.ndarray = field(init=False, repr=False)

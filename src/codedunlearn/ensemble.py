@@ -25,8 +25,8 @@ from .errors import (
     SingularSystem,
     UnknownSample,
 )
-from .numerics import (dual_form, empty_products, in_learner_blocks,
-                       ridge_solve, solve_normal, solve_stack,
+from .numerics import (dual_form, in_learner_blocks, ridge_solve,
+                       slice_products, solve_normal, solve_stack,
                        update_products)
 from .projections import ProjectionMap, project
 
@@ -144,11 +144,11 @@ def unlearn(model: EnsembleModel, store: CodedStore, ids,
     order, so the reconstruction invariant stays bitwise exact.
 
     The affected learners are then retrained together.  With lam > 0 and
-    shards of at least as many rows as columns, their per-slice Gram
-    products live in the store's stacked cache (CodedStore.slice_grams): a
-    learner not yet cached gets every slice's products from a view of its
-    coded shard, and the slices holding touched rows of all the cached
-    learners are recomputed in place by one batched pass
+    shards of at least as many rows as columns, every learner's per-slice
+    Gram products live in the store's cache (CodedStore.slice_stack): the
+    first such unlearn forms them all from the rebuilt coded shards with
+    one numerics.slice_products call, and each later one recomputes in
+    place the slices holding touched rows by one batched pass
     (numerics.update_products).  One numerics.solve_normal then solves
     every affected learner on a view of the stack (a copy when the learners
     are not adjacent).  The sums are the ones a retrain from scratch forms,
@@ -160,12 +160,12 @@ def unlearn(model: EnsembleModel, store: CodedStore, ids,
     An id that is not an integer (a float, a bool, a string) is refused
     with UnknownSample before anything changes.
 
-    Zero first, re-derive on failure: weights change, and learners not yet
-    cached enter the cache, only once every solve has succeeded.  If a step
-    raises, the forgotten rows (the one copy kept) and alive are put back,
-    and the same coded rows and, by the same batched pass, the cached
-    learners' touched slices are re-derived from them, bitwise as they
-    were, before the error propagates.
+    Zero first, re-derive on failure: weights change, and a cache formed
+    by this call is stored, only once every solve has succeeded.  If a
+    step raises, the forgotten rows (the one copy kept) and alive are put
+    back, and the same coded rows and, by the same batched pass, the
+    touched slices of a cache already stored are re-derived from them,
+    bitwise as they were, before the error propagates.
     """
     marks = [time.perf_counter()]   # the start and the end of each phase
     ids = list(ids)
@@ -185,11 +185,11 @@ def unlearn(model: EnsembleModel, store: CodedStore, ids,
     hits = store.generator.entries.take(shard, axis=0)   # G's row of each id
     affected = hits.any(axis=0).nonzero()[0].tolist()
     rows_of = {j: row.compress(hits[:, j]) for j in affected}  # may repeat
-    cold = [j for j in affected if j not in store.slice_grams]
     at, learner = hits.nonzero()    # one (id, learner) pair per coded row
     touched = learner, row[at]
     X, y = store.coded_features, store.coded_response
     use_cache = model.lam > 0 and not dual_form(*X.shape[1:], model.lam)
+    cache = store.slice_stack if use_cache else None
     lo = affected[0] if affected else 0     # adjacent learners: a view
     stack = (slice(lo, lo + len(affected))
              if affected == list(range(lo, lo + len(affected))) else affected)
@@ -204,15 +204,15 @@ def unlearn(model: EnsembleModel, store: CodedStore, ids,
     store.alive[pos] = False
     store.base_features[pos] = 0.0
     store.base_response[pos] = 0.0
-    products = None
     try:
         rebuild()
         marks.append(time.perf_counter())
         if use_cache:
-            if store.slice_stack is None:
-                store.slice_stack = empty_products(*X.shape)
-            products = store.slice_stack
-            update_products(X, y, *products, cold, *touched)
+            if cache is None:
+                products = slice_products(X, y)
+            else:
+                update_products(X, y, *cache, *touched)
+                products = cache
             marks.append(time.perf_counter())
             fresh = solve_normal(products[0][stack], products[1][stack],
                                  store.shard_size, model.lam)
@@ -224,12 +224,11 @@ def unlearn(model: EnsembleModel, store: CodedStore, ids,
         store.alive[pos] = True
         store.base_features[pos], store.base_response[pos] = held
         rebuild()
-        if products is not None:
-            update_products(X, y, *products, cold, *touched)
+        if cache is not None:
+            update_products(X, y, *cache, *touched)
         raise
-    if products is not None:
-        grams, rhs = products
-        store.slice_grams.update({j: (grams[j], rhs[j]) for j in cold})
+    if use_cache:
+        store.slice_stack = products
     model.weights[:, stack] = fresh.T
     report = AffectedReport(
         unlearned_ids=ids,
@@ -239,14 +238,6 @@ def unlearn(model: EnsembleModel, store: CodedStore, ids,
         total_seconds=time.perf_counter() - marks[0],
     )
     return model, store, report
-
-
-def _rel_diff(a: np.ndarray, b: np.ndarray) -> float:
-    denom = np.linalg.norm(b)
-    diff = float(np.linalg.norm(a - b))
-    if diff == 0.0:
-        return 0.0
-    return diff / max(denom, np.finfo(float).tiny)
 
 
 def _reference_weights(X: np.ndarray, y: np.ndarray,
@@ -299,11 +290,13 @@ def verify_perfect_unlearning(model: EnsembleModel, store: CodedStore,
     in_learner_blocks(solve, r, store.shard_size, width)
     fresh = np.empty_like(model.weights)    # model.agg's layout and sum
     fresh[...] = solved.T
-    per_learner = np.array([
-        _rel_diff(model.weights[:, j], fresh[:, j]) for j in range(r)
-    ])
-    return VerificationReport(
-        per_learner=per_learner,
-        agg_discrepancy=_rel_diff(model.agg, fresh.mean(axis=1)),
-        tolerance=tolerance,
-    )
+    # ||live - ref|| / ||ref|| of each learner's column and the aggregate:
+    # equal columns give 0.0 over any positive norm, a NaN reference NaN
+    live = np.column_stack((model.weights, model.agg))
+    ref = np.column_stack((fresh, fresh.mean(axis=1)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        rel = np.linalg.norm(live - ref, axis=0) / np.maximum(
+            np.linalg.norm(ref, axis=0), np.finfo(float).tiny)
+    return VerificationReport(per_learner=rel[:-1],
+                              agg_discrepancy=float(rel[-1]),
+                              tolerance=tolerance)

@@ -19,10 +19,10 @@ The products of all the full slices of the stack are one batched
 np.matmul, those of the partial last slices another, and solve_normal
 sums them and solves the stack's d x d systems with one np.linalg.solve;
 each learner's bits are those of the same calls on it alone.
-update_products recomputes in place the slices of a stack's products
-(empty_products) that changed rows touch, in any learners, with one
-gather and one batched np.matmul each for X'X and X'y, plus one pair for
-the partial last slices, on the same bits.  So a retrain from scratch
+slice_products forms a stack's products, and update_products recomputes
+in place the slices of them that changed rows touch, in any learners, with
+one gather and one batched np.matmul each for X'X and X'y, plus one pair
+for the partial last slices, on the same bits.  So a retrain from scratch
 (ensemble.learn and verify) and an unlearn that reuses its cached
 products (ensemble.unlearn) agree bitwise; an unlearn of dual-form
 learners calls solve_stack on their coded shards, as learn does.
@@ -134,7 +134,7 @@ def solve_stack(X, y, lam: float) -> np.ndarray:
     if dual_form(n, d, lam):
         return _solve_dual(X, y, lam)
     if lam > 0:
-        return solve_normal(*_slice_products(X, y), n, lam)
+        return solve_normal(*slice_products(X, y), n, lam)
     return np.array([_lstsq(Xj, yj) for Xj, yj in zip(X, y)]).reshape(r, d)
 
 
@@ -168,36 +168,22 @@ def _solve_dual(X: np.ndarray, y: np.ndarray, lam: float) -> np.ndarray:
     return w
 
 
-def empty_products(r: int, n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """Uninitialised (r, k, d, d) and (r, k, d) arrays for the slice
-    products of r learners of n rows and d columns (k slices each), to be
-    filled by update_products."""
-    k = -(-n // _slice_height(d))
-    return np.empty((r, k, d, d)), np.empty((r, k, d))
-
-
-def update_products(X, y, grams: np.ndarray, rhs: np.ndarray, whole,
+def update_products(X, y, grams: np.ndarray, rhs: np.ndarray,
                     learners, rows) -> None:
     """Recompute in place slice products of the (r, n, d) X and (r, n) y,
-    held in grams (r, k, d, d) and rhs (r, k, d) as _slice_products lays
-    them out: every slice of each learner listed in whole, each learner's
-    from a view of its rows, and, for every i whose learner is not in
-    whole, the slice of learner learners[i] that holds row rows[i] (pairs
-    may repeat).  The full slices of those pairs take one batched np.matmul
-    for X'X and one for X'y, on a view of their rows when they are adjacent
-    slices of one learner (one id of a minimal code), else on one fancy
-    gather from X's (r, n // h, h, d) view; touched partial last slices
-    take one more pair.  Every product has the bits _slice_products gives
-    it."""
+    held in grams (r, k, d, d) and rhs (r, k, d) as slice_products lays
+    them out: for every i, the slice of learner learners[i] that holds row
+    rows[i] (pairs may repeat).  The full slices of those pairs take one
+    batched np.matmul for X'X and one for X'y, on a view of their rows
+    when they are adjacent slices of one learner (one id of a minimal
+    code), else on one fancy gather from X's (r, n // h, h, d) view;
+    touched partial last slices take one more pair.  Every product has the
+    bits slice_products gives it."""
     r, n, d = X.shape
     h = _slice_height(d)
     full = n // h
-    for j in whole:
-        _slice_products(X[j], y[j], out=(grams[j], rhs[j]))
-    done = set(whole)
-    pairs = sorted({(j, b) for j, b in zip(
-        np.asarray(learners).tolist(), (np.asarray(rows) // h).tolist())
-        if j not in done})
+    pairs = sorted(set(zip(np.asarray(learners).tolist(),
+                           (np.asarray(rows) // h).tolist())))
     part = [j for j, b in pairs if b == full]   # partial last slices
     touched = [(j, b) for j, b in pairs if b < full]
     if touched:
@@ -244,19 +230,18 @@ def _slice_height(d: int) -> int:
     return max(SLICE_ROWS_PER_COLUMN * d, -(-SLICE_MIN_WORK // (d * d)))
 
 
-def _slice_products(X: np.ndarray, y: np.ndarray,
-                    out=None) -> tuple[np.ndarray, np.ndarray]:
+def slice_products(X: np.ndarray,
+                   y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """X_b'X_b and X_b'y_b of every slice b of every learner of the
-    (..., n, d) X and (..., n) y, as one (..., k, d, d) and one (..., k, d)
-    array, written into out = (grams, rhs) when it is given.  The full
-    slices take one batched matmul over a view of their rows and the
-    partial last slice another, for the Grams and for X'y alike."""
+    (..., n, d) X and (..., n) y, as one new (..., k, d, d) and one new
+    (..., k, d) array.  The full slices take one batched matmul over a
+    view of their rows and the partial last slice another, for the Grams
+    and for X'y alike."""
     lead, (n, d) = X.shape[:-2], X.shape[-2:]
     h = _slice_height(d)
     full = n // h
     k = -(-n // h)
-    grams, rhs = out if out is not None else (
-        np.empty(lead + (k, d, d)), np.empty(lead + (k, d)))
+    grams, rhs = np.empty(lead + (k, d, d)), np.empty(lead + (k, d))
     _block_products(X[..., :full * h, :].reshape(lead + (full, h, d)),
                     y[..., :full * h].reshape(lead + (full, h, 1)),
                     grams[..., :full, :, :], rhs[..., :full, :])
@@ -286,7 +271,7 @@ def solve_normal(grams: np.ndarray, rhs: np.ndarray, n: int,
                  lam: float) -> np.ndarray:
     """Solve (X'X + n*lam*I) w = X'y by LU for every learner, with X'X and
     X'y the sums of all the slice products of its n-row X ((..., k, d, d)
-    and (..., k, d), every slice in ascending order, as _slice_products
+    and (..., k, d), every slice in ascending order, as slice_products
     and update_products lay them out); numpy reduces the slice axis one
     slice after another, into new arrays, so the products are left as they
     are.  An Inf or NaN anywhere in a learner's X or y makes its sums

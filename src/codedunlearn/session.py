@@ -30,8 +30,8 @@ and then ignored, since the aggregate is the mean of the weight columns
 Coded shards are not stored: load_session re-encodes them from the base
 rows and the generator in the ascending order used at training time, so
 the rebuilt shards are bitwise the ones the model was trained on.  Nor is
-the store's per-slice Gram cache: a loaded store starts empty and each
-regularized unlearn fills it for the learners it retrains.
+the store's per-slice Gram cache: a loaded store starts without it, and
+its first regularized unlearn forms it for every learner.
 Unlearning zeroes a sample's base row before rebuilding (ensemble.unlearn),
 so its values never reach the disk, and CodedStore zeroes every unlearned
 row again when it is built, so the encoder adds the rows unmasked.
@@ -261,29 +261,31 @@ def _read_checked(directory: Path, entry: dict) -> bytearray:
     return data
 
 
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
+def is_int(v) -> bool:
+    """Whether the JSON value v is an integer; a bool is not."""
+    return type(v) is int
 
 
-def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+def is_number(v) -> bool:
+    """Whether the JSON value v is an integer or a float; a bool is not."""
+    return type(v) in (int, float)
 
 
 def _is_lambda(v) -> bool:
     # the rule numerics.ridge_solve applies; NaN fails both comparisons
-    return _is_number(v) and 0 <= v < np.inf
+    return is_number(v) and 0 <= v < np.inf
 
 
 def _is_int_list(v) -> bool:
-    return isinstance(v, list) and all(map(_is_int, v))
+    return isinstance(v, list) and all(map(is_int, v))
 
 
 # role -> (what the JSON object needs, a check per key)
 _PAYLOADS = {
     "generator": ("integers s and r, a number rho, an integer or null seed "
                   "and a list of rows", {
-                      "s": _is_int, "r": _is_int, "rho": _is_number,
-                      "seed": lambda v: v is None or _is_int(v),
+                      "s": is_int, "r": is_int, "rho": is_number,
+                      "seed": lambda v: v is None or is_int(v),
                       "rows": lambda v: isinstance(v, list)}),
     "store": ("integer lists dropped_ids and unlearned_ids and a "
               "nonnegative finite number lambda", {

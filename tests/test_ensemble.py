@@ -190,14 +190,13 @@ class TestUnlearn:
     def test_non_integer_id_refused_before_anything_changes(self, ids):
         ds = make_train(20, 2)
         model, store, _ = learn(ds, 4, 2, "minimal", 1e-3, seed=1)
-        unlearn(model, store, [5])   # fills the Gram cache of a learner
+        unlearn(model, store, [5])   # fills the Gram cache
 
         def state():
             return [store.alive.copy(), store.base_features.copy(),
                     store.base_response.copy(), store.coded_features.copy(),
                     store.coded_response.copy(), model.weights.copy(),
-                    *[a.copy() for g in store.slice_grams.values()
-                      for a in g]]
+                    *[a.copy() for a in store.slice_stack]]
 
         before = state()
         with pytest.raises(UnknownSample, match="not an integer"):
@@ -460,14 +459,14 @@ class TestVerify:
 
 class TestSliceCache:
     @staticmethod
-    def unlearned(rho, seed=21):
+    def unlearned(rho, seed=21, rounds=10):
         # nbar = 300 rows against slices of 4*D = 128: the last is partial
         rng = np.random.default_rng(seed)
         n = 3605
         ds = Dataset(rng.normal(size=(n, 32)), rng.normal(size=n),
                      rng.permutation(n) * 2 + 1)
         model, store, _ = learn(ds, 12, 5, rho, 1e-3, seed=8)
-        for k in range(10):
+        for k in range(rounds):
             batch = rng.choice(store.ids[store.alive], size=[1, 3, 17][k % 3],
                                replace=False)
             unlearn(model, store, batch.tolist())
@@ -475,36 +474,75 @@ class TestSliceCache:
 
     @staticmethod
     def state(model, store):
-        cache = [a for j in sorted(store.slice_grams)
-                 for a in store.slice_grams[j]]
+        cache = () if store.slice_stack is None else store.slice_stack
         return [a.tobytes() for a in (
             model.weights, model.agg, store.coded_features,
             store.coded_response, store.alive, store.base_features,
-            store.base_response, np.array(sorted(store.slice_grams)),
+            store.base_response, np.array(store.slice_stack is None),
             *cache)]
+
+    @staticmethod
+    def assert_cache_is_live(model, store):
+        # every learner's cached products are slice_products of its live
+        # coded shard, and its weights ridge_solve of it, bitwise
+        assert store.slice_stack is not None
+        grams, rhs = store.slice_stack
+        r = store.generator.coded_shards
+        assert len(grams) == len(rhs) == r
+        for j in range(r):
+            X, y = store.coded_features[j], store.coded_response[j]
+            fresh_grams, fresh_rhs = numerics.slice_products(X, y)
+            assert grams[j].tobytes() == fresh_grams.tobytes()
+            assert rhs[j].tobytes() == fresh_rhs.tobytes()
+            assert model.weights[:, j].tobytes() \
+                == ridge_solve(X, y, model.lam).tobytes()
 
     # at rho 0.9 every column has 10 or 11 contributing shards, so each
     # rebuilt row is a sum numpy's reduce would take pairwise
     @pytest.mark.parametrize("rho", ["minimal", 0.5, 0.9])
     def test_cache_equals_products_of_live_shards(self, rho):
         model, store = self.unlearned(rho)
-        assert store.slice_grams
-        for j, (grams, rhs) in store.slice_grams.items():
-            X, y = store.coded_features[j], store.coded_response[j]
-            fresh_grams, fresh_rhs = numerics._slice_products(X, y)
-            assert grams.shape == (3, 32, 32)
-            assert grams.tobytes() == fresh_grams.tobytes()
-            assert rhs.tobytes() == fresh_rhs.tobytes()
-            assert model.weights[:, j].tobytes() \
-                == ridge_solve(X, y, 1e-3).tobytes()
+        assert store.slice_stack[0].shape == (5, 3, 32, 32)
+        self.assert_cache_is_live(model, store)
+        assert verify_perfect_unlearning(model, store).max_discrepancy == 0.0
+
+    def test_one_unlearn_caches_every_learner(self):
+        # a minimal code: one id retrains one learner of five, and the
+        # cache it forms holds the other four's products too
+        model, store = self.unlearned("minimal", rounds=0)
+        # NaN over the memory learn's solve freed, so that products never
+        # computed cannot match by taking over its buffers
+        for shape in ((5, 3, 32, 32), (5, 3, 32)):
+            np.full(shape, np.nan)
+        _, _, report = unlearn(model, store, [int(store.ids[1000])])
+        assert report.num_affected == 1
+        self.assert_cache_is_live(model, store)
+        assert verify_perfect_unlearning(model, store).max_discrepancy == 0.0
+
+    def test_failed_first_unlearn_stores_no_cache(self, monkeypatch):
+        model, store = self.unlearned(0.5, rounds=0)
+        victims = [int(v) for v in store.ids[[10, 400, 1500]]]
+        before = self.state(model, store)
+
+        def fail(*args):
+            raise FloatingPointError("injected")
+
+        monkeypatch.setattr(ensemble, "solve_normal", fail)
+        with pytest.raises(FloatingPointError):
+            unlearn(model, store, victims)
+        assert store.slice_stack is None
+        assert self.state(model, store) == before
+        monkeypatch.undo()
+        unlearn(model, store, victims)
+        self.assert_cache_is_live(model, store)
         assert verify_perfect_unlearning(model, store).max_discrepancy == 0.0
 
     def test_mixed_request_equals_products_of_live_shards(self):
-        # one request under a Bernoulli code that retrains cached and
-        # uncached learners, touches a partial last slice and holds two
-        # ids of one slice; two of its learners are cached, so their
-        # touched slices are gathered, and its learners are not adjacent,
-        # so the solve reads a copy of their stack
+        # a second request under a Bernoulli code that retrains learners
+        # the first did and did not, touches a partial last slice and
+        # holds two ids of one slice; its touched slices span learners, so
+        # they are gathered, and its learners are not adjacent, so the
+        # solve reads a copy of their stack
         rng = np.random.default_rng(4)
         ds = Dataset(rng.normal(size=(3600, 32)), rng.normal(size=3600),
                      np.arange(3600))
@@ -515,20 +553,11 @@ class TestSliceCache:
                     if len(cols[b] & cols[a]) >= 2 and cols[b] - cols[a]
                     and max(cols[b]) - min(cols[b]) >= len(cols[b]))
         unlearn(model, store, [a * nbar])
-        assert sorted(store.slice_grams) == sorted(cols[a])
+        self.assert_cache_is_live(model, store)
         _, _, report = unlearn(model, store,
                                [b * nbar + 10, b * nbar + 20, b * nbar + 280])
         assert report.affected_learners == sorted(cols[b])
-        assert sorted(store.slice_grams) == sorted(cols[a] | cols[b])
-        for j in range(5):
-            X, y = store.coded_features[j], store.coded_response[j]
-            assert model.weights[:, j].tobytes() \
-                == ridge_solve(X, y, 1e-3).tobytes()
-            if j in store.slice_grams:
-                fresh = numerics._slice_products(X, y)
-                for cached, want in zip(store.slice_grams[j], fresh,
-                                        strict=True):
-                    assert cached.tobytes() == want.tobytes()
+        self.assert_cache_is_live(model, store)
         assert verify_perfect_unlearning(model, store).max_discrepancy == 0.0
 
     def test_unregularized_unlearn_leaves_cache_empty(self):
@@ -538,7 +567,7 @@ class TestSliceCache:
         model, store, _ = learn(ds, 6, 3, 0.5, 0.0, seed=2)
         _, _, report = unlearn(model, store, [7, 250, 590])
         assert report.affected_learners
-        assert store.slice_grams == {}
+        assert store.slice_stack is None
         assert verify_perfect_unlearning(model, store).max_discrepancy == 0.0
 
     def test_failed_solve_leaves_model_store_and_cache_untouched(
@@ -549,9 +578,9 @@ class TestSliceCache:
         model, store, G = learn(ds, 12, 5, 0.5, 1e-3, seed=8)
         cols = [set(row.nonzero()[0]) for row in G.entries]
         nbar = store.shard_size
-        # warm the cache through shard a, then forget from shard b, which
-        # feeds a cached learner and one that is not, so the failing
-        # request mixes both paths
+        # fill the cache through shard a, then forget from shard b, which
+        # feeds a learner the first request retrained and one it did not,
+        # so the failing request updates a stored cache in place
         a, b = next((a, b) for a in range(12) for b in range(12)
                     if cols[b] & cols[a] and cols[b] - cols[a])
         unlearn(model, store, [a * nbar])
@@ -601,7 +630,6 @@ class TestDualUnlearn:
             assert verify_perfect_unlearning(model, store).max_discrepancy \
                 == 0.0
             assert store.slice_stack is None
-            assert store.slice_grams == {}
 
     def test_failed_solve_leaves_rows_and_weights_untouched(
             self, monkeypatch):
@@ -628,6 +656,6 @@ class TestDualUnlearn:
         model, store, _ = self.learned("minimal", n=240, d=10, s=24, r=8)
         assert store.shard_size == store.base_features.shape[1] == 10
         _, _, report = unlearn(model, store, [int(store.ids[15])])
-        assert sorted(store.slice_grams) == report.affected_learners
-        assert store.slice_stack is not None
+        assert report.affected_learners
+        TestSliceCache.assert_cache_is_live(model, store)
         assert verify_perfect_unlearning(model, store).max_discrepancy == 0.0

@@ -177,18 +177,18 @@ class TestRefit:
                                   "two-slices"])
     def test_changed_rows_match_solve_from_scratch(self, rows, n=300):
         X, y = self.system(n=n)
-        products = numerics._slice_products(X, y)
+        products = numerics.slice_products(X, y)
         X2, y2 = X.copy(), y.copy()
         rng = np.random.default_rng(1)
         X2[rows] = rng.normal(size=(len(rows), X.shape[1]))
         y2[rows] = rng.normal(size=len(rows))
         # the products of a stack of one learner, updated in place
         grams, rhs = (a[None] for a in products)
-        numerics.update_products(X2[None], y2[None], grams, rhs, (),
+        numerics.update_products(X2[None], y2[None], grams, rhs,
                                  [0] * len(rows), rows)
         w = numerics.solve_normal(grams, rhs, n, 1e-3)[0]
         w_fresh = ridge_solve(X2, y2, 1e-3)
-        fresh = numerics._slice_products(X2, y2)
+        fresh = numerics.slice_products(X2, y2)
         assert w.tobytes() == w_fresh.tobytes()
         assert w.tobytes() == numerics.solve_normal(*fresh, n, 1e-3).tobytes()
         assert grams.base is products[0] and rhs.base is products[1]
@@ -352,13 +352,13 @@ class TestStackedSolve:
     @pytest.mark.parametrize("r,n,d", STACKS, ids=STACK_IDS)
     def test_stack_equals_refit_of_each_learner_bitwise(self, r, n, d):
         X, y = stack(r, n, d)
-        grams, rhs = numerics._slice_products(X, y)
+        grams, rhs = numerics.slice_products(X, y)
         W = ridge_solve(X, y, 1e-3)
         assert W.shape == (r, d)
         assert W.tobytes() == numerics.solve_stack(X, y, 1e-3).tobytes()
         for j in range(r):
             w = ridge_solve(X[j], y[j], 1e-3)
-            g, b = numerics._slice_products(X[j], y[j])
+            g, b = numerics.slice_products(X[j], y[j])
             assert W[j].tobytes() == w.tobytes()
             assert grams[j].tobytes() == g.tobytes()
             assert rhs[j].tobytes() == b.tobytes()
@@ -375,7 +375,7 @@ class TestStackedSolve:
 
     def test_one_learner_products_keep_their_shape(self):
         X, y = stack(1, 300, 32)
-        grams, rhs = numerics._slice_products(X[0], y[0])
+        grams, rhs = numerics.slice_products(X[0], y[0])
         assert grams.shape == (3, 32, 32) and rhs.shape == (3, 32)
 
     @pytest.mark.parametrize("n", [100, 128, 300],
@@ -385,12 +385,11 @@ class TestStackedSolve:
         # would carry n*lam into them
         X, y = stack(1, n, 32)
         w = ridge_solve(X[0], y[0], 1e-3)
-        products = numerics._slice_products(X[0], y[0])
+        products = numerics.slice_products(X[0], y[0])
         kept = [a.copy() for a in products]
-        grams, rhs = numerics.empty_products(1, n, 32)
-        numerics.update_products(X, y, grams, rhs, [0], [], [])
+        grams, rhs = numerics.slice_products(X, y)
         again = numerics.solve_normal(grams, rhs, n, 1e-3)[0]
-        numerics.update_products(X, y, grams, rhs, (), [0], [5])
+        numerics.update_products(X, y, grams, rhs, [0], [5])
         numerics.solve_normal(grams, rhs, n, 1e-3)
         numerics.solve_normal(*products, n, 1e-3)
         assert again.tobytes() == w.tobytes()
@@ -398,7 +397,7 @@ class TestStackedSolve:
             assert a.tobytes() == b.tobytes()
         for a, b in zip((grams[0], rhs[0]), kept):
             assert a.tobytes() == b.tobytes()
-        fresh = numerics._slice_products(X[0], y[0])
+        fresh = numerics.slice_products(X[0], y[0])
         for a, b in zip(products, fresh):
             assert a.tobytes() == b.tobytes()
 
@@ -613,6 +612,6 @@ class TestDualForm:
         # n == d: the normal equations from slice products, bitwise
         X, y = stack(3, 10, 10)
         W = ridge_solve(X, y, 1e-3)
-        want = numerics.solve_normal(*numerics._slice_products(X, y), 10,
+        want = numerics.solve_normal(*numerics.slice_products(X, y), 10,
                                      1e-3)
         assert W.tobytes() == want.tobytes()
