@@ -79,8 +79,9 @@ class TradeoffRecord:
 
     learn_seconds_mean is learn's wall time divided by r: the r learners
     are solved concurrently, in learner blocks (numerics.ridge_solve), so
-    it is not any one learner's solve time.  unlearn_seconds_mean is the
-    whole unlearn call of one sample (AffectedReport.total_seconds)."""
+    it is not any one learner's solve time (with nbar >= D it includes
+    forming the slice cache).  unlearn_seconds_mean is the whole unlearn
+    call of one sample (AffectedReport.total_seconds), a warm one then."""
 
     dataset: str
     s: int

@@ -30,6 +30,7 @@ from .session import (
     append_unlearn_log,
     is_int,
     is_number,
+    list_of,
     load_session,
     save_session,
     session_lock,
@@ -92,7 +93,7 @@ def cmd_gen_data(kind, n, d, mu, sigma2, dof, degree, layer_widths,
 def _config_defaults(ctx, param, path):
     """Make a JSON config file's values the defaults of the options not
     given on the command line, so they pass through the options' types.
-    The config key "lambda" names --lam."""
+    The config key "lambda" names --lam; a key naming no option is refused."""
     if path is None:
         return
     cfg = json.loads(Path(path).read_text())
@@ -100,6 +101,10 @@ def _config_defaults(ctx, param, path):
         raise click.BadParameter("must hold a JSON object", ctx, param)
     if "lambda" in cfg:
         cfg["lam"] = cfg.pop("lambda")
+    names = {p.name for p in ctx.command.params if p.expose_value}
+    unknown = [key for key in cfg if key not in names]
+    if unknown:
+        raise click.BadParameter(f"unknown key {unknown[0]!r}", ctx, param)
     ctx.default_map = cfg
 
 
@@ -239,10 +244,6 @@ def cmd_verify(session_dir, tolerance):
     click.echo("verification passed")
 
 
-def _list_of(check):
-    return lambda v: type(v) is list and all(check(w) for w in v)
-
-
 # field of a bench spec's dataset -> (what it must hold, its check)
 _DATASET_FIELDS = {
     **dict.fromkeys(("path", "response_column", "kind"),
@@ -250,7 +251,7 @@ _DATASET_FIELDS = {
     **dict.fromkeys(("n", "d", "dof", "seed"), ("an integer", is_int)),
     **dict.fromkeys(("mu", "sigma2"), ("a number", is_number)),
     "degree": ("an integer or null", lambda v: v is None or is_int(v)),
-    "layer_widths": ("a list of integers", _list_of(is_int)),
+    "layer_widths": ("a list of integers", list_of(is_int)),
     "expose_expanded": ("true or false", lambda v: type(v) is bool),
 }
 
@@ -258,16 +259,16 @@ _DATASET_FIELDS = {
 _SPEC_FIELDS = {
     **dict.fromkeys(("n_train", "runs", "seed"), ("an integer", is_int)),
     **dict.fromkeys(("rates", "shard_counts"),
-                    ("a list of integers", _list_of(is_int))),
+                    ("a list of integers", list_of(is_int))),
     **dict.fromkeys(("lambdas", "percentiles"),
-                    ("a list of numbers", _list_of(is_number))),
+                    ("a list of numbers", list_of(is_number))),
     "lambda": ("a number", is_number),
     "density": ('"minimal" or a number',
                 lambda v: v == "minimal" or is_number(v)),
     "projection_dim": ("an integer or null",
                        lambda v: v is None or is_int(v)),
     "band_columns": ("a list of integers or null",
-                     lambda v: v is None or _list_of(is_int)(v)),
+                     lambda v: v is None or list_of(is_int)(v)),
     "label": ("a string", lambda v: type(v) is str),
 }
 

@@ -161,12 +161,12 @@ class CodedStore:
     that a regularized unlearn recomputes only the slices it changed, in
     one batched pass, and solves its learners from them.  It is derived
     state, never persisted, and complete or absent: None on construction,
-    formed for all r learners by the first regularized unlearn and stored
-    only if that unlearn succeeds, then updated in place by every later
-    one, which re-derives its touched slices from the restored rows if it
-    fails (ensemble.unlearn).  It stays None at lam = 0 and for shards
-    with fewer rows than columns, which are solved in dual form
-    (numerics.dual_form) from the coded shards alone.
+    formed for all r learners by ensemble.learn, then updated in place by
+    every unlearn, which re-derives its touched slices from the restored
+    rows if it fails (ensemble.unlearn).  It stays None for a store learn
+    did not build (one from encode or a loaded session), at lam = 0, and
+    for shards with fewer rows than columns, which are solved in dual form
+    (numerics.dual_form); those are solved from the coded shards alone.
 
     Concurrent reads are safe; unlearning mutation requires exclusive access.
     """

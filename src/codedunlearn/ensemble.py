@@ -58,7 +58,7 @@ class AffectedReport:
     """Which learners an unlearn request touched and what it cost:
     phase_seconds times each phase of the call by name (PHASES), and
     total_seconds the whole call, those phases and the commit.  Learners
-    solved without slice products (lam = 0, or in dual form) spend about
+    solved without a slice cache (CodedStore.slice_stack) spend about
     nothing in "slice_products"."""
 
     unlearned_ids: list[int]
@@ -109,14 +109,17 @@ def learn(train: Dataset, s: int, r: int, rho, lam: float,
     code degenerates to G = [[1]] and the model equals a single learner on
     the full training set.  The r learners are solved as one stack
     (numerics.ridge_solve, in learner blocks on the available CPUs),
-    bitwise as r single solves would be.
+    bitwise as r single solves would be, and then forms the store's slice
+    cache (CodedStore.slice_stack) when lam > 0 and nbar >= D.
     """
     feats = project(projection, train.features) if projection is not None \
         else train.features
     generator = _make_generator(s, r, rho, seed)
     store = encode(feats, train.response, train.ids, generator)
-    weights = np.ascontiguousarray(
-        ridge_solve(store.coded_features, store.coded_response, lam).T)
+    X, y = store.coded_features, store.coded_response
+    weights = np.ascontiguousarray(ridge_solve(X, y, lam).T)
+    if lam > 0 and not dual_form(*X.shape[1:], lam):
+        store.slice_stack = slice_products(X, y)
     model = EnsembleModel(weights, lam, generator, projection)
     return model, store, generator
 
@@ -143,29 +146,25 @@ def unlearn(model: EnsembleModel, store: CodedStore, ids,
     call per affected learner re-sums all its touched rows in the encoder's
     order, so the reconstruction invariant stays bitwise exact.
 
-    The affected learners are then retrained together.  With lam > 0 and
-    shards of at least as many rows as columns, every learner's per-slice
-    Gram products live in the store's cache (CodedStore.slice_stack): the
-    first such unlearn forms them all from the rebuilt coded shards with
-    one numerics.slice_products call, and each later one recomputes in
-    place the slices holding touched rows by one batched pass
-    (numerics.update_products).  One numerics.solve_normal then solves
+    The affected learners are then retrained together.  When the store
+    holds a slice cache (CodedStore.slice_stack, formed by learn), the
+    slices holding touched rows are recomputed in place by one batched
+    pass (numerics.update_products), and one numerics.solve_normal solves
     every affected learner on a view of the stack (a copy when the learners
-    are not adjacent).  The sums are the ones a retrain from scratch forms,
+    are not adjacent).  Otherwise (a store learn did not build, lam = 0,
+    or shards with fewer rows than columns) numerics.solve_stack solves
+    the affected learners' coded shards as learn does, and no cache is
+    formed.  Either way the sums are the ones a retrain from scratch forms,
     so the weights equal ridge_solve on the live coded shards bitwise.
-    Otherwise (lam = 0, or shards with fewer rows than columns, which
-    numerics.dual_form solves in dual form) numerics.solve_stack solves the
-    affected learners' coded shards as learn does, and nothing is cached.
 
     An id that is not an integer (a float, a bool, a string) is refused
     with UnknownSample before anything changes.
 
-    Zero first, re-derive on failure: weights change, and a cache formed
-    by this call is stored, only once every solve has succeeded.  If a
-    step raises, the forgotten rows (the one copy kept) and alive are put
-    back, and the same coded rows and, by the same batched pass, the
-    touched slices of a cache already stored are re-derived from them,
-    bitwise as they were, before the error propagates.
+    Zero first, re-derive on failure: weights change only once every
+    solve has succeeded.  If a step raises, the forgotten rows (the one
+    copy kept) and alive are put back, and the same coded rows and, by the
+    same batched pass, the touched slices of the cache are re-derived from
+    them, bitwise as they were, before the error propagates.
     """
     marks = [time.perf_counter()]   # the start and the end of each phase
     ids = list(ids)
@@ -188,8 +187,7 @@ def unlearn(model: EnsembleModel, store: CodedStore, ids,
     at, learner = hits.nonzero()    # one (id, learner) pair per coded row
     touched = learner, row[at]
     X, y = store.coded_features, store.coded_response
-    use_cache = model.lam > 0 and not dual_form(*X.shape[1:], model.lam)
-    cache = store.slice_stack if use_cache else None
+    cache = store.slice_stack
     lo = affected[0] if affected else 0     # adjacent learners: a view
     stack = (slice(lo, lo + len(affected))
              if affected == list(range(lo, lo + len(affected))) else affected)
@@ -207,14 +205,10 @@ def unlearn(model: EnsembleModel, store: CodedStore, ids,
     try:
         rebuild()
         marks.append(time.perf_counter())
-        if use_cache:
-            if cache is None:
-                products = slice_products(X, y)
-            else:
-                update_products(X, y, *cache, *touched)
-                products = cache
+        if cache is not None:
+            update_products(X, y, *cache, *touched)
             marks.append(time.perf_counter())
-            fresh = solve_normal(products[0][stack], products[1][stack],
+            fresh = solve_normal(cache[0][stack], cache[1][stack],
                                  store.shard_size, model.lam)
         else:
             marks.append(time.perf_counter())
@@ -227,8 +221,6 @@ def unlearn(model: EnsembleModel, store: CodedStore, ids,
         if cache is not None:
             update_products(X, y, *cache, *touched)
         raise
-    if use_cache:
-        store.slice_stack = products
     model.weights[:, stack] = fresh.T
     report = AffectedReport(
         unlearned_ids=ids,

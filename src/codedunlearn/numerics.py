@@ -66,17 +66,18 @@ COND_LIMIT = 1e12
 SLICE_ROWS_PER_COLUMN = 4
 SLICE_MIN_WORK = 2**17
 
-# A stack of r learners of n x d is r*d*d*(n + d) multiply-adds of work in
-# round terms (its Gram products and its solves), and in_learner_blocks
-# starts one worker per LEARNER_WORK_PER_WORKER of it.  Measured on a 2-vCPU
-# VM (numpy 2.4, one BLAS thread, medians of 41 interleaved pairs), two
-# blocks first beat one at 2**24.0 (n = 1000, d = 16 and n = 2000, d = 32),
-# 2**24.2 (n = 20, d = 100) and 2**25.3 (n = 400, d = 100); below that a
-# second thread costs 0.4-0.7 ms.  So two workers start from 2**25.
+# A stack of r learners of n x d is r*m*m*(n + d) multiply-adds of work in
+# round terms, m = min(n, d) (its Gram products or, in dual form, its XX',
+# and its solves), and in_learner_blocks starts one worker per
+# LEARNER_WORK_PER_WORKER of it.  Measured on a 2-vCPU VM (numpy 2.4, one
+# BLAS thread, medians of 41 interleaved pairs), two blocks first beat one
+# at 2**24.0 (n = 1000, d = 16 and n = 2000, d = 32), 2**24.2 (n = 20,
+# d = 100 by the normal equations) and 2**25.3 (n = 400, d = 100); below
+# that a second thread costs 0.4-0.7 ms.  So two workers start from 2**25.
 LEARNER_WORK_PER_WORKER = 1 << 24
 # A block takes its learners in chunks of about this many float64 values
-# (a learner's n*d rows, its k*d*d slice products, and d*d each for their
-# sum and its LU copy), so its transient arrays stay near 2 MB: at
+# (a learner's n*d rows, its k*m*m slice products or XX', and m*m each for
+# their sum and its LU copy), so its transient arrays stay near 2 MB: at
 # 200k x 32, r = 20, verify took 11.8 ms in chunks of 2**18 values against
 # 18.7 ms in one chunk, on one worker.
 LEARNER_CHUNK_VALUES = 1 << 18
@@ -342,14 +343,15 @@ def in_learner_blocks(task, r: int, n: int, d: int) -> None:
     rows and d columns: run_in_blocks over the learners, one block per
     LEARNER_WORK_PER_WORKER of their work, each block taking its learners
     in chunks of about LEARNER_CHUNK_VALUES values."""
-    per_learner = n * d + (-(-n // _slice_height(d)) + 2) * d * d
+    m = min(n, d)   # the order of a dual-form learner's systems when n < d
+    per_learner = n * d + (-(-n // _slice_height(d)) + 2) * m * m
     chunk = max(1, LEARNER_CHUNK_VALUES // max(per_learner, 1))
 
     def block(lo, hi):
         for start in range(lo, hi, chunk):
             task(start, min(start + chunk, hi))
 
-    run_in_blocks(block, r, r * d * d * (n + d) // LEARNER_WORK_PER_WORKER)
+    run_in_blocks(block, r, r * m * m * (n + d) // LEARNER_WORK_PER_WORKER)
 
 
 # Modulus of the rank certificate: a prime below 2**31, so the product of two

@@ -30,8 +30,9 @@ and then ignored, since the aggregate is the mean of the weight columns
 Coded shards are not stored: load_session re-encodes them from the base
 rows and the generator in the ascending order used at training time, so
 the rebuilt shards are bitwise the ones the model was trained on.  Nor is
-the store's per-slice Gram cache: a loaded store starts without it, and
-its first regularized unlearn forms it for every learner.
+the store's per-slice Gram cache, which only ensemble.learn forms: a
+loaded store keeps none, and its unlearns solve the affected learners'
+coded shards.
 Unlearning zeroes a sample's base row before rebuilding (ensemble.unlearn),
 so its values never reach the disk, and CodedStore zeroes every unlearned
 row again when it is built, so the encoder adds the rows unmasked.
@@ -271,13 +272,14 @@ def is_number(v) -> bool:
     return type(v) in (int, float)
 
 
+def list_of(check):
+    """A check of whether a JSON value is a list of items passing check."""
+    return lambda v: type(v) is list and all(map(check, v))
+
+
 def _is_lambda(v) -> bool:
     # the rule numerics.ridge_solve applies; NaN fails both comparisons
     return is_number(v) and 0 <= v < np.inf
-
-
-def _is_int_list(v) -> bool:
-    return isinstance(v, list) and all(map(is_int, v))
 
 
 # role -> (what the JSON object needs, a check per key)
@@ -289,7 +291,8 @@ _PAYLOADS = {
                       "rows": lambda v: isinstance(v, list)}),
     "store": ("integer lists dropped_ids and unlearned_ids and a "
               "nonnegative finite number lambda", {
-                  "dropped_ids": _is_int_list, "unlearned_ids": _is_int_list,
+                  "dropped_ids": list_of(is_int),
+                  "unlearned_ids": list_of(is_int),
                   "lambda": _is_lambda}),
 }
 

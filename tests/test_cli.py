@@ -263,6 +263,36 @@ class TestSessionWorkflow:
         manifest = json.loads((session / "manifest.json").read_text())
         assert manifest["config"][key] == value
 
+    def test_config_key_naming_no_option_refused(self, tmp_path, runner,
+                                                 data_csv):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"data": str(data_csv), "lamda": 0.5,
+                                   "s": 4, "tau": 2}))
+        session = tmp_path / "cfg-session"
+        result = runner.invoke(main, [
+            "train", "--config", str(cfg), "--session", str(session),
+        ])
+        assert result.exit_code == 2, result.output
+        assert "'lamda'" in result.output
+        assert not session.exists()
+
+    def test_config_echo_trains_the_same_session(self, tmp_path, runner,
+                                                 data_csv):
+        # every key the manifest echoes names an option of train
+        session = train_session(runner, tmp_path, data_csv,
+                                ["--proj-dim", "6"])
+        first = json.loads((session / "manifest.json").read_text())
+        cfg = tmp_path / "echo.json"
+        cfg.write_text(json.dumps(first["config"]))
+        again = tmp_path / "again"
+        result = runner.invoke(main, [
+            "train", "--config", str(cfg), "--session", str(again),
+        ])
+        assert result.exit_code == 0, result.output
+        second = json.loads((again / "manifest.json").read_text())
+        assert second["config"] == first["config"]
+        assert second["files"]["weights"] == first["files"]["weights"]
+
     def test_lock_blocks_concurrent_use(self, tmp_path, runner, data_csv):
         session = train_session(runner, tmp_path, data_csv)
         (session / "lock").write_text("123")

@@ -15,6 +15,7 @@ from codedunlearn import (
     learn,
     make_projection,
     predict,
+    rand_matrix,
     ridge_solve,
     unlearn,
     verify_perfect_unlearning,
@@ -190,7 +191,7 @@ class TestUnlearn:
     def test_non_integer_id_refused_before_anything_changes(self, ids):
         ds = make_train(20, 2)
         model, store, _ = learn(ds, 4, 2, "minimal", 1e-3, seed=1)
-        unlearn(model, store, [5])   # fills the Gram cache
+        unlearn(model, store, [5])   # updates the Gram cache learn formed
 
         def state():
             return [store.alive.copy(), store.base_features.copy(),
@@ -337,7 +338,7 @@ class TestUnlearn:
         ds = make_train(60, 3, seed=3)
         ds.features[20], ds.response[20] = -0.0, -0.0
         model, store, _ = learn(ds, 6, 3, 0.5, 1e-3, seed=1)
-        unlearn(model, store, [7])   # fills a learner's Gram cache
+        unlearn(model, store, [7])   # updates the Gram cache learn formed
         before = TestSliceCache.state(model, store)
 
         def failing_solve(*args):
@@ -508,7 +509,7 @@ class TestSliceCache:
 
     def test_one_unlearn_caches_every_learner(self):
         # a minimal code: one id retrains one learner of five, and the
-        # cache it forms holds the other four's products too
+        # cache it updates holds the other four's products too
         model, store = self.unlearned("minimal", rounds=0)
         # NaN over the memory learn's solve freed, so that products never
         # computed cannot match by taking over its buffers
@@ -519,9 +520,15 @@ class TestSliceCache:
         self.assert_cache_is_live(model, store)
         assert verify_perfect_unlearning(model, store).max_discrepancy == 0.0
 
-    def test_failed_first_unlearn_stores_no_cache(self, monkeypatch):
+    @pytest.mark.parametrize("rho", ["minimal", 0.5])
+    def test_learn_forms_the_cache(self, rho):
+        model, store = self.unlearned(rho, rounds=0)
+        self.assert_cache_is_live(model, store)
+
+    def test_failed_first_unlearn_keeps_learns_cache(self, monkeypatch):
         model, store = self.unlearned(0.5, rounds=0)
         victims = [int(v) for v in store.ids[[10, 400, 1500]]]
+        self.assert_cache_is_live(model, store)
         before = self.state(model, store)
 
         def fail(*args):
@@ -530,7 +537,7 @@ class TestSliceCache:
         monkeypatch.setattr(ensemble, "solve_normal", fail)
         with pytest.raises(FloatingPointError):
             unlearn(model, store, victims)
-        assert store.slice_stack is None
+        self.assert_cache_is_live(model, store)
         assert self.state(model, store) == before
         monkeypatch.undo()
         unlearn(model, store, victims)
@@ -560,6 +567,29 @@ class TestSliceCache:
         self.assert_cache_is_live(model, store)
         assert verify_perfect_unlearning(model, store).max_discrepancy == 0.0
 
+    def test_store_learn_did_not_build_keeps_no_cache(self):
+        # encode and a hand-built model: every unlearn solves the affected
+        # learners' coded shards, and no cache is formed
+        rng = np.random.default_rng(5)
+        ds = Dataset(rng.normal(size=(3600, 32)), rng.normal(size=3600),
+                     np.arange(3600))
+        G = rand_matrix(12, 5, 0.5, 8)
+        store = encode(ds.features, ds.response, ds.ids, G)
+        weights = np.ascontiguousarray(
+            ridge_solve(store.coded_features, store.coded_response, 1e-3).T)
+        model = EnsembleModel(weights, 1e-3, G)
+        for size in (1, 3, 17):
+            batch = rng.choice(store.ids[store.alive], size=size,
+                               replace=False)
+            unlearn(model, store, batch.tolist())
+            assert store.slice_stack is None
+            for j in range(G.coded_shards):
+                w = ridge_solve(store.coded_features[j],
+                                store.coded_response[j], 1e-3)
+                assert model.weights[:, j].tobytes() == w.tobytes()
+            assert verify_perfect_unlearning(model, store).max_discrepancy \
+                == 0.0
+
     def test_unregularized_unlearn_leaves_cache_empty(self):
         rng = np.random.default_rng(6)
         ds = Dataset(rng.normal(size=(600, 4)), rng.normal(size=600),
@@ -578,9 +608,9 @@ class TestSliceCache:
         model, store, G = learn(ds, 12, 5, 0.5, 1e-3, seed=8)
         cols = [set(row.nonzero()[0]) for row in G.entries]
         nbar = store.shard_size
-        # fill the cache through shard a, then forget from shard b, which
-        # feeds a learner the first request retrained and one it did not,
-        # so the failing request updates a stored cache in place
+        # update learn's cache through shard a, then forget from shard b,
+        # which feeds a learner the first request retrained and one it did
+        # not, so the failing request updates the cache in place
         a, b = next((a, b) for a in range(12) for b in range(12)
                     if cols[b] & cols[a] and cols[b] - cols[a])
         unlearn(model, store, [a * nbar])

@@ -502,12 +502,13 @@ class TestLearnerBlocks:
     @pytest.mark.parametrize("r,n,d,workers", [
         (10, 1000, 16, 1),     # forget-cli's verify: 2**21.3 of work
         (20, 2000, 32, 2),     # forget-lib's: 2**25.3
-        (200, 20, 100, 4),     # the sweep's s = 1000 cell: 2**27.8
+        (200, 20, 100, 1),     # the sweep's s = 1000 cell: 2**23.2
+        (50, 80, 100, 3),      # and its s = 250 cell: 2**25.8
         (1, 4000, 100, 1),     # one learner cannot be split
     ])
     def test_worker_count(self, monkeypatch, started, r, n, d, workers):
-        # min(available CPUs, r * d * d * (n + d) // 2**24, r), the
-        # caller being one of them
+        # min(available CPUs, r * m * m * (n + d) // 2**24, r), with
+        # m = min(n, d), the caller being one of them
         monkeypatch.setattr(numerics, "_available_cpus", lambda: 4)
         chunks = []
         numerics.in_learner_blocks(lambda lo, hi: chunks.append((lo, hi)),
@@ -520,7 +521,7 @@ class TestLearnerBlocks:
 
     @pytest.mark.parametrize("r,n,d,chunk", [
         (20, 2000, 32, 3),     # 64000 + (16 + 2) * 1024 values a learner
-        (200, 20, 100, 8),     # 2000 + (1 + 2) * 10000
+        (200, 20, 100, 81),    # 2000 + (1 + 2) * 400: m = n in dual form
         (2, 2**20, 1, 1),      # more than 2**18 values: one at a time
     ])
     def test_chunks_hold_about_2_mb(self, monkeypatch, r, n, d, chunk):

@@ -18,6 +18,7 @@ from codedunlearn import (
     learn,
     make_projection,
     predict,
+    ridge_solve,
     unlearn,
     verify_perfect_unlearning,
 )
@@ -77,6 +78,27 @@ class TestRoundTrip:
         check(model)
         save_session(tmp_path, model, store, {})
         check(load_session(tmp_path)[0])
+
+    @pytest.mark.parametrize("rho", ["minimal", 0.6])
+    def test_loaded_store_unlearns_without_a_cache(self, tmp_path, rho):
+        # the Gram cache is learn's and never saved: every unlearn on a
+        # loaded store solves its learners' coded shards
+        model, store, _ = learn(make_train(400, 5, seed=4), 8, 4, rho, 1e-3,
+                                seed=2)
+        save_session(tmp_path, model, store, {})
+        model, store, _ = load_session(tmp_path)
+        rng = np.random.default_rng(9)
+        for size in (1, 3, 17):
+            batch = rng.choice(store.ids[store.alive], size=size,
+                               replace=False)
+            unlearn(model, store, batch.tolist())
+            assert store.slice_stack is None
+            for j in range(4):
+                w = ridge_solve(store.coded_features[j],
+                                store.coded_response[j], 1e-3)
+                assert model.weights[:, j].tobytes() == w.tobytes()
+            assert verify_perfect_unlearning(model, store).max_discrepancy \
+                == 0.0
 
     def test_unlearn_rewrites_only_what_changed(self, tmp_path):
         ds = make_train(80, 3)
