@@ -93,18 +93,23 @@ def cmd_gen_data(kind, n, d, mu, sigma2, dof, degree, layer_widths,
 def _config_defaults(ctx, param, path):
     """Make a JSON config file's values the defaults of the options not
     given on the command line, so they pass through the options' types.
-    The config key "lambda" names --lam; a key naming no option is refused."""
+    The config key "lambda" names --lam.  A key naming no option is refused,
+    and so is a null (it would skip the option's type), except for an
+    optional option whose default is None."""
     if path is None:
         return
     cfg = json.loads(Path(path).read_text())
     if not isinstance(cfg, dict):
         raise click.BadParameter("must hold a JSON object", ctx, param)
+    options = {p.name: p for p in ctx.command.params if p.expose_value}
+    for key, value in cfg.items():
+        option = options.get("lam" if key == "lambda" else key)
+        if option is None or value is None and (
+                option.required or option.default is not None):
+            what = "unknown key" if option is None else "null for key"
+            raise click.BadParameter(f"{what} {key!r}", ctx, param)
     if "lambda" in cfg:
         cfg["lam"] = cfg.pop("lambda")
-    names = {p.name for p in ctx.command.params if p.expose_value}
-    unknown = [key for key in cfg if key not in names]
-    if unknown:
-        raise click.BadParameter(f"unknown key {unknown[0]!r}", ctx, param)
     ctx.default_map = cfg
 
 

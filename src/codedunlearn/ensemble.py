@@ -110,7 +110,7 @@ def learn(train: Dataset, s: int, r: int, rho, lam: float,
     the full training set.  The r learners are solved as one stack
     (numerics.ridge_solve, in learner blocks on the available CPUs),
     bitwise as r single solves would be, and then forms the store's slice
-    cache (CodedStore.slice_stack) when lam > 0 and nbar >= D.
+    cache (CodedStore.slice_stack) unless numerics.dual_form picks them.
     """
     feats = project(projection, train.features) if projection is not None \
         else train.features
@@ -118,7 +118,7 @@ def learn(train: Dataset, s: int, r: int, rho, lam: float,
     store = encode(feats, train.response, train.ids, generator)
     X, y = store.coded_features, store.coded_response
     weights = np.ascontiguousarray(ridge_solve(X, y, lam).T)
-    if lam > 0 and not dual_form(*X.shape[1:], lam):
+    if not dual_form(*X.shape[1:], lam):
         store.slice_stack = slice_products(X, y)
     model = EnsembleModel(weights, lam, generator, projection)
     return model, store, generator
@@ -151,11 +151,11 @@ def unlearn(model: EnsembleModel, store: CodedStore, ids,
     slices holding touched rows are recomputed in place by one batched
     pass (numerics.update_products), and one numerics.solve_normal solves
     every affected learner on a view of the stack (a copy when the learners
-    are not adjacent).  Otherwise (a store learn did not build, lam = 0,
-    or shards with fewer rows than columns) numerics.solve_stack solves
-    the affected learners' coded shards as learn does, and no cache is
-    formed.  Either way the sums are the ones a retrain from scratch forms,
-    so the weights equal ridge_solve on the live coded shards bitwise.
+    are not adjacent).  Otherwise (a store learn did not build, or shards
+    solved in dual form) numerics.solve_stack solves the affected
+    learners' coded shards as learn does, and no cache is formed.  Either
+    way the sums are the ones a retrain from scratch forms, so the weights
+    equal ridge_solve on the live coded shards bitwise.
 
     An id that is not an integer (a float, a bool, a string) is refused
     with UnknownSample before anything changes.

@@ -3,16 +3,17 @@ the thread blocks that spread array work over the available CPUs.
 
 Arrays are treated as immutable and never modified in place, except the
 slice products update_products is given.  Only numpy is used.  An
-unregularized ridge solve is refused when the exact condition number of
-X'X exceeds COND_LIMIT.
+unregularized ridge solve is refused when the condition number of the
+summed X'X, the ratio of its largest eigenvalue to its smallest, exceeds
+COND_LIMIT.
 
 Every ridge solve is a solve of a stack of learners: an (r, n, d) X and an
 (r, n) y, one learner's (n, d) X and (n,) y being a stack of one.  With
 lam > 0 and fewer rows than columns (dual_form), the stack is solved in
 dual form, w = X'(XX' + n*lam*I)^{-1} y, the same minimizer from n x n
 systems: one batched np.matmul for the XX', one np.linalg.solve and one
-more np.matmul, with no slice products.  With lam > 0 and n >= d, each
-learner's X'X and X'y are the ascending-order sum of per-slice products:
+more np.matmul, with no slice products.  Otherwise (n >= d, or lam == 0),
+each learner's X'X and X'y are the ascending-order sum of per-slice products:
 slice b is rows [b*h, (b+1)*h) of its n x d X, the last one possibly
 partial, with h = 4d rows (at least 2**17 / d**2, see SLICE_MIN_WORK).
 The products of all the full slices of the stack are one batched
@@ -95,19 +96,17 @@ def ridge_solve(X, y, lam: float) -> np.ndarray:
     squared error is averaged over the n rows, so the regularized normal
     equations carry n*lam:  w = (X'X + n*lam*I)^{-1} X'y.
 
-    With lam > 0 and n >= d, X'X and X'y are summed from every slice's
-    products (module docstring); the d x d system is solved by LU
-    (np.linalg.solve) and refused with ValueError when X or y holds NaN or
-    Inf or X'X or X'y overflows.  With lam > 0 and n < d (dual_form), the
-    n x n system (XX' + n*lam*I) alpha = y is solved by LU and w = X'alpha,
-    with no slice products; it is refused with the same ValueError when X
-    or y holds NaN or Inf, XX' overflows or the weights do.  The two forms
-    agree to rounding (about 1e-12 relative at n = 20, d = 100).  With
-    lam == 0 it is solved by least squares
-    (np.linalg.lstsq) and refused (SingularSystem) unless X has d > 0
-    nonzero singular values sv and the exact condition number of X'X,
-    (max(sv) / min(sv))**2, is at most COND_LIMIT (tested unsquared, so it
-    cannot overflow).  A learner that cannot be solved fails the stack.
+    With lam > 0 and n < d (dual_form), the n x n system
+    (XX' + n*lam*I) alpha = y is solved by LU and w = X'alpha; otherwise
+    the d x d system is solved by LU from the summed slice products
+    (solve_normal).  The two forms agree to rounding (about 1e-12 relative
+    at n = 20, d = 100).  Both refuse with ValueError an X or y holding NaN
+    or Inf, and products or weights that overflow.  With lam == 0 the solve
+    is refused (SingularSystem) unless d > 0 and the summed X'X has
+    eigenvalues min > 0 and max <= COND_LIMIT * min; the normal equations
+    then agree with least squares to about 1e-15 relative on
+    well-conditioned X, and to about 1e-4 near COND_LIMIT.  A learner that
+    cannot be solved fails the stack.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -129,14 +128,12 @@ def solve_stack(X, y, lam: float) -> np.ndarray:
     """ridge_solve's (r, d) weights of the float (r, n, d) X and (r, n) y,
     on the calling thread, each learner's bits those of a stack of it
     alone; it raises as ridge_solve does.  Learners that dual_form picks
-    are solved in dual form, with no slice products."""
+    are solved in dual form, the others from their slice products."""
     _check_system(X, y, lam)
-    r, n, d = X.shape
+    n, d = X.shape[1:]
     if dual_form(n, d, lam):
         return _solve_dual(X, y, lam)
-    if lam > 0:
-        return solve_normal(*slice_products(X, y), n, lam)
-    return np.array([_lstsq(Xj, yj) for Xj, yj in zip(X, y)]).reshape(r, d)
+    return solve_normal(*slice_products(X, y), n, lam)
 
 
 def dual_form(n: int, d: int, lam: float) -> bool:
@@ -213,19 +210,6 @@ def _check_system(X: np.ndarray, y: np.ndarray, lam: float) -> None:
         raise ValueError(f"lam must be nonnegative and finite, got {lam}")
 
 
-def _lstsq(X: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """The unregularized solve of one (n, d) learner (lam == 0)."""
-    d = X.shape[1]
-    if not (np.isfinite(X).all() and np.isfinite(y).all()):
-        raise ValueError("X or y contains NaN or Inf")
-    w, _, _, sv = np.linalg.lstsq(X, y, rcond=None)
-    if d == 0 or sv.size < d or sv[-1] == 0 or sv[0] > COND_LIMIT**0.5 * sv[-1]:
-        raise SingularSystem(
-            "X'X is numerically singular; use lam > 0 or a full-rank design"
-        )
-    return w
-
-
 def _slice_height(d: int) -> int:
     d = max(d, 1)
     return max(SLICE_ROWS_PER_COLUMN * d, -(-SLICE_MIN_WORK // (d * d)))
@@ -276,15 +260,23 @@ def solve_normal(grams: np.ndarray, rhs: np.ndarray, n: int,
     and update_products lay them out); numpy reduces the slice axis one
     slice after another, into new arrays, so the products are left as they
     are.  An Inf or NaN anywhere in a learner's X or y makes its sums
-    non-finite, so the O(d**2) check below is a regularized solve's one
-    finiteness check; it also refuses finite input whose products overflow,
-    and one such learner fails the whole stack."""
+    non-finite, so the O(d**2) check below is the solve's one finiteness
+    check; it also refuses finite input whose products overflow.  With
+    lam == 0 the eigenvalues of every summed X'X (one batched eigvalsh)
+    must be min > 0 and max <= COND_LIMIT * min, or SingularSystem is
+    raised.  One learner that fails a check fails the whole stack."""
     with np.errstate(over="ignore", invalid="ignore"):
         A = grams.sum(axis=-3)
         b = rhs.sum(axis=-2)
     if not (np.isfinite(A).all() and np.isfinite(b).all()):
         raise ValueError(_NON_FINITE)
     d = A.shape[-1]
+    if lam == 0:
+        eig = np.linalg.eigvalsh(A).T if d else np.zeros(1)    # d = 0: refused
+        with np.errstate(over="ignore"):
+            if not ((eig[0] > 0) & (eig[-1] <= COND_LIMIT * eig[0])).all():
+                raise SingularSystem("X'X is numerically singular; "
+                                     "use lam > 0 or a full-rank design")
     A.reshape(A.shape[:-2] + (d * d,))[..., ::d + 1] += n * lam
     return np.linalg.solve(A, b[..., None])[..., 0]
 

@@ -276,6 +276,22 @@ class TestSessionWorkflow:
         assert "'lamda'" in result.output
         assert not session.exists()
 
+    # a null would stand in for the option's default and skip its type,
+    # so only r, tau and proj_dim, whose default is None, may be null
+    @pytest.mark.parametrize("key", ["data", "response_column", "s", "rho",
+                                     "lambda", "seed", "session_dir"])
+    def test_config_null_refused(self, tmp_path, runner, data_csv, key):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"data": str(data_csv), "s": 4, "tau": 2,
+                                   key: None}))
+        session = tmp_path / "cfg-session"
+        result = runner.invoke(main, [
+            "train", "--config", str(cfg), "--session", str(session),
+        ])
+        assert result.exit_code == 2, result.output
+        assert f"{key!r}" in result.output
+        assert not session.exists()
+
     def test_config_echo_trains_the_same_session(self, tmp_path, runner,
                                                  data_csv):
         # every key the manifest echoes names an option of train

@@ -314,10 +314,9 @@ class TestUnlearn:
         victims = [4, 20, 41]
         pos = store.locate(victims)
         seen = []
-        # the batched solve of every affected learner: their slice products
-        # with lam > 0, their coded shards with lam = 0
-        seam = "solve_normal" if lam else "solve_stack"
-        solve = getattr(ensemble, seam)
+        # the batched solve of every affected learner, from the slice
+        # products learn cached, at either lam
+        solve = ensemble.solve_normal
 
         def recording_solve(stack, *args):
             seen.extend([(store.base_features[pos].tobytes(),
@@ -325,7 +324,7 @@ class TestUnlearn:
                           store.alive[pos].tolist())] * len(stack))
             return solve(stack, *args)
 
-        monkeypatch.setattr(ensemble, seam, recording_solve)
+        monkeypatch.setattr(ensemble, "solve_normal", recording_solve)
         _, _, report = unlearn(model, store, victims)
         assert len(seen) == report.num_affected > 0
         # +0.0 exactly: tobytes tells -0.0 apart from it
@@ -460,13 +459,13 @@ class TestVerify:
 
 class TestSliceCache:
     @staticmethod
-    def unlearned(rho, seed=21, rounds=10):
+    def unlearned(rho, seed=21, rounds=10, lam=1e-3):
         # nbar = 300 rows against slices of 4*D = 128: the last is partial
         rng = np.random.default_rng(seed)
         n = 3605
         ds = Dataset(rng.normal(size=(n, 32)), rng.normal(size=n),
                      rng.permutation(n) * 2 + 1)
-        model, store, _ = learn(ds, 12, 5, rho, 1e-3, seed=8)
+        model, store, _ = learn(ds, 12, 5, rho, lam, seed=8)
         for k in range(rounds):
             batch = rng.choice(store.ids[store.alive], size=[1, 3, 17][k % 3],
                                replace=False)
@@ -502,10 +501,12 @@ class TestSliceCache:
     # rebuilt row is a sum numpy's reduce would take pairwise
     @pytest.mark.parametrize("rho", ["minimal", 0.5, 0.9])
     def test_cache_equals_products_of_live_shards(self, rho):
-        model, store = self.unlearned(rho)
-        assert store.slice_stack[0].shape == (5, 3, 32, 32)
-        self.assert_cache_is_live(model, store)
-        assert verify_perfect_unlearning(model, store).max_discrepancy == 0.0
+        for lam in (0.0, 1e-3):
+            model, store = self.unlearned(rho, lam=lam)
+            assert store.slice_stack[0].shape == (5, 3, 32, 32)
+            self.assert_cache_is_live(model, store)
+            assert verify_perfect_unlearning(model, store) \
+                .max_discrepancy == 0.0
 
     def test_one_unlearn_caches_every_learner(self):
         # a minimal code: one id retrains one learner of five, and the
@@ -522,8 +523,9 @@ class TestSliceCache:
 
     @pytest.mark.parametrize("rho", ["minimal", 0.5])
     def test_learn_forms_the_cache(self, rho):
-        model, store = self.unlearned(rho, rounds=0)
-        self.assert_cache_is_live(model, store)
+        for lam in (0.0, 1e-3):
+            model, store = self.unlearned(rho, rounds=0, lam=lam)
+            self.assert_cache_is_live(model, store)
 
     def test_failed_first_unlearn_keeps_learns_cache(self, monkeypatch):
         model, store = self.unlearned(0.5, rounds=0)
@@ -590,14 +592,29 @@ class TestSliceCache:
             assert verify_perfect_unlearning(model, store).max_discrepancy \
                 == 0.0
 
-    def test_unregularized_unlearn_leaves_cache_empty(self):
+    def test_unregularized_unlearn_keeps_a_live_cache(self):
         rng = np.random.default_rng(6)
         ds = Dataset(rng.normal(size=(600, 4)), rng.normal(size=600),
                      np.arange(600))
         model, store, _ = learn(ds, 6, 3, 0.5, 0.0, seed=2)
         _, _, report = unlearn(model, store, [7, 250, 590])
         assert report.affected_learners
-        assert store.slice_stack is None
+        self.assert_cache_is_live(model, store)
+        assert verify_perfect_unlearning(model, store).max_discrepancy == 0.0
+
+    def test_unregularized_unlearn_that_empties_a_shard_is_refused(self):
+        # lam = 0 and a permutation code (s = r, one-hot rows): forgetting
+        # every row of shard 0 empties the one coded shard it feeds, whose
+        # cached X'X is then zero, so solve_normal raises SingularSystem
+        ds = make_train(40, 3, seed=14)
+        model, store, _ = learn(ds, 4, 4, "minimal", 0.0, seed=8)
+        unlearn(model, store, [25])
+        self.assert_cache_is_live(model, store)
+        before = self.state(model, store)
+        with pytest.raises(SingularSystem):
+            unlearn(model, store, store.ids[:store.shard_size].tolist())
+        assert self.state(model, store) == before
+        self.assert_cache_is_live(model, store)
         assert verify_perfect_unlearning(model, store).max_discrepancy == 0.0
 
     def test_failed_solve_leaves_model_store_and_cache_untouched(

@@ -135,10 +135,11 @@ class TestRidgeSolve:
     def test_overflowing_gram_refused_without_warning(self):
         # finite X whose X'X overflows: once a silent [-0., 1.33]
         X = np.array([[1e200, 1.0], [1.0, 2.0], [3.0, 1.0]])
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(ValueError, match="overflow"):
-                ridge_solve(X, np.ones(3), 1e-3)
+        for lam in (0.0, 1e-3):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match="overflow"):
+                    ridge_solve(X, np.ones(3), lam)
 
     @pytest.mark.parametrize("n", [100, 128, 256, 300])
     def test_regularized_gram_is_ascending_slice_sum(self, n):
@@ -372,6 +373,17 @@ class TestStackedSolve:
         W = ridge_solve(X, y, 0.0)
         for j in range(r):
             assert W[j].tobytes() == ridge_solve(X[j], y[j], 0.0).tobytes()
+
+    @pytest.mark.parametrize("r,n,d", [(3, 40, 6), (2, 2000, 32),
+                                       (2, 5000, 16)])
+    def test_unregularized_stack_agrees_with_least_squares(self, r, n, d):
+        # the normal equations square X's condition number, which on these
+        # well-conditioned designs still leaves them within 1e-12 of lstsq
+        X, y = stack(r, n, d)
+        W = ridge_solve(X, y, 0.0)
+        for j in range(r):
+            w = np.linalg.lstsq(X[j], y[j], rcond=None)[0]
+            assert np.linalg.norm(W[j] - w) <= 1e-12 * np.linalg.norm(w)
 
     def test_one_learner_products_keep_their_shape(self):
         X, y = stack(1, 300, 32)
