@@ -54,21 +54,24 @@ class SweepSpec:
 
     def __post_init__(self):
         # refused here, before any cell runs: a rate of 0 would divide by
-        # zero in cells() and a negative one would give cells with r < 0
+        # zero in cells(), a negative one would give cells with r < 0, and
+        # runs < 1 would leave every cell without a measurement
         for name in ("rates", "shard_counts"):
             low = [v for v in getattr(self, name) if v < 1]
             if low:
                 raise InvalidSpec(f"{name} must be at least 1, got {low[0]}")
+        if self.runs < 1:
+            raise InvalidSpec(f"runs must be at least 1, got {self.runs}")
+        for tau in self.rates:
+            for s in self.shard_counts:
+                if s % tau:
+                    raise InvalidSpec(f"s={s} not divisible by rate tau={tau}")
 
     def cells(self):
         idx = 0
         for lam in self.lambdas:
             for tau in self.rates:
                 for s in self.shard_counts:
-                    if s % tau:
-                        raise InvalidSpec(
-                            f"s={s} not divisible by rate tau={tau}"
-                        )
                     yield idx, s, s // tau, tau, lam
                     idx += 1
 
@@ -78,9 +81,9 @@ class TradeoffRecord:
     """Mean metrics of one sweep cell over `runs` repetitions.
 
     learn_seconds_mean is learn's wall time divided by r: the r learners
-    are solved concurrently, in learner blocks (numerics.ridge_solve), so
-    it is not any one learner's solve time (with nbar >= D it includes
-    forming the slice cache).  unlearn_seconds_mean is the whole unlearn
+    are solved as one stack (numerics.ridge_solve), so it is not any one
+    learner's solve time (with nbar >= D it includes forming the slice
+    products that learn keeps as its cache).  unlearn_seconds_mean is the whole unlearn
     call of one sample (AffectedReport.total_seconds), a warm one then."""
 
     dataset: str
@@ -245,6 +248,8 @@ def run_influence(dataset, percentiles, runs: int, lam: float,
     for p in percentiles:
         if not 0 <= p < 50:
             raise ValueError(f"percentile {p} outside [0, 50)")
+    if runs < 1:
+        raise ValueError(f"runs must be at least 1, got {runs}")
     ds = _materialize(dataset)
     keys = [(mode, p) for mode in ("outliers", "inliers") for p in percentiles]
     mses = {key: [] for key in keys}
@@ -273,7 +278,7 @@ def run_influence(dataset, percentiles, runs: int, lam: float,
                     train_n, band, mode, columns=band_columns)
                 X_kept = kept.features if projection_dim is None \
                     else project(pmap, kept.features)
-                w = ridge_solve(X_kept, kept.response, lam)
+                w, _ = ridge_solve(X_kept, kept.response, lam)
                 mses[mode, p].append(mse(X_test @ w, test_n.response))
                 kept_pct[mode, p].append(100.0 * kept.n / train.n)
             except Exception as exc:

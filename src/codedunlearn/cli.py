@@ -145,7 +145,7 @@ def cmd_train(data, response_column, s, r, tau, rho, lam, proj_dim, seed,
         response_column = int(response_column)
     ds = load_csv(data, response_column)
     pmap = (make_projection(ds.num_features, proj_dim, seed)
-            if proj_dim else None)
+            if proj_dim is not None else None)
     model, store, _ = learn(ds, s, r, rho, lam, projection=pmap, seed=seed)
     resolved = {
         "data": str(data), "response_column": response_column,

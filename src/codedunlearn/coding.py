@@ -158,15 +158,16 @@ class CodedStore:
 
     slice_stack is the per-slice X'X and X'y of every coded shard, one
     (r, k, D, D) and one (r, k, D) array (numerics.slice_products), so
-    that an unlearn recomputes only the slices it changed, in
-    one batched pass, and solves its learners from them.  It is derived
-    state, never persisted, and complete or absent: None on construction,
-    formed for all r learners by ensemble.learn, then updated in place by
-    every unlearn, which re-derives its touched slices from the restored
-    rows if it fails (ensemble.unlearn).  It stays None for a store learn
-    did not build (one from encode or a loaded session), and for shards
-    solved in dual form (numerics.dual_form: lam > 0 and fewer rows than
-    columns); those are solved from the coded shards alone.
+    that an unlearn recomputes only the slices it changed, in one batched
+    pass, and solves its learners from them.  It is derived state, never
+    persisted, and complete or absent: None on construction, set for all
+    r learners by ensemble.learn to the products its solve formed
+    (numerics.ridge_solve), then updated in place by every unlearn, which
+    re-derives its touched slices from the restored rows if it fails
+    (ensemble.unlearn).  It stays None for a store learn did not build
+    (one from encode or a loaded session), and for shards solved in dual
+    form (numerics.dual_form: lam > 0 and fewer rows than columns); those
+    are solved from the coded shards alone.
 
     Concurrent reads are safe; unlearning mutation requires exclusive access.
     """

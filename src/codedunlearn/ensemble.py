@@ -25,9 +25,8 @@ from .errors import (
     SingularSystem,
     UnknownSample,
 )
-from .numerics import (dual_form, in_learner_blocks, ridge_solve,
-                       slice_products, solve_normal, solve_stack,
-                       update_products)
+from .numerics import (in_learner_blocks, ridge_solve, solve_normal,
+                       solve_stack, update_products)
 from .projections import ProjectionMap, project
 
 DEFAULT_TOLERANCE = 1e-8
@@ -108,19 +107,17 @@ def learn(train: Dataset, s: int, r: int, rho, lam: float,
     one-hot rows, and the generator is drawn from seed.  With s == 1 the
     code degenerates to G = [[1]] and the model equals a single learner on
     the full training set.  The r learners are solved as one stack
-    (numerics.ridge_solve, in learner blocks on the available CPUs),
-    bitwise as r single solves would be, and then forms the store's slice
-    cache (CodedStore.slice_stack) unless numerics.dual_form picks them.
+    (numerics.ridge_solve), bitwise as r single solves would be, and the
+    slice products they were solved from become the store's slice cache
+    (CodedStore.slice_stack): None when numerics picks the dual form.
     """
     feats = project(projection, train.features) if projection is not None \
         else train.features
     generator = _make_generator(s, r, rho, seed)
     store = encode(feats, train.response, train.ids, generator)
     X, y = store.coded_features, store.coded_response
-    weights = np.ascontiguousarray(ridge_solve(X, y, lam).T)
-    if not dual_form(*X.shape[1:], lam):
-        store.slice_stack = slice_products(X, y)
-    model = EnsembleModel(weights, lam, generator, projection)
+    weights, store.slice_stack = ridge_solve(X, y, lam)
+    model = EnsembleModel(weights.T.copy(), lam, generator, projection)
     return model, store, generator
 
 
@@ -212,7 +209,7 @@ def unlearn(model: EnsembleModel, store: CodedStore, ids,
                                  store.shard_size, model.lam)
         else:
             marks.append(time.perf_counter())
-            fresh = solve_stack(X[stack], y[stack], model.lam)
+            fresh, _ = solve_stack(X[stack], y[stack], model.lam)
         marks.append(time.perf_counter())
     except BaseException:
         store.alive[pos] = True
@@ -238,7 +235,7 @@ def _reference_weights(X: np.ndarray, y: np.ndarray,
     learner that cannot be solved: a stack that fails is solved again one
     learner at a time, so only the learners that fail alone get NaN."""
     try:
-        return solve_stack(X, y, lam)
+        return solve_stack(X, y, lam)[0]
     except (ValueError, np.linalg.LinAlgError, SingularSystem):
         if len(X) == 1:
             return np.full((1, X.shape[2]), np.nan)

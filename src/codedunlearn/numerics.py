@@ -7,20 +7,21 @@ unregularized ridge solve is refused when the condition number of the
 summed X'X, the ratio of its largest eigenvalue to its smallest, exceeds
 COND_LIMIT.
 
-Every ridge solve is a solve of a stack of learners: an (r, n, d) X and an
-(r, n) y, one learner's (n, d) X and (n,) y being a stack of one.  With
-lam > 0 and fewer rows than columns (dual_form), the stack is solved in
-dual form, w = X'(XX' + n*lam*I)^{-1} y, the same minimizer from n x n
-systems: one batched np.matmul for the XX', one np.linalg.solve and one
-more np.matmul, with no slice products.  Otherwise (n >= d, or lam == 0),
-each learner's X'X and X'y are the ascending-order sum of per-slice products:
-slice b is rows [b*h, (b+1)*h) of its n x d X, the last one possibly
-partial, with h = 4d rows (at least 2**17 / d**2, see SLICE_MIN_WORK).
-The products of all the full slices of the stack are one batched
-np.matmul, those of the partial last slices another, and solve_normal
-sums them and solves the stack's d x d systems with one np.linalg.solve;
-each learner's bits are those of the same calls on it alone.
-slice_products forms a stack's products, and update_products recomputes
+Every ridge solve is a solve of a stack of learners (solve_stack): an
+(r, n, d) X and an (r, n) y, one learner's (n, d) X and (n,) y being a
+stack of one.  With lam > 0 and fewer rows than columns (dual_form), the
+stack is solved in dual form, w = X'(XX' + n*lam*I)^{-1} y, the same
+minimizer from n x n systems: one batched np.matmul for the XX', one
+np.linalg.solve and one more np.matmul, with no slice products.  Otherwise
+(n >= d, or lam == 0), each learner's X'X and X'y are the ascending-order
+sum of per-slice products: slice b is rows [b*h, (b+1)*h) of its n x d X,
+the last one possibly partial, with h = 4d rows (at least 2**17 / d**2, see
+SLICE_MIN_WORK).  The products of all the full slices of the stack are one
+batched np.matmul, those of the partial last slices another
+(slice_products), and solve_normal sums them and solves the stack's d x d
+systems with one np.linalg.solve; each learner's bits are those of the same
+calls on it alone.  The products are returned with the weights, and
+ensemble.learn keeps them as its slice cache; update_products recomputes
 in place the slices of them that changed rows touch, in any learners, with
 one gather and one batched np.matmul each for X'X and X'y, plus one pair
 for the partial last slices, on the same bits.  So a retrain from scratch
@@ -28,19 +29,19 @@ for the partial last slices, on the same bits.  So a retrain from scratch
 products (ensemble.unlearn) agree bitwise; an unlearn of dual-form
 learners calls solve_stack on their coded shards, as learn does.
 
-ridge_solve spreads a stack over contiguous learner blocks through
-run_in_blocks: the calling thread takes the first block and one thread each
-the rest, one per available CPU (the process's affinity set) but never more
-than the work asks for.  A block holds whole learners, and every block runs
-the numpy calls one block would on them, so the results are bitwise those
-of one block.  projections.project puts its fused row chunks (each chunk's
-matmul, offset add and cosine) in run_in_blocks too, a contiguous run of
-whole chunks per block; the chunks are cut so that each chunk's product is
-bitwise those rows of the whole one.  BLAS should be on one thread (the
-package sets OPENBLAS_NUM_THREADS=1 and the like when it is imported before
-numpy) when several CPUs are available, or the blocks' calls compete for
-them (and project's chunks no longer follow the threaded BLAS's split of
-the whole product).
+ridge_solve runs on the calling thread.  Verify spreads its retrain over
+contiguous learner blocks (in_learner_blocks) through run_in_blocks: the
+calling thread takes the first block and one thread each the rest, one per
+available CPU (the process's affinity set) but never more than the work
+asks for.  A block holds whole learners and runs the numpy calls one block
+would on them, so the results are bitwise those of one block.
+projections.project puts its fused row chunks (each chunk's matmul, offset
+add and cosine) in run_in_blocks too, a contiguous run of whole chunks per
+block, each chunk's product bitwise those rows of the whole one.  BLAS
+should be on one thread (the package sets OPENBLAS_NUM_THREADS=1 and the
+like when it is imported before numpy) when several CPUs are available, or
+the blocks' calls compete for them (and project's chunks no longer follow
+the threaded BLAS's split of the whole product).
 
 The binary rank is exact over the rationals, with no floating-point
 tolerance (binary_rank).
@@ -87,53 +88,48 @@ _NON_FINITE = ("X or y holds NaN or Inf, or X'X or X'y overflows; "
                "rescale the features or the response")
 
 
-def ridge_solve(X, y, lam: float) -> np.ndarray:
+def ridge_solve(X, y, lam: float):
     """Minimize (1/n) * sum_i (y_i - x_i.w)^2 + lam * w.w in closed form.
 
-    An (r, n, d) X and (r, n) y are r learners, whose (r, d) weights
-    solve_stack solves in learner blocks (in_learner_blocks); an (n, d) X
-    and (n,) y are a stack of one, whose (d,) weights are returned.  The
-    squared error is averaged over the n rows, so the regularized normal
-    equations carry n*lam:  w = (X'X + n*lam*I)^{-1} X'y.
+    An (r, n, d) X and (r, n) y are r learners, whose (r, d) weights and
+    the slice products they were solved from, or None (solve_stack), are
+    returned; an (n, d) X and (n,) y are a stack of one, whose (d,) weights
+    and products row 0 are returned.  The squared error is averaged over
+    the n rows, so the regularized normal equations carry n*lam:
+    w = (X'X + n*lam*I)^{-1} X'y.
 
     With lam > 0 and n < d (dual_form), the n x n system
-    (XX' + n*lam*I) alpha = y is solved by LU and w = X'alpha; otherwise
-    the d x d system is solved by LU from the summed slice products
-    (solve_normal).  The two forms agree to rounding (about 1e-12 relative
-    at n = 20, d = 100).  Both refuse with ValueError an X or y holding NaN
-    or Inf, and products or weights that overflow.  With lam == 0 the solve
-    is refused (SingularSystem) unless d > 0 and the summed X'X has
-    eigenvalues min > 0 and max <= COND_LIMIT * min; the normal equations
-    then agree with least squares to about 1e-15 relative on
-    well-conditioned X, and to about 1e-4 near COND_LIMIT.  A learner that
-    cannot be solved fails the stack.
+    (XX' + n*lam*I) alpha = y is solved by LU and w = X'alpha, with no
+    products; otherwise the d x d system is solved by LU from the summed
+    slice products (solve_normal).  The two forms agree to rounding (about
+    1e-12 relative at n = 20, d = 100).  Both refuse with ValueError an X
+    or y holding NaN or Inf, and products or weights that overflow.  With
+    lam == 0 the solve is refused (SingularSystem) unless d > 0 and the
+    summed X'X has eigenvalues min > 0 and max <= COND_LIMIT * min; the
+    normal equations then agree with least squares to about 1e-15 relative
+    on well-conditioned X, and to about 1e-4 near COND_LIMIT.  A learner
+    that cannot be solved fails the stack.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
-    one = X.ndim == 2
-    if one:
-        X, y = X[None], y[None]
-    _check_system(X, y, lam)
-    r, n, d = X.shape
-    weights = np.empty((r, d))
-
-    def solve(lo, hi):
-        weights[lo:hi] = solve_stack(X[lo:hi], y[lo:hi], lam)
-
-    in_learner_blocks(solve, r, n, d)
-    return weights[0] if one else weights
+    if X.ndim != 2:
+        return solve_stack(X, y, lam)
+    weights, products = solve_stack(X[None], y[None], lam)
+    return weights[0], products and (products[0][0], products[1][0])
 
 
-def solve_stack(X, y, lam: float) -> np.ndarray:
+def solve_stack(X, y, lam: float):
     """ridge_solve's (r, d) weights of the float (r, n, d) X and (r, n) y,
     on the calling thread, each learner's bits those of a stack of it
-    alone; it raises as ridge_solve does.  Learners that dual_form picks
-    are solved in dual form, the others from their slice products."""
+    alone, and the slice_products pair they were solved from; it raises as
+    ridge_solve does.  Learners that dual_form picks are solved in dual
+    form, and their products are None."""
     _check_system(X, y, lam)
     n, d = X.shape[1:]
     if dual_form(n, d, lam):
-        return _solve_dual(X, y, lam)
-    return solve_normal(*slice_products(X, y), n, lam)
+        return _solve_dual(X, y, lam), None
+    products = slice_products(X, y)
+    return solve_normal(*products, n, lam), products
 
 
 def dual_form(n: int, d: int, lam: float) -> bool:
@@ -334,7 +330,7 @@ def in_learner_blocks(task, r: int, n: int, d: int) -> None:
     """task(lo, hi) over chunks [lo, hi) that cover learners range(r) of n
     rows and d columns: run_in_blocks over the learners, one block per
     LEARNER_WORK_PER_WORKER of their work, each block taking its learners
-    in chunks of about LEARNER_CHUNK_VALUES values."""
+    in chunks of about LEARNER_CHUNK_VALUES values: verify's retrain."""
     m = min(n, d)   # the order of a dual-form learner's systems when n < d
     per_learner = n * d + (-(-n // _slice_height(d)) + 2) * m * m
     chunk = max(1, LEARNER_CHUNK_VALUES // max(per_learner, 1))

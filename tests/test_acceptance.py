@@ -143,7 +143,7 @@ def test_criterion_3_uncoded_degeneracy():
         # s == 1: single learner on the full training set
         model, _, _ = learn(ds, 1, 1, "minimal", lam, projection=pmap)
         from codedunlearn.projections import project
-        w = ridge_solve(project(pmap, ds.features), ds.response, lam)
+        w, _ = ridge_solve(project(pmap, ds.features), ds.response, lam)
         if not (model.weights[:, 0] == w).all() or not (model.agg == w).all():
             ok = False
         # s == r permutation code: independently trained uncoded shards
@@ -153,8 +153,8 @@ def test_criterion_3_uncoded_degeneracy():
         nbar = store.shard_size
         for j in range(10):
             i = int(np.flatnonzero(G.entries[:, j])[0])
-            w = ridge_solve(feats[i * nbar:(i + 1) * nbar],
-                            ds.response[i * nbar:(i + 1) * nbar], lam)
+            w, _ = ridge_solve(feats[i * nbar:(i + 1) * nbar],
+                               ds.response[i * nbar:(i + 1) * nbar], lam)
             if not (model.weights[:, j] == w).all():
                 ok = False
     report(3, "permutation and single-shard codes reproduce uncoded "
@@ -256,7 +256,7 @@ def influence_curve(train, test, mode, p_grid, lam, band_columns):
         band = influence_band(p, mode)
         kept = train_n if band is None else remove_by_percentile(
             train_n, band, mode, columns=band_columns)
-        w = ridge_solve(kept.features, kept.response, lam)
+        w, _ = ridge_solve(kept.features, kept.response, lam)
         pts.append((100.0 * kept.n / train_n.n,
                     mse(test_n.features @ w, test_n.response)))
     return pts
@@ -375,7 +375,7 @@ def test_criterion_9_solver_vs_iterative_oracle():
         lam = float(rng.choice([0.0, 1e-3, 0.1]))
         X = rng.normal(size=(n, d))
         y = rng.normal(size=n)
-        w = ridge_solve(X, y, lam)
+        w, _ = ridge_solve(X, y, lam)
         w_gd = gd_oracle(X, y, lam)
         if np.linalg.norm(w - w_gd) / max(np.linalg.norm(w_gd), 1e-12) > 1e-6:
             ok = False

@@ -87,10 +87,27 @@ class TestRunTradeoff:
         assert rec.error is not None
 
     def test_indivisible_rate_rejected(self, gaussian_spec):
-        spec = SweepSpec(dataset=gaussian_spec, n_train=300, lambdas=(0.0,),
-                         rates=(2,), shard_counts=(3,), runs=1, seed=2)
-        with pytest.raises(Exception):
-            list(spec.cells())
+        with pytest.raises(InvalidSpec):
+            SweepSpec(dataset=gaussian_spec, n_train=300, lambdas=(0.0,),
+                      rates=(2,), shard_counts=(3,), runs=1, seed=2)
+
+    def test_indivisible_rate_rejected_before_any_cell_runs(
+            self, gaussian_spec, monkeypatch):
+        # s = 5 and s = 50 divide by tau = 5, s = 7 does not
+        ran = []
+        monkeypatch.setattr(bench, "_tradeoff_cell",
+                            lambda *args: ran.append(args))
+        with pytest.raises(InvalidSpec, match="s=7 not divisible"):
+            run_tradeoff(SweepSpec(
+                dataset=gaussian_spec, n_train=300, lambdas=(1e-3,),
+                rates=(5,), shard_counts=(5, 50, 7), runs=1, seed=2))
+        assert ran == []
+
+    @pytest.mark.parametrize("runs", [0, -1])
+    def test_runs_below_one_rejected(self, gaussian_spec, runs):
+        with pytest.raises(InvalidSpec, match="runs must be at least 1"):
+            SweepSpec(dataset=gaussian_spec, n_train=300, lambdas=(1e-3,),
+                      rates=(1,), shard_counts=(3,), runs=runs, seed=2)
 
     @pytest.mark.parametrize("rates,shard_counts", [
         ((0,), (3,)), ((-1,), (3,)), ((1,), (0,)), ((1,), (3, -3))])
@@ -183,8 +200,8 @@ def influence_reference(dataset, percentiles, runs, lam, n_train, seed,
                     train_n, band, mode)
                 pmap = make_projection(ds.num_features, projection_dim,
                                        proj_seed)
-                w = ridge_solve(project(pmap, kept.features), kept.response,
-                                lam)
+                w, _ = ridge_solve(project(pmap, kept.features), kept.response,
+                                   lam)
                 vals.append(mse(project(pmap, test_n.features) @ w,
                                 test_n.response))
                 kept_pct.append(100.0 * kept.n / train.n)
@@ -223,6 +240,13 @@ class TestRunInfluence:
     def test_bad_percentile(self, gaussian_spec):
         with pytest.raises(ValueError):
             run_influence(gaussian_spec, [60], runs=1, lam=0.0, n_train=300)
+
+    @pytest.mark.parametrize("runs", [0, -2])
+    def test_runs_below_one_rejected(self, gaussian_spec, runs):
+        # once NaN records with no error
+        with pytest.raises(ValueError, match="runs must be at least 1"):
+            run_influence(gaussian_spec, [0], runs=runs, lam=0.0,
+                          n_train=300)
 
     def test_one_map_per_run_with_unchanged_records(self, gaussian_spec,
                                                     monkeypatch):

@@ -186,6 +186,20 @@ class TestSessionWorkflow:
         assert result.exit_code == 4, result.output
         assert "verification FAILED" in result.output
 
+    @pytest.mark.parametrize("proj_dim", ["0", "-3"])
+    def test_non_positive_proj_dim_refused(self, tmp_path, runner, data_csv,
+                                           proj_dim):
+        # 0 once trained with no map and recorded "proj_dim": 0
+        session = tmp_path / "session"
+        result = runner.invoke(main, [
+            "train", "--data", str(data_csv), "--s", "4", "--r", "2",
+            "--lam", "0.001", "--proj-dim", proj_dim,
+            "--session", str(session),
+        ])
+        assert result.exit_code == 3, result.output
+        assert "must be positive" in result.output
+        assert not session.exists()
+
     def test_projection_session(self, tmp_path, runner, data_csv):
         session = train_session(runner, tmp_path, data_csv,
                                 extra=["--proj-dim", "8"])

@@ -299,7 +299,7 @@ class TestSynthetic:
         rng = np.random.default_rng(123)
         rng.standard_normal((10_000, 5))
         w_true = rng.standard_normal(5)
-        w_hat = ridge_solve(ds.features, ds.response, 0.0)
+        w_hat, _ = ridge_solve(ds.features, ds.response, 0.0)
         assert np.linalg.norm(w_hat - w_true) / np.linalg.norm(w_true) < 0.1
 
     def test_degenerate_lognormal(self):

@@ -40,7 +40,7 @@ class TestLearn:
     def test_single_shard_equals_single_learner(self):
         ds = make_train(30, 4)
         model, _, G = learn(ds, 1, 1, "minimal", 1e-2)
-        w = ridge_solve(ds.features, ds.response, 1e-2)
+        w, _ = ridge_solve(ds.features, ds.response, 1e-2)
         assert (model.weights[:, 0] == w).all()
         assert (model.agg == w).all()
         assert G.entries.tolist() == [[1]]
@@ -52,8 +52,8 @@ class TestLearn:
         # map each coded shard back to its single contributing uncoded shard
         for j in range(4):
             i = int(np.flatnonzero(G.entries[:, j])[0])
-            w = ridge_solve(ds.features[i * nbar:(i + 1) * nbar],
-                            ds.response[i * nbar:(i + 1) * nbar], 1e-3)
+            w, _ = ridge_solve(ds.features[i * nbar:(i + 1) * nbar],
+                               ds.response[i * nbar:(i + 1) * nbar], 1e-3)
             assert (model.weights[:, j] == w).all()
 
     def test_deterministic_end_to_end(self):
@@ -76,20 +76,21 @@ class TestLearn:
         ds = make_train(n, 32, seed=n)
         model, store, _ = learn(ds, 4, 2, 0.5, 1e-2, seed=3)
         for j in range(2):
-            w = ridge_solve(store.coded_features[j], store.coded_response[j],
-                            1e-2)
+            w, _ = ridge_solve(store.coded_features[j],
+                               store.coded_response[j], 1e-2)
             assert model.weights[:, j].tobytes() == w.tobytes()
 
     @pytest.mark.parametrize("cpus", [1, 2, 3, 4], ids=lambda c: f"{c}cpus")
     def test_learner_blocks_equal_refit_bitwise(self, monkeypatch, cpus):
-        # every learner its own chunk, in min(cpus, r) threaded blocks
+        # learn on the calling thread; verify's retrain with every learner
+        # its own chunk, in min(cpus, r) threaded blocks
         force_learner_blocks(monkeypatch, cpus)
         ds = make_train(1200, 32, seed=9)
         model, store, _ = learn(ds, 12, 5, 0.5, 1e-3, seed=4)
         assert model.weights.flags.c_contiguous
         for j in range(5):
-            w = ridge_solve(store.coded_features[j], store.coded_response[j],
-                            1e-3)
+            w, _ = ridge_solve(store.coded_features[j],
+                               store.coded_response[j], 1e-3)
             assert model.weights[:, j].tobytes() == w.tobytes()
         unlearn(model, store, [3, 700])
         assert verify_perfect_unlearning(model, store).max_discrepancy == 0.0
@@ -174,7 +175,7 @@ class TestUnlearn:
         fresh = np.empty_like(model.weights)
         for j in range(3):
             X, y = store.rebuild_coded_shard(j)
-            fresh[:, j] = ridge_solve(X, y, 1e-3)
+            fresh[:, j] = ridge_solve(X, y, 1e-3)[0]
         rel = np.linalg.norm(model.agg - fresh.mean(axis=1)) \
             / np.linalg.norm(fresh.mean(axis=1))
         assert rel <= 1e-8
@@ -282,7 +283,7 @@ class TestUnlearn:
         G = GeneratorMatrix(4, 4, np.eye(4, dtype=int), 0.25)
         store = encode(ds.features, ds.response, ds.ids, G)
         weights = np.ascontiguousarray(
-            ridge_solve(store.coded_features, store.coded_response, 0.0).T)
+            ridge_solve(store.coded_features, store.coded_response, 0.0)[0].T)
         model = EnsembleModel(weights, 0.0, G)
         unlearn(model, store, [25])
         nbar = store.shard_size
@@ -495,7 +496,7 @@ class TestSliceCache:
             assert grams[j].tobytes() == fresh_grams.tobytes()
             assert rhs[j].tobytes() == fresh_rhs.tobytes()
             assert model.weights[:, j].tobytes() \
-                == ridge_solve(X, y, model.lam).tobytes()
+                == ridge_solve(X, y, model.lam)[0].tobytes()
 
     # at rho 0.9 every column has 10 or 11 contributing shards, so each
     # rebuilt row is a sum numpy's reduce would take pairwise
@@ -526,6 +527,34 @@ class TestSliceCache:
         for lam in (0.0, 1e-3):
             model, store = self.unlearned(rho, rounds=0, lam=lam)
             self.assert_cache_is_live(model, store)
+
+    @pytest.mark.parametrize("n,lam,formed", [
+        (3605, 0.0, True), (3605, 1e-3, True), (300, 1e-3, False)],
+        ids=["lam0", "lam1e-3", "dual-form"])
+    def test_learn_forms_each_slice_product_once(self, monkeypatch, n, lam,
+                                                 formed):
+        # the products learn solves from are the ones it caches: as many
+        # X_b'X_b as one slice_products of the coded stack, none in dual
+        # form (25-row shards of 32 columns)
+        counted = []
+        block_products = numerics._block_products
+
+        def counting(Xb, *args):
+            counted.append(int(np.prod(Xb.shape[:-2])))
+            return block_products(Xb, *args)
+
+        monkeypatch.setattr(numerics, "_block_products", counting)
+        rng = np.random.default_rng(3)
+        ds = Dataset(rng.normal(size=(n, 32)), rng.normal(size=n),
+                     np.arange(n))
+        _, store, _ = learn(ds, 12, 5, 0.5, lam, seed=8)
+        in_learn = sum(counted)
+        counted.clear()
+        numerics.slice_products(store.coded_features, store.coded_response)
+        assert in_learn == (sum(counted) if formed else 0)
+        assert (store.slice_stack is not None) is formed
+        # 5 learners of nbar-row shards, in slices of 4 * 32 rows
+        assert sum(counted) == 5 * -(-store.shard_size // 128)
 
     def test_failed_first_unlearn_keeps_learns_cache(self, monkeypatch):
         model, store = self.unlearned(0.5, rounds=0)
@@ -578,7 +607,7 @@ class TestSliceCache:
         G = rand_matrix(12, 5, 0.5, 8)
         store = encode(ds.features, ds.response, ds.ids, G)
         weights = np.ascontiguousarray(
-            ridge_solve(store.coded_features, store.coded_response, 1e-3).T)
+            ridge_solve(store.coded_features, store.coded_response, 1e-3)[0].T)
         model = EnsembleModel(weights, 1e-3, G)
         for size in (1, 3, 17):
             batch = rng.choice(store.ids[store.alive], size=size,
@@ -586,8 +615,8 @@ class TestSliceCache:
             unlearn(model, store, batch.tolist())
             assert store.slice_stack is None
             for j in range(G.coded_shards):
-                w = ridge_solve(store.coded_features[j],
-                                store.coded_response[j], 1e-3)
+                w, _ = ridge_solve(store.coded_features[j],
+                                   store.coded_response[j], 1e-3)
                 assert model.weights[:, j].tobytes() == w.tobytes()
             assert verify_perfect_unlearning(model, store).max_discrepancy \
                 == 0.0
@@ -671,8 +700,8 @@ class TestDualUnlearn:
             _, _, report = unlearn(model, store, batch.tolist())
             assert report.affected_learners
             for j in range(store.generator.coded_shards):
-                w = ridge_solve(store.coded_features[j],
-                                store.coded_response[j], 1e-3)
+                w, _ = ridge_solve(store.coded_features[j],
+                                   store.coded_response[j], 1e-3)
                 assert model.weights[:, j].tobytes() == w.tobytes()
             assert verify_perfect_unlearning(model, store).max_discrepancy \
                 == 0.0

@@ -39,18 +39,18 @@ def gradient_descent_oracle(X, y, lam, iters=200_000, tol=1e-13):
 
 class TestRidgeSolve:
     def test_identity_design(self):
-        w = ridge_solve(np.eye(3), np.array([1.0, 2.0, 3.0]), 0.0)
+        w, _ = ridge_solve(np.eye(3), np.array([1.0, 2.0, 3.0]), 0.0)
         np.testing.assert_allclose(w, [1, 2, 3], atol=1e-12)
 
     def test_zero_response(self):
         X = np.random.default_rng(0).normal(size=(5, 2))
-        w = ridge_solve(X, np.zeros(5), 0.1)
+        w, _ = ridge_solve(X, np.zeros(5), 0.1)
         np.testing.assert_allclose(w, [0, 0], atol=1e-14)
 
     def test_matches_gradient_descent_oracle(self):
         X = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
         y = np.array([1.0, 1.0, 2.0])
-        w = ridge_solve(X, y, 0.5)
+        w, _ = ridge_solve(X, y, 0.5)
         w_gd = gradient_descent_oracle(X, y, 0.5)
         np.testing.assert_allclose(w, w_gd, atol=1e-6)
 
@@ -59,7 +59,7 @@ class TestRidgeSolve:
         rng = np.random.default_rng(7)
         X = rng.normal(size=(40, 6))
         y = rng.normal(size=40)
-        w = ridge_solve(X, y, lam)
+        w, _ = ridge_solve(X, y, lam)
         g = ridge_loss_grad(X, y, lam, w)
         assert np.linalg.norm(g) < 1e-8 * (1 + np.linalg.norm(y))
 
@@ -67,15 +67,15 @@ class TestRidgeSolve:
         rng = np.random.default_rng(3)
         X = rng.normal(size=(8, 8))
         y = rng.normal(size=8)
-        w = ridge_solve(X, y, 0.0)
+        w, _ = ridge_solve(X, y, 0.0)
         assert np.linalg.norm(X @ w - y) <= 1e-8 * np.linalg.norm(y)
 
     def test_deterministic(self):
         rng = np.random.default_rng(5)
         X = rng.normal(size=(30, 4))
         y = rng.normal(size=30)
-        w1 = ridge_solve(X, y, 1e-2)
-        w2 = ridge_solve(X, y, 1e-2)
+        w1, _ = ridge_solve(X, y, 1e-2)
+        w2, _ = ridge_solve(X, y, 1e-2)
         assert (w1 == w2).all()
 
     def test_shard_size_scaling_of_lambda(self):
@@ -85,7 +85,8 @@ class TestRidgeSolve:
         y = rng.normal(size=25)
         lam = 0.05
         expected = np.linalg.solve(X.T @ X + 25 * lam * np.eye(3), X.T @ y)
-        np.testing.assert_allclose(ridge_solve(X, y, lam), expected, atol=1e-10)
+        np.testing.assert_allclose(ridge_solve(X, y, lam)[0], expected,
+                                   atol=1e-10)
 
     def test_singular_raises(self):
         X = np.array([[1.0, 1.0], [2.0, 2.0], [3.0, 3.0]])
@@ -115,7 +116,7 @@ class TestRidgeSolve:
             with pytest.raises(SingularSystem):
                 ridge_solve(X, y, 0.0)
         else:
-            g = ridge_loss_grad(X, y, 0.0, ridge_solve(X, y, 0.0))
+            g = ridge_loss_grad(X, y, 0.0, ridge_solve(X, y, 0.0)[0])
             assert np.linalg.norm(g) < 1e-8 * (1 + np.linalg.norm(y))
 
     def test_shape_mismatch(self):
@@ -154,7 +155,7 @@ class TestRidgeSolve:
             Xb, yb = X[start:start + 4 * d], y[start:start + 4 * d]
             A, b = A + Xb.T @ Xb, b + Xb.T @ yb
         expected = np.linalg.solve(A + n * lam * np.eye(d), b)
-        assert ridge_solve(X, y, lam).tobytes() == expected.tobytes()
+        assert ridge_solve(X, y, lam)[0].tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("d,h", [(1, 2**17), (16, 512), (32, 128),
                                      (100, 400)])
@@ -188,7 +189,7 @@ class TestRefit:
         numerics.update_products(X2[None], y2[None], grams, rhs,
                                  [0] * len(rows), rows)
         w = numerics.solve_normal(grams, rhs, n, 1e-3)[0]
-        w_fresh = ridge_solve(X2, y2, 1e-3)
+        w_fresh, _ = ridge_solve(X2, y2, 1e-3)
         fresh = numerics.slice_products(X2, y2)
         assert w.tobytes() == w_fresh.tobytes()
         assert w.tobytes() == numerics.solve_normal(*fresh, n, 1e-3).tobytes()
@@ -354,11 +355,11 @@ class TestStackedSolve:
     def test_stack_equals_refit_of_each_learner_bitwise(self, r, n, d):
         X, y = stack(r, n, d)
         grams, rhs = numerics.slice_products(X, y)
-        W = ridge_solve(X, y, 1e-3)
+        W, _ = ridge_solve(X, y, 1e-3)
         assert W.shape == (r, d)
-        assert W.tobytes() == numerics.solve_stack(X, y, 1e-3).tobytes()
+        assert W.tobytes() == numerics.solve_stack(X, y, 1e-3)[0].tobytes()
         for j in range(r):
-            w = ridge_solve(X[j], y[j], 1e-3)
+            w, _ = ridge_solve(X[j], y[j], 1e-3)
             g, b = numerics.slice_products(X[j], y[j])
             assert W[j].tobytes() == w.tobytes()
             assert grams[j].tobytes() == g.tobytes()
@@ -370,9 +371,9 @@ class TestStackedSolve:
     @pytest.mark.parametrize("r,n,d", [(4, 300, 32), (7, 20, 10)])
     def test_unregularized_stack_equals_refit_of_each_learner(self, r, n, d):
         X, y = stack(r, n, d)
-        W = ridge_solve(X, y, 0.0)
+        W, _ = ridge_solve(X, y, 0.0)
         for j in range(r):
-            assert W[j].tobytes() == ridge_solve(X[j], y[j], 0.0).tobytes()
+            assert W[j].tobytes() == ridge_solve(X[j], y[j], 0.0)[0].tobytes()
 
     @pytest.mark.parametrize("r,n,d", [(3, 40, 6), (2, 2000, 32),
                                        (2, 5000, 16)])
@@ -380,7 +381,7 @@ class TestStackedSolve:
         # the normal equations square X's condition number, which on these
         # well-conditioned designs still leaves them within 1e-12 of lstsq
         X, y = stack(r, n, d)
-        W = ridge_solve(X, y, 0.0)
+        W, _ = ridge_solve(X, y, 0.0)
         for j in range(r):
             w = np.linalg.lstsq(X[j], y[j], rcond=None)[0]
             assert np.linalg.norm(W[j] - w) <= 1e-12 * np.linalg.norm(w)
@@ -396,7 +397,7 @@ class TestStackedSolve:
         # with one slice, a sum over it that aliased the cached products
         # would carry n*lam into them
         X, y = stack(1, n, 32)
-        w = ridge_solve(X[0], y[0], 1e-3)
+        w, _ = ridge_solve(X[0], y[0], 1e-3)
         products = numerics.slice_products(X[0], y[0])
         kept = [a.copy() for a in products]
         grams, rhs = numerics.slice_products(X, y)
@@ -465,6 +466,19 @@ def forced_blocks(request, monkeypatch, started):
     return request.param, started
 
 
+def solve_in_blocks(X, y, lam):
+    """The (r, d) weights of the stack, solve_stack run chunk by chunk in
+    learner blocks, as verify_perfect_unlearning runs its retrain."""
+    r, n, d = X.shape
+    W = np.empty((r, d))
+
+    def solve(lo, hi):
+        W[lo:hi] = numerics.solve_stack(X[lo:hi], y[lo:hi], lam)[0]
+
+    numerics.in_learner_blocks(solve, r, n, d)
+    return W
+
+
 class TestLearnerBlocks:
     @pytest.mark.parametrize("r,n,d", [(3, 300, 32), (5, 7, 3),
                                        (10, 1000, 16), (1, 1200, 32)],
@@ -474,11 +488,11 @@ class TestLearnerBlocks:
         cpus, started = forced_blocks
         X, y = stack(r, n, d)
         before = threading.active_count()
-        W = ridge_solve(X, y, 1e-3)
+        W = solve_in_blocks(X, y, 1e-3)
         assert threading.active_count() == before
         assert len(started) == min(cpus, r) - 1
         for j in range(r):
-            assert W[j].tobytes() == ridge_solve(X[j], y[j], 1e-3).tobytes()
+            assert W[j].tobytes() == ridge_solve(X[j], y[j], 1e-3)[0].tobytes()
 
     def test_more_blocks_than_cores_with_rapid_switching(self, monkeypatch,
                                                           started):
@@ -488,12 +502,12 @@ class TestLearnerBlocks:
         monkeypatch.setattr(numerics, "LEARNER_WORK_PER_WORKER", 1)
         monkeypatch.setattr(numerics, "LEARNER_CHUNK_VALUES", 1)
         X, y = stack(24, 300, 32)
-        expected = [ridge_solve(X[j], y[j], 1e-3).tobytes()
+        expected = [ridge_solve(X[j], y[j], 1e-3)[0].tobytes()
                     for j in range(24)]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            results = [ridge_solve(X, y, 1e-3) for _ in range(5)]
+            results = [solve_in_blocks(X, y, 1e-3) for _ in range(5)]
         finally:
             sys.setswitchinterval(interval)
         assert len(started) == 5 * 7
@@ -507,7 +521,7 @@ class TestLearnerBlocks:
         X[-1, 0] = np.nan           # in the last block
         before = threading.active_count()
         with pytest.raises(ValueError, match="NaN or Inf"):
-            ridge_solve(X, y, 1e-3)
+            solve_in_blocks(X, y, 1e-3)
         assert threading.active_count() == before
         assert len(started) == min(cpus, 4) - 1
 
@@ -556,7 +570,7 @@ class TestDualForm:
         X, y = stack(r, n, d)
         lam = 1e-3
         assert numerics.dual_form(n, d, lam)
-        W = ridge_solve(X, y, lam)
+        W, _ = ridge_solve(X, y, lam)
         for j in range(r):
             want = np.linalg.solve(X[j].T @ X[j] + n * lam * np.eye(d),
                                    X[j].T @ y[j])
@@ -568,10 +582,10 @@ class TestDualForm:
     @pytest.mark.parametrize("r,n,d", DUAL_STACKS, ids=DUAL_IDS)
     def test_stack_rows_are_each_learner_alone_bitwise(self, r, n, d):
         X, y = stack(r, n, d)
-        W = ridge_solve(X, y, 1e-3)
-        assert W.tobytes() == numerics.solve_stack(X, y, 1e-3).tobytes()
+        W, _ = ridge_solve(X, y, 1e-3)
+        assert W.tobytes() == numerics.solve_stack(X, y, 1e-3)[0].tobytes()
         for j in range(r):
-            assert W[j].tobytes() == ridge_solve(X[j], y[j], 1e-3).tobytes()
+            assert W[j].tobytes() == ridge_solve(X[j], y[j], 1e-3)[0].tobytes()
 
     @pytest.mark.parametrize("r,n,d", [(7, 3, 10), (12, 20, 100)],
                              ids=["r7-n3-d10", "r12-n20-d100"])
@@ -579,9 +593,9 @@ class TestDualForm:
             self, forced_blocks, r, n, d):
         cpus, started = forced_blocks
         X, y = stack(r, n, d)
-        expected = [numerics.solve_stack(X[j:j + 1], y[j:j + 1], 1e-3)
+        expected = [numerics.solve_stack(X[j:j + 1], y[j:j + 1], 1e-3)[0]
                     .tobytes() for j in range(r)]
-        W = ridge_solve(X, y, 1e-3)
+        W = solve_in_blocks(X, y, 1e-3)
         assert len(started) == min(cpus, r) - 1
         assert [w.tobytes() for w in W] == expected
 
@@ -624,7 +638,7 @@ class TestDualForm:
     def test_square_learners_take_the_slice_path(self):
         # n == d: the normal equations from slice products, bitwise
         X, y = stack(3, 10, 10)
-        W = ridge_solve(X, y, 1e-3)
+        W, _ = ridge_solve(X, y, 1e-3)
         want = numerics.solve_normal(*numerics.slice_products(X, y), 10,
                                      1e-3)
         assert W.tobytes() == want.tobytes()

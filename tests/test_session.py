@@ -94,8 +94,8 @@ class TestRoundTrip:
             unlearn(model, store, batch.tolist())
             assert store.slice_stack is None
             for j in range(4):
-                w = ridge_solve(store.coded_features[j],
-                                store.coded_response[j], 1e-3)
+                w, _ = ridge_solve(store.coded_features[j],
+                                   store.coded_response[j], 1e-3)
                 assert model.weights[:, j].tobytes() == w.tobytes()
             assert verify_perfect_unlearning(model, store).max_discrepancy \
                 == 0.0
