@@ -23,17 +23,17 @@ from .dataset import (
     read_numeric_csv,
     write_csv,
 )
-from .ensemble import learn, predict, unlearn, verify_perfect_unlearning
+from .ensemble import learn, predict, verify_perfect_unlearning
 from .errors import CodedUnlearnError
 from .projections import make_projection
 from .session import (
-    append_unlearn_log,
     is_int,
     is_number,
     list_of,
     load_session,
     save_session,
     session_lock,
+    unlearn_session,
 )
 
 EXIT_DATA_ERROR = 3
@@ -208,16 +208,7 @@ def cmd_unlearn(session_dir, ids, ids_file):
     if not isinstance(id_list, list) or not id_list:   # before the lock
         raise click.UsageError("give a nonempty list of sample ids "
                                "(a JSON list in --ids-file)")
-    directory = Path(session_dir)
-    with session_lock(directory):
-        model, store, cfg = load_session(directory)
-        model, store, report = unlearn(model, store, id_list)
-        save_session(directory, model, store, cfg)
-        append_unlearn_log(directory, {
-            "ids": report.unlearned_ids,
-            "affected_learners": report.affected_learners,
-            "total_seconds": report.total_seconds,
-        })
+    report = unlearn_session(session_dir, id_list)
     click.echo(f"unlearned {len(report.unlearned_ids)} sample(s); "
                f"retrained learners {report.affected_learners} "
                f"in {report.total_seconds:.4f}s")

@@ -110,6 +110,9 @@ def learn(train: Dataset, s: int, r: int, rho, lam: float,
     (numerics.ridge_solve), bitwise as r single solves would be, and the
     slice products they were solved from become the store's slice cache
     (CodedStore.slice_stack): None when numerics picks the dual form.
+    Learner j minimizes sum_i (y_ji - x_ji.w)^2 + nbar*lam * w.w over the
+    nbar rows of its coded shard: the ridge alpha nbar*lam is fixed here
+    and every later unlearn keeps it (see unlearn).
     """
     feats = project(projection, train.features) if projection is not None \
         else train.features
@@ -153,6 +156,15 @@ def unlearn(model: EnsembleModel, store: CodedStore, ids,
     learners' coded shards as learn does, and no cache is formed.  Either
     way the sums are the ones a retrain from scratch forms, so the weights
     equal ridge_solve on the live coded shards bitwise.
+
+    The objective a forget preserves is learn's, with each forgotten
+    sample kept as a +0.0 row of its shard: per learner,
+    sum_i (y_ji - x_ji.w)^2 + nbar*lam * w.w, nbar the coded shard's rows
+    at learn, forgotten ones included.  So the weights are a retrain
+    without the samples at the fixed ridge alpha nbar*lam; at lam = 0 they
+    are the least-squares fit of the rows left.  A retrain that averages
+    the error over the rows left only (ridge_solve on them) puts fewer
+    rows in the alpha and differs when lam > 0.
 
     An id that is not an integer (a float, a bool, a string) is refused
     with UnknownSample before anything changes.

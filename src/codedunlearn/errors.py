@@ -41,7 +41,7 @@ class NonTermination(CodedUnlearnError):
     """Resampling guard tripped before a valid generator matrix was found."""
 
 
-class RankDeficient(ValueError):
+class RankDeficient(CodedUnlearnError, ValueError):
     """Generator matrix is not of full column rank."""
 
 

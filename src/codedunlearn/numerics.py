@@ -96,7 +96,9 @@ def ridge_solve(X, y, lam: float):
     returned; an (n, d) X and (n,) y are a stack of one, whose (d,) weights
     and products row 0 are returned.  The squared error is averaged over
     the n rows, so the regularized normal equations carry n*lam:
-    w = (X'X + n*lam*I)^{-1} X'y.
+    w = (X'X + n*lam*I)^{-1} X'y, the minimizer of
+    sum_i (y_i - x_i.w)^2 + n*lam * w.w, a ridge alpha of n*lam.  All-zero
+    rows count in n: they add nothing to X'X or X'y but raise the alpha.
 
     With lam > 0 and n < d (dual_form), the n x n system
     (XX' + n*lam*I) alpha = y is solved by LU and w = X'alpha, with no

@@ -11,6 +11,7 @@ Layout:
     ids-<h>.npy                 in shard order
     weights-<h>.npy             weak-learner weight columns
     unlearn_log.jsonl           append-only audit of unlearn requests
+    lock                        empty; writers hold an flock on it
 
 <h> is the first 12 hex digits of the file's sha256, so a save never
 overwrites a file the current manifest names.  It writes only the files
@@ -18,9 +19,12 @@ whose content is new (each through a temporary name and os.replace), then
 swaps in manifest.json with os.replace, and only then deletes the data
 files the new manifest does not name.  A save interrupted at any point
 leaves the previous session loadable; load_session refuses any file whose
-hash does not match the manifest.  Readers take no lock: a load whose
-files a concurrent save has replaced reads the new manifest and loads that
-generation, while a file that mismatches an unchanged manifest is refused.
+hash does not match the manifest.  Writers hold session_lock, which deletes
+what an interrupted save left unnamed before they act, and a forget is one
+transaction (unlearn_session).  Readers take no lock and delete nothing: a
+load whose files a concurrent save has replaced reads the new manifest and
+loads that generation, while a file that mismatches an unchanged manifest
+is refused.
 
 Version 2 sessions also load.  They name one more file, agg-<h>.npy, the
 aggregate weights; it is hash-checked like every file the manifest names
@@ -49,6 +53,7 @@ session reports discrepancy zero.
 
 from __future__ import annotations
 
+import fcntl
 import hashlib
 import io
 import json
@@ -56,13 +61,13 @@ import math
 import os
 import re
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from pathlib import Path
 
 import numpy as np
 
 from .coding import CodedStore, GeneratorMatrix
-from .ensemble import EnsembleModel
+from .ensemble import AffectedReport, EnsembleModel, unlearn
 from .errors import DimensionMismatch, SessionError
 from .projections import load_projection, save_projection
 
@@ -81,18 +86,25 @@ _DATA_FILE = re.compile(   # agg: the aggregate file of version 2
 
 @contextmanager
 def session_lock(directory: Path):
-    lock = directory / "lock"
+    """Hold the lock of the session at `directory` for the `with` block:
+    an flock on directory/lock, which the kernel releases when the holder
+    exits, however it exits.  Once it holds the lock, it deletes the data
+    and .tmp files that a readable manifest does not name, the leftovers
+    of a save that stopped after its manifest swap, so the next locked
+    command erases them; with no readable manifest it deletes nothing.
+    The empty lock file stays in the directory."""
+    fd = os.open(directory / "lock", os.O_CREAT | os.O_WRONLY)
     try:
-        fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-    except FileExistsError:
-        raise SessionError(f"session {directory} is locked by another "
-                           "invocation (remove 'lock' if stale)") from None
-    try:
-        os.write(fd, str(os.getpid()).encode())
-        os.close(fd)
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            raise SessionError(f"session {directory} is locked by another "
+                               "invocation") from None
+        with suppress(SessionError):   # no readable manifest, no sweep
+            _delete_unnamed(directory, _read_manifest(directory)["files"])
         yield
     finally:
-        lock.unlink(missing_ok=True)
+        os.close(fd)
 
 
 def _json_bytes(obj) -> bytes:
@@ -203,16 +215,28 @@ def save_session(directory, model: EnsembleModel, store: CodedStore,
         "saved_at": time.strftime("%Y-%m-%dT%H:%M:%S"),
         "files": files,
     }),))
+    _fsync_directory(directory)   # make the rename itself durable
+    _delete_unnamed(directory, files)
+
+
+def _fsync_directory(directory: Path) -> None:
     fd = os.open(directory, os.O_RDONLY)
     try:
-        os.fsync(fd)   # make the rename itself durable
+        os.fsync(fd)
     finally:
         os.close(fd)
 
-    keep = {f["name"] for f in files.values()}
-    for path in directory.iterdir():
-        if _DATA_FILE.fullmatch(path.name) and path.name not in keep:
-            path.unlink()
+
+def _delete_unnamed(directory: Path, files: dict) -> None:
+    """Delete the data and .tmp files in `directory` that the manifest's
+    `files` do not name, and make the deletions durable."""
+    keep = {entry["name"] for entry in files.values()}
+    doomed = [path for path in directory.iterdir()
+              if _DATA_FILE.fullmatch(path.name) and path.name not in keep]
+    for path in doomed:
+        path.unlink()
+    if doomed:
+        _fsync_directory(directory)
 
 
 def _read_manifest(directory: Path) -> dict:
@@ -379,6 +403,21 @@ def load_session(directory) -> tuple[EnsembleModel, CodedStore, dict]:
     return model, store, manifest["config"]
 
 
-def append_unlearn_log(directory, entry: dict) -> None:
-    with (Path(directory) / "unlearn_log.jsonl").open("a") as fh:
-        fh.write(json.dumps(entry) + "\n")
+def unlearn_session(directory, ids) -> AffectedReport:
+    """Forget the samples `ids` from the session at `directory`, as one
+    transaction: under the session lock, load it, unlearn, save, and then
+    append the request to unlearn_log.jsonl.  A request unlearn refuses
+    (an unknown or an already unlearned id) writes nothing, and a save
+    interrupted before its manifest swap leaves the session as it was."""
+    directory = Path(directory)
+    with session_lock(directory):
+        model, store, config = load_session(directory)
+        model, store, report = unlearn(model, store, ids)
+        save_session(directory, model, store, config)
+        with (directory / "unlearn_log.jsonl").open("a") as fh:
+            fh.write(json.dumps({
+                "ids": report.unlearned_ids,
+                "affected_learners": report.affected_learners,
+                "total_seconds": report.total_seconds,
+            }) + "\n")
+    return report

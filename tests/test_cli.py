@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -12,8 +13,9 @@ from click.testing import CliRunner
 
 import codedunlearn
 from codedunlearn import SessionError, load_csv
+from codedunlearn import session as session_mod
 from codedunlearn.cli import main
-from codedunlearn.session import load_session
+from codedunlearn.session import load_session, session_lock
 
 
 @pytest.fixture
@@ -133,11 +135,11 @@ class TestSessionWorkflow:
         # refused before the session lock is taken: a held lock would
         # otherwise turn it into exit 3
         session = train_session(runner, tmp_path, data_csv)
-        (session / "lock").write_text("held")
         before = {p.name: p.read_bytes() for p in session.iterdir()}
-        result = runner.invoke(main, [
-            "unlearn", "--session", str(session), "--ids", ids,
-        ])
+        with session_lock(session):
+            result = runner.invoke(main, [
+                "unlearn", "--session", str(session), "--ids", ids,
+            ])
         assert result.exit_code == 2, result.output
         bad = ids.split(",")[-1]
         assert f"Invalid value for '--ids': '{bad}' is not an integer" \
@@ -325,12 +327,53 @@ class TestSessionWorkflow:
 
     def test_lock_blocks_concurrent_use(self, tmp_path, runner, data_csv):
         session = train_session(runner, tmp_path, data_csv)
-        (session / "lock").write_text("123")
+        with lock_holder(session):
+            result = runner.invoke(main, [
+                "unlearn", "--session", str(session), "--ids", "1",
+            ])
+        assert result.exit_code == 3
+        assert "locked" in result.output
+
+    def test_lock_dies_with_its_holder(self, tmp_path, runner, data_csv):
+        # a writer killed while it holds the lock leaves nothing to remove
+        # by hand: the kernel drops its flock
+        session = train_session(runner, tmp_path, data_csv)
+        with lock_holder(session) as child:
+            child.kill()   # SIGKILL
+            child.wait(timeout=60)
         result = runner.invoke(main, [
             "unlearn", "--session", str(session), "--ids", "1",
         ])
-        assert result.exit_code == 3
-        assert "locked" in result.output
+        assert result.exit_code == 0, result.output
+        result = runner.invoke(main, ["verify", "--session", str(session)])
+        assert result.exit_code == 0, result.output
+        assert "discrepancy: 0.000e+00" in result.output
+
+    def test_train_over_an_unreadable_manifest(self, tmp_path, runner,
+                                              data_csv):
+        # the lock sweeps nothing without a readable manifest, so train can
+        # still write a session over it; its save removes the leftovers
+        session = train_session(runner, tmp_path, data_csv)
+        (session / "manifest.json").write_text("{")
+        (session / "weights-000000000000.npy.tmp").write_bytes(b"partial")
+        session = train_session(runner, tmp_path, data_csv)
+        assert not (session / "weights-000000000000.npy.tmp").exists()
+        result = runner.invoke(main, ["verify", "--session", str(session)])
+        assert result.exit_code == 0, result.output
+
+    def test_refused_unlearn_leaves_the_lock_free(self, tmp_path, runner,
+                                                  data_csv):
+        session = train_session(runner, tmp_path, data_csv)
+        result = runner.invoke(main, [
+            "unlearn", "--session", str(session), "--ids", "9999",
+        ])
+        assert result.exit_code == 3, result.output
+        with session_lock(session):   # raises SessionError if still held
+            pass
+        result = runner.invoke(main, [
+            "unlearn", "--session", str(session), "--ids", "1",
+        ])
+        assert result.exit_code == 0, result.output
 
     @pytest.mark.parametrize("command", ["predict", "train"])
     @pytest.mark.parametrize("where", ["header", "body"])
@@ -556,6 +599,37 @@ class TestSessionFormat:
         result = runner.invoke(main, ["verify", "--session", str(session)])
         assert result.exit_code == 0, result.output
 
+    def test_crash_after_the_manifest_swap_is_swept_by_the_next_lock(
+            self, tmp_path, runner, data_csv, monkeypatch):
+        # the forget is committed, but the process dies at its first unlink
+        # of an old data file, which still holds the sample's row
+        session = train_session(runner, tmp_path, data_csv)
+        k = 17
+        _, store, _ = load_session(session)
+        row = store.base_features[store.locate([k])[0]].tobytes()
+        unlink = Path.unlink
+
+        def crash(path, *args, **kwargs):
+            if session_mod._DATA_FILE.fullmatch(path.name):
+                raise SystemExit(9)
+            return unlink(path, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "unlink", crash)
+        result = runner.invoke(main, ["unlearn", "--session", str(session),
+                                      "--ids", str(k)])
+        monkeypatch.undo()
+        assert result.exit_code == 9, result.output
+        assert any(row in p.read_bytes() for p in session.iterdir())
+
+        result = runner.invoke(main, ["unlearn", "--session", str(session),
+                                      "--ids", str(k)])
+        assert result.exit_code == 3, result.output
+        assert "already unlearned" in result.output
+        assert not any(row in p.read_bytes() for p in session.iterdir())
+        result = runner.invoke(main, ["verify", "--session", str(session)])
+        assert result.exit_code == 0, result.output
+        assert "discrepancy: 0.000e+00" in result.output
+
     def test_tampered_projection_is_stale(self, tmp_path, runner, data_csv):
         session = train_session(runner, tmp_path, data_csv,
                                 extra=["--proj-dim", "8"])
@@ -740,15 +814,43 @@ for lam in ("0", "0.001"):
 """
 
 
+def package_env(env=os.environ) -> dict:
+    """env for a fresh interpreter that imports this codedunlearn."""
+    src = str(Path(codedunlearn.__file__).resolve().parents[1])
+    return {**env, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 def run_python(code, cwd, env=os.environ):
     """Run `code` in a fresh interpreter that imports this codedunlearn."""
-    src = str(Path(codedunlearn.__file__).resolve().parents[1])
-    env = {**env,
-           "PYTHONPATH": os.pathsep.join(
-               filter(None, [src, os.environ.get("PYTHONPATH")]))}
     return subprocess.run(
-        [sys.executable, "-c", code], cwd=cwd, env=env,
+        [sys.executable, "-c", code], cwd=cwd, env=package_env(env),
         capture_output=True, text=True, timeout=120)
+
+
+_HOLD_LOCK = """
+import sys
+from pathlib import Path
+from codedunlearn.session import session_lock
+with session_lock(Path(sys.argv[1])):
+    print("held", flush=True)
+    sys.stdin.read()
+"""
+
+
+@contextmanager
+def lock_holder(session):
+    """A live child process that holds the session lock until the block
+    ends (or it is killed)."""
+    child = subprocess.Popen(
+        [sys.executable, "-c", _HOLD_LOCK, str(session)], env=package_env(),
+        stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
+    try:
+        assert child.stdout.readline() == "held\n"
+        yield child
+    finally:
+        child.kill()
+        child.communicate(timeout=60)
 
 
 def test_cli_runs_without_scipy(tmp_path):

@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 
 from codedunlearn import (
+    CodedUnlearnError,
     Dataset,
     DensityOutOfRange,
     NonTermination,
+    RankDeficient,
     TooFewSamples,
     UnknownSample,
     binary_rank,
@@ -111,6 +113,15 @@ class TestGeneratorMatrix:
     def test_rejects_rank_deficient(self):
         with pytest.raises(ValueError, match="full column rank"):
             GeneratorMatrix(3, 2, np.array([[1, 1], [1, 1], [1, 1]]), 1.0)
+
+    def test_rank_deficient_is_a_package_error(self):
+        # a caller catching the package's base class catches it too
+        try:
+            GeneratorMatrix(2, 2, [[1, 1], [1, 1]], 0.5)
+        except CodedUnlearnError as exc:
+            assert isinstance(exc, RankDeficient)
+        else:
+            pytest.fail("a rank-deficient generator was accepted")
 
     def test_rejects_nonbinary(self):
         with pytest.raises(ValueError):

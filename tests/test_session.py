@@ -6,6 +6,8 @@ import hashlib
 import io
 import json
 import os
+import subprocess
+import sys
 import threading
 import time
 
@@ -22,6 +24,7 @@ from codedunlearn import (
     unlearn,
     verify_perfect_unlearning,
 )
+import codedunlearn
 from codedunlearn import session as session_mod
 from codedunlearn.session import load_session, save_session
 
@@ -372,6 +375,43 @@ class TestConcurrentSave:
         assert loads > 0
         _, back_store, _ = load_session(tmp_path)
         assert set(back_store.ids[~back_store.alive].tolist()) == set(victims)
+
+
+_FORGET_EACH = """
+import sys
+from codedunlearn.session import unlearn_session
+print("ready", flush=True)
+for u in sys.argv[2:]:
+    unlearn_session(sys.argv[1], [int(u)])
+"""
+
+
+def test_loads_never_fail_while_another_process_forgets(tmp_path):
+    # the writer is a second process, so it shares no interpreter state
+    # (no GIL, no open files) with the reader
+    _, store = TestConcurrentSave.saved(tmp_path)
+    victims = store.ids[:20].tolist()
+    src = str(os.path.dirname(os.path.dirname(codedunlearn.__file__)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    child = subprocess.Popen(
+        [sys.executable, "-c", _FORGET_EACH, str(tmp_path),
+         *map(str, victims)], env=env, stdout=subprocess.PIPE, text=True)
+    loads = 0
+    try:
+        assert child.stdout.readline() == "ready\n"
+        while child.poll() is None:
+            _, back_store, _ = load_session(tmp_path)
+            assert back_store.alive.sum() >= len(store.ids) - len(victims)
+            loads += 1
+    finally:
+        child.kill()
+        child.communicate(timeout=60)
+    assert child.returncode == 0
+    assert loads > 0
+    back, back_store, _ = load_session(tmp_path)
+    assert set(back_store.ids[~back_store.alive].tolist()) == set(victims)
+    assert verify_perfect_unlearning(back, back_store).max_discrepancy == 0.0
 
 
 class TestRefusal:
