@@ -60,8 +60,7 @@ class GeneratorMatrix:
             raise RankDeficient("generator matrix is not full column rank")
 
 
-def rand_matrix(s: int, r: int, rho: float, seed=None,
-                guard: int = RESAMPLE_GUARD) -> GeneratorMatrix:
+def rand_matrix(s: int, r: int, rho: float, seed=None) -> GeneratorMatrix:
     """i.i.d. Bernoulli(rho) draws, whole-matrix resampled until no row is
     all-zero and the rank is exactly r.
 
@@ -77,13 +76,14 @@ def rand_matrix(s: int, r: int, rho: float, seed=None,
         raise DensityOutOfRange(f"rho={rho} outside [1/{r}, 1)" if r > 1
                                 else f"rho={rho} must be 1 for r=1")
     rng = np.random.default_rng(seed)
-    for _ in range(guard):
+    for _ in range(RESAMPLE_GUARD):
         G = (rng.random((s, r)) < rho).astype(np.int64)
         if not (G.sum(axis=1) == 0).any():
             with suppress(RankDeficient):   # redraw
                 return GeneratorMatrix(s, r, G, rho, seed)
     raise NonTermination(
-        f"no valid {s}x{r} matrix with rho={rho} after {guard} draws")
+        f"no valid {s}x{r} matrix with rho={rho} after {RESAMPLE_GUARD} "
+        "draws")
 
 
 def rand_matrix_minimal(s: int, r: int, seed=None) -> GeneratorMatrix:
@@ -263,5 +263,5 @@ def encode(features, response, ids, G: GeneratorMatrix) -> CodedStore:
         raise TooFewSamples(f"{n} samples cannot fill {s} shards")
     used = n // s * s
     return CodedStore(G, features[:used].copy(), response[:used].copy(),
-                      ids[:used].copy(), [int(v) for v in ids[used:]],
+                      ids[:used].copy(), ids[used:].tolist(),
                       np.ones(used, dtype=bool))

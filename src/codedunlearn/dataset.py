@@ -182,21 +182,19 @@ def load_csv(path, response_column) -> Dataset:
 _WRITE_CHUNK = 256   # rows held as Python floats and text at a time
 
 
-def write_csv(ds: Dataset, path, response_name: str = "y",
-              feature_names=None) -> None:
+def write_csv(ds: Dataset, path) -> None:
     """Write a Dataset as CSV: the feature columns, then the response.
 
-    The header goes through the csv module, which quotes names that need
-    it.  Each cell is the repr of a Python float, the shortest text that
-    reads back to the same bits, so load_csv round-trips bit-exactly; the
-    bytes are the ones csv.writer would write.  Rows are formatted a chunk
-    at a time, so no copy of the whole dataset is held.
+    The header is always x0, ..., x{d-1}, y.  Each cell is the repr of a
+    Python float, the shortest text that reads back to the same bits, so
+    load_csv round-trips bit-exactly; the bytes are the ones csv.writer
+    would write.  Rows are formatted a chunk at a time, so no copy of the
+    whole dataset is held.
     """
-    if feature_names is None:
-        feature_names = [f"x{j}" for j in range(ds.num_features)]
     path = Path(path)
     with path.open("w", newline="") as fh:
-        csv.writer(fh).writerow(list(feature_names) + [response_name])
+        csv.writer(fh).writerow([f"x{j}" for j in range(ds.num_features)]
+                                + ["y"])
         for start in range(0, ds.n, _WRITE_CHUNK):
             stop = start + _WRITE_CHUNK
             rows = np.column_stack((ds.features[start:stop],

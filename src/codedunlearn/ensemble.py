@@ -90,9 +90,7 @@ class VerificationReport:
 
 def _make_generator(s: int, r: int, rho, seed) -> GeneratorMatrix:
     if s == 1:
-        if r != 1:
-            raise ValueError("s == 1 requires r == 1")
-        return GeneratorMatrix(1, 1, np.array([[1]]), 1.0, seed)
+        return GeneratorMatrix(1, r, np.ones((1, r), dtype=int), 1.0, seed)
     if rho == MINIMAL:
         return coding.rand_matrix_minimal(s, r, seed)
     return coding.rand_matrix(s, r, float(rho), seed)

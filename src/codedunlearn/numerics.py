@@ -29,15 +29,14 @@ for the partial last slices, on the same bits.  So a retrain from scratch
 products (ensemble.unlearn) agree bitwise; an unlearn of dual-form
 learners calls solve_stack on their coded shards, as learn does.
 
-ridge_solve runs on the calling thread.  Verify spreads its retrain over
-contiguous learner blocks (in_learner_blocks) through run_in_blocks: the
-calling thread takes the first block and one thread each the rest, one per
-available CPU (the process's affinity set) but never more than the work
-asks for.  A block holds whole learners and runs the numpy calls one block
-would on them, so the results are bitwise those of one block.
-projections.project puts its fused row chunks (each chunk's matmul, offset
-add and cosine) in run_in_blocks too, a contiguous run of whole chunks per
-block, each chunk's product bitwise those rows of the whole one.  BLAS
+ridge_solve runs on the calling thread.  run_in_blocks runs the chunks its
+caller cuts, a contiguous run of them per worker: the calling thread takes
+the first run and one thread each the rest, one per available CPU (the
+process's affinity set) but never more than the work asks for.  Verify's
+retrain (in_learner_blocks) cuts chunks of whole learners, set by r, n and
+d alone, and each chunk's solve is bitwise those learners solved alone.
+projections.project cuts row chunks (each chunk's matmul, offset add and
+cosine), each chunk's product bitwise those rows of the whole one.  BLAS
 should be on one thread (the package sets OPENBLAS_NUM_THREADS=1 and the
 like when it is imported before numpy) when several CPUs are available, or
 the blocks' calls compete for them (and project's chunks no longer follow
@@ -77,7 +76,7 @@ SLICE_MIN_WORK = 2**17
 # d = 100 by the normal equations) and 2**25.3 (n = 400, d = 100); below
 # that a second thread costs 0.4-0.7 ms.  So two workers start from 2**25.
 LEARNER_WORK_PER_WORKER = 1 << 24
-# A block takes its learners in chunks of about this many float64 values
+# Verify takes its learners in chunks of about this many float64 values
 # (a learner's n*d rows, its k*m*m slice products or XX', and m*m each for
 # their sum and its LU copy), so its transient arrays stay near 2 MB: at
 # 200k x 32, r = 20, verify took 11.8 ms in chunks of 2**18 values against
@@ -286,30 +285,33 @@ def _available_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def run_in_blocks(task, count: int, workers: int) -> None:
-    """task(lo, hi) over contiguous blocks [lo, hi) that cover range(count),
-    one block per worker: at most `workers`, one per available CPU and one
-    per item, and at least one.  The calling thread takes the first block
-    and one thread each the rest.
+def run_in_blocks(task, bounds, workers: int) -> None:
+    """task(a, b) once for each pair of consecutive `bounds`, the chunks
+    [a, b), spread over contiguous runs of chunks, one run per worker: at
+    most `workers`, one per available CPU and one per chunk, and at least
+    one.  The calling thread takes the first run and one thread each the
+    rest; each runs its chunks in order.
 
-    Every block runs under the caller's floating-point error handling
+    Every run goes under the caller's floating-point error handling
     (np.geterr, np.geterrcall), so its np.errstate holds in each thread,
     whether numpy keeps that state per thread (1.x) or per context (2.x).
     Every thread is joined, even when one fails, and the exception of the
-    first block that failed is raised here.  Blocks must write disjoint
+    first run that failed is raised here.  Chunks must write disjoint
     outputs and call nothing that keeps per-process state, such as a
     function perfbench's tracer wraps (it keeps one span stack per
     process).
     """
-    workers = max(1, min(_available_cpus(), workers, count))
-    bounds = [count * k // workers for k in range(workers + 1)]
+    chunks = len(bounds) - 1
+    workers = max(1, min(_available_cpus(), workers, chunks))
+    runs = [chunks * k // workers for k in range(workers + 1)]
     errors: list[BaseException | None] = [None] * workers
     errstate = dict(np.geterr(), call=np.geterrcall())
 
     def run(k):
         try:
             with np.errstate(**errstate):
-                task(bounds[k], bounds[k + 1])
+                for i in range(runs[k], runs[k + 1]):
+                    task(bounds[i], bounds[i + 1])
         except BaseException as exc:    # re-raised by the caller below
             errors[k] = exc
 
@@ -330,18 +332,14 @@ def run_in_blocks(task, count: int, workers: int) -> None:
 
 def in_learner_blocks(task, r: int, n: int, d: int) -> None:
     """task(lo, hi) over chunks [lo, hi) that cover learners range(r) of n
-    rows and d columns: run_in_blocks over the learners, one block per
-    LEARNER_WORK_PER_WORKER of their work, each block taking its learners
-    in chunks of about LEARNER_CHUNK_VALUES values: verify's retrain."""
+    rows and d columns, each of about LEARNER_CHUNK_VALUES values, so the
+    chunks depend on r, n and d alone: run_in_blocks over them, one worker
+    per LEARNER_WORK_PER_WORKER of the learners' work: verify's retrain."""
     m = min(n, d)   # the order of a dual-form learner's systems when n < d
     per_learner = n * d + (-(-n // _slice_height(d)) + 2) * m * m
     chunk = max(1, LEARNER_CHUNK_VALUES // max(per_learner, 1))
-
-    def block(lo, hi):
-        for start in range(lo, hi, chunk):
-            task(start, min(start + chunk, hi))
-
-    run_in_blocks(block, r, r * m * m * (n + d) // LEARNER_WORK_PER_WORKER)
+    run_in_blocks(task, [*range(0, r, chunk), r],
+                  r * m * m * (n + d) // LEARNER_WORK_PER_WORKER)
 
 
 # Modulus of the rank certificate: a prime below 2**31, so the product of two

@@ -7,12 +7,12 @@ learned regression weights.
 
 `project` is one fused pass over row chunks: it allocates its output once
 and gives each chunk its matmul, offset add and cosine in place, so a
-chunk's rows stay in cache across the three.  The chunks are spread over
-contiguous blocks by numerics.run_in_blocks (the thread blocks the stacked
-ridge solves use too): one per available CPU but no more than one per
-_VALUES_PER_WORKER values or per chunk, each block taking its chunks in
-order.  The add and the cosine are elementwise, but a row block's matmul is
-those rows of the whole product only when BLAS runs the same code on it,
+chunk's rows stay in cache across the three.  numerics.run_in_blocks (the
+thread blocks verify's ridge solves use too) runs the chunks, a contiguous
+run of them per worker: one per available CPU but no more than one per
+_VALUES_PER_WORKER values or per chunk.  The add and the cosine are
+elementwise, but a row block's matmul is those rows of the whole product
+only when BLAS runs the same code on it,
 and measured on OpenBLAS, blocks of 2 or more rows can differ in the last
 bits.  So every chunk but the last holds a multiple of 192 rows and, for a
 map of more than one column, more than 100**3 multiply-adds
@@ -61,7 +61,9 @@ def make_projection(input_dim: int, output_dim: int, seed=None) -> ProjectionMap
 
 
 def project(pmap: ProjectionMap, X) -> np.ndarray:
-    """Entry (k, i) = cos(x_k . direction_i + offset_i); row-separable."""
+    """Entry (k, i) = cos(x_k . direction_i + offset_i); row-separable.
+    Each row chunk of _chunk_bounds is one fused task of
+    numerics.run_in_blocks: its matmul, offset add and cosine."""
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != pmap.input_dim:
         raise DimensionMismatch(
@@ -72,14 +74,13 @@ def project(pmap: ProjectionMap, X) -> np.ndarray:
     Z = np.empty((len(X), pmap.output_dim))
     bounds = _chunk_bounds(len(X), pmap.input_dim, pmap.output_dim)
 
-    def fused(lo, hi):
-        for a, b in zip(bounds[lo:hi], bounds[lo + 1:hi + 1]):
-            chunk = Z[a:b]
-            np.matmul(X[a:b], pmap.directions, out=chunk)
-            chunk += pmap.offsets
-            np.cos(chunk, out=chunk)
+    def fused(a, b):
+        chunk = Z[a:b]
+        np.matmul(X[a:b], pmap.directions, out=chunk)
+        chunk += pmap.offsets
+        np.cos(chunk, out=chunk)
 
-    run_in_blocks(fused, len(bounds) - 1, Z.size // _VALUES_PER_WORKER)
+    run_in_blocks(fused, bounds, Z.size // _VALUES_PER_WORKER)
     return Z
 
 
@@ -140,12 +141,8 @@ _VALUES_PER_WORKER = 1 << 16
 
 def save_projection(pmap: ProjectionMap, file) -> None:
     """Persist the full map (seed included) so later sessions reload it
-    exactly.  `file` is a path or a writable binary file; the bytes written
-    depend only on the map."""
-    if not hasattr(file, "write"):
-        with open(file, "wb") as fh:   # np.savez would append ".npz"
-            save_projection(pmap, fh)
-        return
+    exactly.  `file` is a writable binary file, not a path; the bytes
+    written depend only on the map."""
     np.savez(
         file,
         input_dim=pmap.input_dim,

@@ -121,21 +121,20 @@ def _npy_chunks(array: np.ndarray) -> tuple[bytes, memoryview]:
     return head.getvalue(), memoryview(array)
 
 
-_NPY_HEADER_READERS = {(1, 0): np.lib.format.read_array_header_1_0,
-                       (2, 0): np.lib.format.read_array_header_2_0}
-# the header readers refuse a header over 10000 bytes, as np.load does, so
+# the header reader refuses a header over 10000 bytes, as np.load does, so
 # the magic string, the header length and the header fit in this many bytes
 _NPY_HEADER_MAX = 1 << 14
 
 
 def _npy_array(data: bytearray) -> np.ndarray:
-    """The array a .npy file holds, as a writable view of its bytes.
-    Raises ValueError for what np.load with allow_pickle=False refuses."""
+    """The array a .npy file of version 1.0, the one the package writes,
+    holds, as a writable view of its bytes.  Raises ValueError for another
+    version and for what np.load with allow_pickle=False refuses."""
     head = io.BytesIO(memoryview(data)[:_NPY_HEADER_MAX])
     version = np.lib.format.read_magic(head)
-    if version not in _NPY_HEADER_READERS:
+    if version != (1, 0):
         raise ValueError(f"unsupported .npy format version {version}")
-    shape, fortran_order, dtype = _NPY_HEADER_READERS[version](head)
+    shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(head)
     if dtype.hasobject:
         raise ValueError("object arrays need pickle, which is not allowed")
     count, offset = math.prod(shape), head.tell()
@@ -393,12 +392,16 @@ def load_session(directory) -> tuple[EnsembleModel, CodedStore, dict]:
             f"float base rows for s={s} equal shards, and a float weights "
             f"column per coded shard (r={r}) as long as a base row; got "
             f"{shapes}")
+    unlearned = meta["unlearned_ids"]
     try:
         store = CodedStore(G, X, y, ids, list(meta["dropped_ids"]),
-                           ~np.isin(ids, meta["unlearned_ids"]))
+                           ~np.isin(ids, unlearned))
     except ValueError as exc:   # a repeated sample id
         raise SessionError(f"inconsistent session {directory}: {exc}") \
             from None
+    if np.count_nonzero(~store.alive) != len(unlearned):
+        raise SessionError(f"inconsistent session {directory}: unlearned_ids "
+                           "lists an id twice or one it does not hold")
     model = EnsembleModel(W, float(meta["lambda"]), G, pmap)
     return model, store, manifest["config"]
 
@@ -408,8 +411,11 @@ def unlearn_session(directory, ids) -> AffectedReport:
     transaction: under the session lock, load it, unlearn, save, and then
     append the request to unlearn_log.jsonl.  A request unlearn refuses
     (an unknown or an already unlearned id) writes nothing, and a save
-    interrupted before its manifest swap leaves the session as it was."""
+    interrupted before its manifest swap leaves the session as it was.  A
+    directory that holds no session is refused before the lock is taken,
+    so nothing is created in it."""
     directory = Path(directory)
+    _read_manifest(directory)
     with session_lock(directory):
         model, store, config = load_session(directory)
         model, store, report = unlearn(model, store, ids)

@@ -418,6 +418,8 @@ class TestErrorBoundary:
     @pytest.mark.parametrize("args,code,message", [
         (["train", "--data", "{data}", "--s", "5", "--r", "10"], 3,
          "need 1 <= r <= s"),
+        (["train", "--data", "{data}", "--s", "1", "--r", "2"], 3,
+         "need 1 <= r <= s"),
         (["train", "--data", "{data}", "--s", "4", "--r", "2", "--lam", "-1"],
          3, "lam must be nonnegative"),
         (["train", "--data", "{data}", "--s", "4", "--r", "2", "--rho", "abc"],
@@ -474,8 +476,8 @@ class TestErrorBoundary:
          "-1.0 is not a nonnegative number"),
         (["verify", "--session", "{session}", "--tolerance", "-inf"], 2,
          "-inf is not a nonnegative number"),
-    ], ids=["r-above-s", "negative-lam", "rho-not-a-number", "tau-zero",
-            "rho-all-ones",
+    ], ids=["r-above-s", "r-above-one-shard", "negative-lam",
+            "rho-not-a-number", "tau-zero", "rho-all-ones",
             "config-s-not-an-integer", "config-data-missing",
             "config-not-an-object", "nan-lam", "inf-lam",
             "id-not-an-integer", "ids-file-not-json",
@@ -694,6 +696,31 @@ class TestSessionFormat:
         entry["sha256"] = hashlib.sha256(ids_file.read_bytes()).hexdigest()
         path.write_text(json.dumps(manifest))
         with pytest.raises(SessionError, match="ids must be unique"):
+            load_session(session)
+        for cmd in (["verify"], ["unlearn", "--ids", "3"],
+                    ["predict", "--data", str(data_csv)]):
+            result = runner.invoke(main, [*cmd, "--session", str(session)])
+            assert result.exit_code == 3, result.output
+            assert result.output.startswith("error: inconsistent session")
+            assert result.output.count("\n") == 1
+
+    @pytest.mark.parametrize("unlearned", [[99999, 5, 5], [99999], [5, 5]],
+                             ids=["both", "not-held", "listed-twice"])
+    def test_unlearned_ids_it_does_not_hold_refused(self, tmp_path, runner,
+                                                    data_csv, unlearned):
+        # a store file rewritten under a manifest re-hashed to match it: a
+        # save would otherwise rewrite the list as the held ids, once each
+        session = train_session(runner, tmp_path, data_csv)
+        path = session / "manifest.json"
+        manifest = json.loads(path.read_text())
+        entry = manifest["files"]["store"]
+        store_file = session / entry["name"]
+        store = json.loads(store_file.read_text())
+        store_file.write_text(json.dumps({**store,
+                                          "unlearned_ids": unlearned}))
+        entry["sha256"] = hashlib.sha256(store_file.read_bytes()).hexdigest()
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(SessionError, match="unlearned_ids lists"):
             load_session(session)
         for cmd in (["verify"], ["unlearn", "--ids", "3"],
                     ["predict", "--data", str(data_csv)]):

@@ -63,8 +63,9 @@ class TestRandMatrix:
             return 0
 
         monkeypatch.setattr(coding, "binary_rank", rank_zero)
+        monkeypatch.setattr(coding, "RESAMPLE_GUARD", 200)
         with pytest.raises(NonTermination, match="after 200 draws"):
-            rand_matrix(4, 2, 0.9, 0, guard=200)
+            rand_matrix(4, 2, 0.9, 0)
         assert 0 < len(calls) <= 200
 
     @pytest.mark.parametrize("seed", range(5))

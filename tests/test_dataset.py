@@ -99,8 +99,8 @@ class TestCsv:
         y = rng.normal(size=50)
         y[1] = -0.0
         f = tmp_path / "d.csv"
-        write_csv(Dataset(X, y, np.arange(50)), f, feature_names="abcdef")
-        reference = "a,b,c,d,e,f,y\r\n" + "".join(
+        write_csv(Dataset(X, y, np.arange(50)), f)
+        reference = "x0,x1,x2,x3,x4,x5,y\r\n" + "".join(
             ",".join(repr(float(v)) for v in [*X[i], y[i]]) + "\r\n"
             for i in range(50))
         assert f.read_bytes() == reference.encode()
@@ -182,15 +182,14 @@ class TestWriter:
         n = _WRITE_CHUNK + 3
         X = np.resize(self.VALUES, (n, 2))
         y = np.resize(self.VALUES[::-1], n)
-        names = ["a,b", "c"]
+        names = ["x0", "x1"]
         f = tmp_path / "d.csv"
-        write_csv(Dataset(X, y, np.arange(n)), f, feature_names=names)
+        write_csv(Dataset(X, y, np.arange(n)), f)
         buf = io.StringIO(newline="")
         writer = csv.writer(buf)
         writer.writerow(names + ["y"])
         writer.writerows(row + [v] for row, v in zip(X.tolist(), y.tolist()))
         assert f.read_bytes() == buf.getvalue().encode()
-        assert f.read_bytes().startswith(b'"a,b",c,y\r\n')
         back = load_csv(f, "y")
         assert back.features.tobytes() == X.tobytes()
         assert back.response.tobytes() == y.tobytes()

@@ -558,6 +558,32 @@ class TestLearnerBlocks:
         assert blocks == [(lo, min(lo + chunk, r))
                           for lo in range(0, r, chunk)]
 
+    @pytest.mark.parametrize("bounds,workers", [
+        ([0, 2, 5, 9, 9], 4),   # an empty chunk is still a task
+        ([0, 3, 7], 2),         # one worker per chunk at most
+        ([4], 1),               # no chunks: no task, no thread
+    ])
+    def test_run_in_blocks_calls_each_chunk_once(self, monkeypatch, started,
+                                                 bounds, workers):
+        monkeypatch.setattr(numerics, "_available_cpus", lambda: 8)
+        calls = []
+        numerics.run_in_blocks(lambda a, b: calls.append((a, b)), bounds, 9)
+        assert sorted(calls) == list(zip(bounds, bounds[1:]))
+        assert len(started) == workers - 1
+
+    def test_chunks_do_not_depend_on_the_cpus(self, monkeypatch):
+        # forget-lib's verify on one worker and on four: the same chunks
+        monkeypatch.setattr(numerics, "LEARNER_WORK_PER_WORKER", 1)
+        runs = []
+        for cpus in (1, 4):
+            monkeypatch.setattr(numerics, "_available_cpus", lambda: cpus)
+            chunks = []
+            numerics.in_learner_blocks(
+                lambda lo, hi: chunks.append((lo, hi)), 20, 2000, 32)
+            runs.append(sorted(chunks))
+        assert runs[0] == runs[1] == [(lo, min(lo + 3, 20))
+                                      for lo in range(0, 20, 3)]
+
 
 # (r, n, d) stacks of learners with fewer rows than columns
 DUAL_STACKS = [(7, 3, 10), (200, 20, 100), (1, 1, 5), (3, 9, 10)]

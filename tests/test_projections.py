@@ -86,7 +86,8 @@ def test_dimension_check():
 def test_serialization_round_trip(tmp_path):
     pmap = make_projection(5, 12, 99)
     path = tmp_path / "projection.bin"
-    save_projection(pmap, path)
+    with open(path, "wb") as fh:
+        save_projection(pmap, fh)
     back = load_projection(path)
     assert back.input_dim == 5 and back.output_dim == 12 and back.seed == 99
     assert (back.directions == pmap.directions).all()
@@ -102,7 +103,8 @@ def test_serialized_bytes_depend_only_on_the_map(tmp_path, monkeypatch):
     for clock in (0.0, 1.7e9):
         monkeypatch.setattr(time, "time", lambda: clock)
         paths.append(tmp_path / f"{clock}.bin")
-        save_projection(make_projection(4, 6, 1), paths[-1])
+        with open(paths[-1], "wb") as fh:
+            save_projection(make_projection(4, 6, 1), fh)
     assert paths[0].read_bytes() == paths[1].read_bytes()
 
 

@@ -26,7 +26,7 @@ from codedunlearn import (
 )
 import codedunlearn
 from codedunlearn import session as session_mod
-from codedunlearn.session import load_session, save_session
+from codedunlearn.session import load_session, save_session, unlearn_session
 
 
 def make_train(n, d, seed=0):
@@ -425,6 +425,17 @@ class TestRefusal:
         with pytest.raises(SessionError, match="weights"):
             load_session(tmp_path)
 
+    @pytest.mark.parametrize("exists", [False, True],
+                             ids=["missing", "empty"])
+    def test_forget_without_a_session_creates_nothing(self, tmp_path,
+                                                      exists):
+        directory = tmp_path / "session"
+        if exists:
+            directory.mkdir()
+        with pytest.raises(SessionError, match="no session at"):
+            unlearn_session(directory, [1])
+        assert list(tmp_path.rglob("*")) == ([directory] if exists else [])
+
 
 def replace_file(session, role, data: bytes):
     """Overwrite a session file and re-hash it in the manifest, so that
@@ -448,6 +459,15 @@ def object_npy(n) -> bytes:
     np.lib.format.write_array_header_1_0(
         buf, {"descr": "|O", "fortran_order": False, "shape": (n,)})
     return buf.getvalue() + bytes(8 * n)
+
+
+def npy_2_0(array) -> bytes:
+    """A .npy file of version 2.0, which np.save writes only for headers
+    over 64 KiB."""
+    buf = io.BytesIO()
+    np.lib.format.write_array_header_2_0(
+        buf, np.lib.format.header_data_from_array_1_0(array))
+    return buf.getvalue() + array.tobytes()
 
 
 def json_file(obj) -> bytes:
@@ -502,6 +522,12 @@ class TestMalformedPayload:
          "unreadable"),
         ("weights", lambda m, st: npy(m.weights)[:-1], "unreadable"),
         ("ids", lambda m, st: object_npy(len(st.ids)), "unreadable"),
+        ("ids", lambda m, st: npy_2_0(st.ids), "unsupported .npy format"),
+        ("store", lambda m, st: {"dropped_ids": [], "unlearned_ids": [6, 6],
+                                 "lambda": 1e-3}, "inconsistent"),
+        ("store", lambda m, st: {"dropped_ids": [],
+                                 "unlearned_ids": [6, 99999],
+                                 "lambda": 1e-3}, "inconsistent"),
     ], ids=["store-without-unlearned-ids", "store-not-an-object",
             "string-id", "bool-lambda", "nan-lambda", "infinite-lambda",
             "negative-lambda", "generator-without-rows",
@@ -509,7 +535,8 @@ class TestMalformedPayload:
             "weights-extra-column", "weights-1d", "base-row-missing",
             "response-2d", "float-ids", "ids-one-shard-short",
             "weights-not-npy", "base-features-truncated",
-            "weights-one-byte-short", "object-ids"])
+            "weights-one-byte-short", "object-ids", "ids-npy-version-2",
+            "unlearned-id-twice", "unlearned-id-not-held"])
     def test_refused_with_session_error(self, session, role, content,
                                         match):
         directory, model, store = session
