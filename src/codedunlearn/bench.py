@@ -54,14 +54,18 @@ class SweepSpec:
 
     def __post_init__(self):
         # refused here, before any cell runs: a rate of 0 would divide by
-        # zero in cells(), a negative one would give cells with r < 0, and
-        # runs < 1 would leave every cell without a measurement
+        # zero in cells(), a negative one would give cells with r < 0,
+        # runs < 1 would leave every cell without a measurement, and a
+        # projection_dim < 1 would fail every cell
         for name in ("rates", "shard_counts"):
             low = [v for v in getattr(self, name) if v < 1]
             if low:
                 raise InvalidSpec(f"{name} must be at least 1, got {low[0]}")
         if self.runs < 1:
             raise InvalidSpec(f"runs must be at least 1, got {self.runs}")
+        dim = self.projection_dim
+        if dim is not None and dim < 1:
+            raise InvalidSpec(f"projection_dim must be at least 1, got {dim}")
         for tau in self.rates:
             for s in self.shard_counts:
                 if s % tau:
@@ -244,13 +248,19 @@ def run_influence(dataset, percentiles, runs: int, lam: float,
                   ) -> list[InfluenceRecord]:
     """Single-learner test MSE after outlier / inlier removal at each
     percentile, averaged over seeded runs; the data behind the
-    influence-of-removal curves."""
+    influence-of-removal curves.  A percentile outside [0, 50), runs < 1
+    and a band column outside the features raise ValueError before any
+    run, and a map make_projection refuses raises from the first run."""
     for p in percentiles:
         if not 0 <= p < 50:
             raise ValueError(f"percentile {p} outside [0, 50)")
     if runs < 1:
         raise ValueError(f"runs must be at least 1, got {runs}")
     ds = _materialize(dataset)
+    d = ds.num_features
+    for c in () if band_columns is None else band_columns:
+        if not -d <= c < d:
+            raise ValueError(f"band column {c} is outside the {d} features")
     keys = [(mode, p) for mode in ("outliers", "inliers") for p in percentiles]
     mses = {key: [] for key in keys}
     kept_pct = {key: [] for key in keys}
@@ -263,14 +273,9 @@ def run_influence(dataset, percentiles, runs: int, lam: float,
         # so the removal sets are unchanged
         train_n, test_n, _ = normalize(train, test)
         X_test = test_n.features
-        try:
-            if projection_dim is not None:
-                pmap = make_projection(ds.num_features, projection_dim,
-                                       proj_seed)
-                X_test = project(pmap, X_test)
-        except Exception as exc:   # a map that cannot be built fails every key
-            errors.update(dict.fromkeys(keys, f"{type(exc).__name__}: {exc}"))
-            continue
+        if projection_dim is not None:
+            pmap = make_projection(ds.num_features, projection_dim, proj_seed)
+            X_test = project(pmap, X_test)
         for mode, p in keys:
             try:
                 band = influence_band(p, mode)

@@ -14,9 +14,11 @@ from dataclasses import asdict, fields
 from pathlib import Path
 
 import click
+from click.core import ParameterSource
 
 from . import bench, ensemble
 from .dataset import (
+    SYNTHETIC_KINDS,
     SyntheticSpec,
     gen_synthetic,
     load_csv,
@@ -59,9 +61,7 @@ def main():
 
 
 @main.command("gen-data")
-@click.option("--kind", required=True,
-              type=click.Choice(["lognormal-poly", "chisquare-poly", "mlp",
-                                 "gaussian-linear"]))
+@click.option("--kind", required=True, type=click.Choice(SYNTHETIC_KINDS))
 @click.option("--n", type=int, required=True)
 @click.option("--d", type=int, required=True)
 @click.option("--mu", type=float, default=SyntheticSpec.mu, show_default=True)
@@ -131,6 +131,15 @@ def _config_defaults(ctx, param, path):
 def cmd_train(data, response_column, s, r, tau, rho, lam, proj_dim, seed,
               session_dir):
     """Train a coded ensemble on a CSV and persist the session directory."""
+    if r is not None and tau is not None:
+        # a flag beats the config's value of the other key; two values from
+        # the same place contradict each other
+        source = click.get_current_context().get_parameter_source
+        if source("r") == source("tau"):
+            raise click.UsageError(
+                "give --r or --tau, not both (a flag overrides --config)")
+        if source("r") is ParameterSource.DEFAULT_MAP:
+            r = None
     if r is None:
         if tau is None:
             raise click.UsageError("give --r or --tau")

@@ -89,9 +89,7 @@ class VerificationReport:
 
 
 def _make_generator(s: int, r: int, rho, seed) -> GeneratorMatrix:
-    if s == 1:
-        return GeneratorMatrix(1, r, np.ones((1, r), dtype=int), 1.0, seed)
-    if rho == MINIMAL:
+    if rho == MINIMAL or s == 1:
         return coding.rand_matrix_minimal(s, r, seed)
     return coding.rand_matrix(s, r, float(rho), seed)
 

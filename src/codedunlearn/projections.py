@@ -10,9 +10,9 @@ and gives each chunk its matmul, offset add and cosine in place, so a
 chunk's rows stay in cache across the three.  numerics.run_in_blocks (the
 thread blocks verify's ridge solves use too) runs the chunks, a contiguous
 run of them per worker: one per available CPU but no more than one per
-_VALUES_PER_WORKER values or per chunk.  The add and the cosine are
-elementwise, but a row block's matmul is those rows of the whole product
-only when BLAS runs the same code on it,
+chunk (a chunk holds at least _CHUNK_VALUES values unless it is the only
+one).  The add and the cosine are elementwise, but a row block's matmul
+is those rows of the whole product only when BLAS runs the same code on it,
 and measured on OpenBLAS, blocks of 2 or more rows can differ in the last
 bits.  So every chunk but the last holds a multiple of 192 rows and, for a
 map of more than one column, more than 100**3 multiply-adds
@@ -80,7 +80,7 @@ def project(pmap: ProjectionMap, X) -> np.ndarray:
         chunk += pmap.offsets
         np.cos(chunk, out=chunk)
 
-    run_in_blocks(fused, bounds, Z.size // _VALUES_PER_WORKER)
+    run_in_blocks(fused, bounds, len(bounds) - 1)
     return Z
 
 
@@ -131,25 +131,30 @@ _CHUNK_VALUES = 1 << 15
 _CHUNK_ROW_ALIGN = 192
 _GEMM_SMALL_WORK = 100**3
 
-# Workers are min(available CPUs, values // _VALUES_PER_WORKER, chunks).
-# A conservative bound, one no benchmark workload binds (at the sweep's 10k
-# and 20k rows the CPUs do): on a 2-vCPU VM (numpy 2.4) two workers first
-# beat one np.cos call at about 2**14 values in all, while this asks for
-# 2**17 before it starts a second worker.
-_VALUES_PER_WORKER = 1 << 16
+
+def recorded_seed(seed) -> int | None:
+    """The seed a session file records for `seed`: an integer, Python or
+    numpy but not a bool, from 0 to the int64 maximum, as a Python int;
+    None for any other seed (a Generator, a SeedSequence, a bool or an
+    integer out of that range), which the files do not hold."""
+    if isinstance(seed, (int, np.integer)) and not isinstance(seed, bool) \
+            and 0 <= seed <= np.iinfo(np.int64).max:
+        return int(seed)
+    return None
 
 
 def save_projection(pmap: ProjectionMap, file) -> None:
-    """Persist the full map (seed included) so later sessions reload it
-    exactly.  `file` is a writable binary file, not a path; the bytes
-    written depend only on the map."""
+    """Persist the full map so later sessions reload it exactly, with its
+    seed as recorded_seed records it.  `file` is a writable binary file,
+    not a path; the bytes written depend only on the map."""
+    seed = recorded_seed(pmap.seed)
     np.savez(
         file,
         input_dim=pmap.input_dim,
         output_dim=pmap.output_dim,
         directions=pmap.directions,
         offsets=pmap.offsets,
-        seed=-1 if pmap.seed is None else pmap.seed,
+        seed=-1 if seed is None else seed,
     )
 
 

@@ -69,7 +69,7 @@ import numpy as np
 from .coding import CodedStore, GeneratorMatrix
 from .ensemble import AffectedReport, EnsembleModel, unlearn
 from .errors import DimensionMismatch, SessionError
-from .projections import load_projection, save_projection
+from .projections import load_projection, recorded_seed, save_projection
 
 FORMAT_VERSION = 3
 READABLE_VERSIONS = (2, 3)
@@ -157,7 +157,7 @@ def _serialize(model: EnsembleModel, store: CodedStore,
             "s": G.uncoded_shards,
             "r": G.coded_shards,
             "rho": G.density,
-            "seed": G.seed if isinstance(G.seed, int) else None,
+            "seed": recorded_seed(G.seed),
             "rows": G.entries.tolist(),
         }),)),
         "store": (".json", (_json_bytes({
@@ -377,15 +377,13 @@ def load_session(directory) -> tuple[EnsembleModel, CodedStore, dict]:
     meta = _read_payload(directory, "store", data["store"])
 
     s, r = G.uncoded_shards, G.coded_shards
-    n = len(ids) if isinstance(ids, np.ndarray) and ids.ndim == 1 else -1
+    n = len(ids) if ids.ndim == 1 else -1
     if not (n >= s and n % s == 0 and ids.dtype.kind in "iu"
-            and all(isinstance(a, np.ndarray) and a.dtype == np.float64
-                    for a in (X, y, W))
+            and all(a.dtype == np.float64 for a in (X, y, W))
             and X.ndim == 2 and X.shape[0] == n and y.shape == (n,)
             and W.shape == (X.shape[1], r)
             and (pmap is None or pmap.output_dim == X.shape[1])):
-        shapes = ", ".join(f"{role} {getattr(a, 'dtype', '?')}"
-                           f"{getattr(a, 'shape', '')}"
+        shapes = ", ".join(f"{role} {a.dtype}{a.shape}"
                            for role, a in zip(ARRAYS, (X, y, ids, W)))
         raise SessionError(
             f"inconsistent session {directory}: it needs integer ids and "

@@ -117,6 +117,15 @@ class TestRunTradeoff:
             SweepSpec(dataset=gaussian_spec, n_train=300, lambdas=(0.0,),
                       rates=rates, shard_counts=shard_counts, runs=1, seed=2)
 
+    @pytest.mark.parametrize("dim", [0, -2])
+    def test_projection_dim_below_one_rejected(self, gaussian_spec, dim):
+        # once one record per cell, each with make_projection's error
+        with pytest.raises(InvalidSpec,
+                           match=f"projection_dim must be at least 1, got {dim}"):
+            SweepSpec(dataset=gaussian_spec, n_train=300, lambdas=(1e-3,),
+                      rates=(1,), shard_counts=(3,), runs=1, seed=2,
+                      projection_dim=dim)
+
     def test_projects_each_split_once_with_unchanged_records(
             self, gaussian_spec, monkeypatch):
         spec = SweepSpec(dataset=gaussian_spec, n_train=300, lambdas=(1e-3,),
@@ -247,6 +256,35 @@ class TestRunInfluence:
         with pytest.raises(ValueError, match="runs must be at least 1"):
             run_influence(gaussian_spec, [0], runs=runs, lam=0.0,
                           n_train=300)
+
+    def test_map_that_cannot_be_built_raises(self, gaussian_spec):
+        # once four records, each with make_projection's error
+        with pytest.raises(ValueError, match="must be positive"):
+            run_influence(gaussian_spec, [0, 5], runs=2, lam=1e-3,
+                          n_train=300, projection_dim=0)
+
+    @pytest.mark.parametrize("columns,bad", [
+        ([9], 9), ([4], 4), ([0, -5], -5)], ids=["9", "d", "below-minus-d"])
+    def test_band_column_outside_the_features_rejected_before_any_run(
+            self, gaussian_spec, monkeypatch, columns, bad):
+        # once records with an IndexError for every banded key
+        splits = []
+        monkeypatch.setattr(bench, "split",
+                            lambda *args: splits.append(args))
+        with pytest.raises(ValueError, match=f"band column {bad} is outside "
+                                             "the 4 features"):
+            run_influence(gaussian_spec, [0, 5], runs=2, lam=1e-3,
+                          n_train=300, band_columns=columns)
+        assert splits == []
+
+    def test_negative_band_columns_count_from_the_end(self, gaussian_spec):
+        records = [
+            [r.row() for r in run_influence(gaussian_spec, [5, 15], runs=2,
+                                            lam=1e-3, n_train=300,
+                                            band_columns=columns)]
+            for columns in ([1, 3], [-3, -1])]
+        assert repr(records[0]) == repr(records[1])
+        assert all(row["error"] is None for row in records[0])
 
     def test_one_map_per_run_with_unchanged_records(self, gaussian_spec,
                                                     monkeypatch):

@@ -264,6 +264,34 @@ class TestSessionWorkflow:
         assert manifest["config"]["seed"] == 2  # flag wins over config
         assert manifest["config"]["r"] == 2     # derived from tau
 
+    # a flag beats the config's value of the other key; r and tau from the
+    # same place are a usage error (once, --r won over --tau and a config
+    # r over a --tau flag)
+    @pytest.mark.parametrize("config,flags,learners", [
+        ({"r": 1}, ["--tau", "2"], 2),
+        ({"tau": 4}, ["--r", "2"], 2),
+        ({}, ["--r", "1", "--tau", "2"], None),
+        ({"r": 1, "tau": 2}, [], None),
+    ], ids=["flag-tau", "flag-r", "both-flags", "both-in-config"])
+    def test_r_and_tau_from_one_source(self, tmp_path, runner, data_csv,
+                                       config, flags, learners):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"data": str(data_csv), "s": 4, **config}))
+        session = tmp_path / "cfg-session"
+        result = runner.invoke(main, [
+            "train", "--config", str(cfg), *flags, "--session", str(session),
+        ])
+        if learners is None:
+            assert result.exit_code == 2, result.output
+            assert "give --r or --tau, not both" in result.output
+            assert not session.exists()
+            return
+        assert result.exit_code == 0, result.output
+        assert f"trained {learners} learners" in result.output
+        manifest = json.loads((session / "manifest.json").read_text())
+        assert manifest["config"]["r"] == learners
+        assert load_session(session)[0].weights.shape[1] == learners
+
     @pytest.mark.parametrize("key,text,value", [
         ("s", "4", 4), ("lambda", "1e-3", 0.001), ("proj_dim", "8", 8)])
     def test_config_values_take_the_option_types(self, tmp_path, runner,
@@ -784,6 +812,33 @@ class TestBenchCommands:
         out = tmp_path / "records.csv"
         result = runner.invoke(main, [
             "bench-tradeoff", "--spec", str(spec), "--out", str(out),
+        ])
+        assert result.exit_code == 3, result.output
+        assert result.output == f"error: {bad}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command,extra,bad", [
+        ("bench-tradeoff", {"projection_dim": 0},
+         "projection_dim must be at least 1, got 0"),
+        ("bench-influence", {"projection_dim": 0},
+         "input_dim and output_dim must be positive"),
+        ("bench-influence", {"band_columns": [9]},
+         "band column 9 is outside the 3 features"),
+    ], ids=["tradeoff-projection-dim", "influence-projection-dim",
+            "influence-band-column"])
+    def test_spec_that_cannot_run_is_one_error_line(
+            self, tmp_path, runner, command, extra, bad):
+        # once exit 0 and a file of error records
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({
+            "dataset": {"kind": "gaussian-linear", "n": 200, "d": 3,
+                        "seed": 2},
+            "n_train": 150, "lambdas": [0.001], "rates": [1],
+            "shard_counts": [3], "percentiles": [0, 10], "runs": 1, **extra,
+        }))
+        out = tmp_path / "records.csv"
+        result = runner.invoke(main, [
+            command, "--spec", str(spec), "--out", str(out),
         ])
         assert result.exit_code == 3, result.output
         assert result.output == f"error: {bad}\n"

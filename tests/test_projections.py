@@ -108,11 +108,10 @@ def test_serialized_bytes_depend_only_on_the_map(tmp_path, monkeypatch):
     assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
-# Threaded chunks: `project` spreads its row chunks over workers once Z
-# holds 2 * _VALUES_PER_WORKER values and two chunks.  The CPU count is
-# patched so that every machine takes the threaded path with more workers
-# than rows divide by.
-PER_WORKER = projections._VALUES_PER_WORKER
+# Threaded chunks: `project` spreads its row chunks over workers, one per
+# available CPU but no more than one per chunk.  The CPU count is patched so
+# that every machine takes the threaded path with more workers than rows
+# divide by.
 
 
 @pytest.fixture(params=[2, 3, 4], ids=lambda c: f"{c}cpus")
@@ -151,8 +150,8 @@ def threaded_input(n, d, D, seed=0, order="C"):
 
 def threshold_rows(workers, D=100):
     # the fewest rows of an (n, 10) X that give each of `workers` workers a
-    # chunk: as many whole chunks as workers, _VALUES_PER_WORKER values each
-    return workers * max(projections._chunk_rows(10, D), -(-PER_WORKER // D))
+    # chunk: as many whole chunks as workers
+    return workers * projections._chunk_rows(10, D)
 
 
 def every_cpu_rows(cpus, D=100):
@@ -161,7 +160,7 @@ def every_cpu_rows(cpus, D=100):
 
 def expected_workers(n, d, D, cpus):
     chunks = len(projections._chunk_bounds(n, d, D)) - 1
-    return max(1, min(cpus, n * D // PER_WORKER, chunks))
+    return max(1, min(cpus, chunks))
 
 
 def test_available_cpus_is_the_affinity_set():
@@ -171,14 +170,14 @@ def test_available_cpus_is_the_affinity_set():
 
 
 @pytest.mark.parametrize("n,d,D", [
-    (-(-2 * PER_WORKER // 100), 10, 100),      # one or two chunks
-    (-(-3 * PER_WORKER // 100) + 2, 10, 100),  # (1152-row chunks at
-    (-(-4 * PER_WORKER // 100) + 3, 10, 100),  # 10 -> 100)
-    (threshold_rows(2), 10, 100),              # just above the threshold
+    (1311, 10, 100),                           # one or two chunks
+    (1969, 10, 100),                           # (1152-row chunks at
+    (2625, 10, 100),                           # 10 -> 100)
+    (threshold_rows(2), 10, 100),              # just at the threshold
     (threshold_rows(3) + 2, 10, 100),          # rows not divisible by 3
     (threshold_rows(4) + 3, 10, 100),          # nor by 2 or 4
-    (3 * PER_WORKER + 1, 3, 1),                # tall, D = 1
-    (2 * PER_WORKER - 1, 3, 1),                # one value short: serial
+    (3 * 2**16 + 1, 3, 1),                     # tall, D = 1: 5 chunks
+    (2**17 - 1, 3, 1),                         # 3 chunks
 ])
 def test_threaded_bitwise_equal_to_one_call(cpus, started, n, d, D):
     pmap, X = threaded_input(n, d, D)
@@ -192,14 +191,13 @@ def test_threaded_bitwise_equal_to_one_call(cpus, started, n, d, D):
 
 
 @pytest.mark.parametrize("n,D,workers", [
-    (2 * PER_WORKER - 1, 1, 1),
-    (2 * PER_WORKER, 1, 2),
-    (5 * PER_WORKER, 1, 5),
-    (1, 8 * PER_WORKER, 1),        # one row cannot be split
+    (2**17 - 1, 1, 3),             # 3 chunks of at least 32832 rows
+    (2**17, 1, 3),
+    (5 * 2**16, 1, 9),             # 9 chunks
+    (1, 2**19, 1),                 # one row cannot be split
 ])
 def test_worker_count(monkeypatch, started, n, D, workers):
-    # min(available CPUs, values // _VALUES_PER_WORKER, rows), the caller
-    # being one of them
+    # min(available CPUs, chunks), the caller being one of them
     monkeypatch.setattr(numerics, "_available_cpus", lambda: 4)
     pmap = make_projection(1, D, 0)
     project(pmap, np.ones((n, 1)))

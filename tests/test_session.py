@@ -67,6 +67,34 @@ class TestRoundTrip:
         assert verify_perfect_unlearning(back, back_store).max_discrepancy \
             == 0.0
 
+    # a seed the files cannot hold as an integer is recorded as none: the
+    # map's directions and the generator's rows are saved, not redrawn
+    # (once, the first three wrote a projection file no load could read,
+    # and the generator file held null for np.int64(7) and true for True)
+    @pytest.mark.parametrize("seed,recorded", [
+        (lambda: np.random.default_rng(4), None),
+        (lambda: np.random.SeedSequence(4), None),
+        (lambda: 2**70, None),
+        (lambda: np.int64(7), 7),
+        (lambda: True, None),
+        (lambda: 7, 7),
+        (lambda: None, None),
+    ], ids=["generator", "seed-sequence", "2**70", "numpy-int", "bool",
+            "int", "none"])
+    def test_every_seed_round_trips(self, tmp_path, seed, recorded):
+        pmap = make_projection(3, 6, seed())
+        model, store, _ = learn(make_train(40, 3), 4, 2, "minimal", 1e-3,
+                                projection=pmap, seed=seed())
+        save_session(tmp_path, model, store, {})
+        back, _, _ = load_session(tmp_path)
+        for loaded in (back.projection.seed, back.generator.seed):
+            assert loaded == recorded and type(loaded) is type(recorded)
+        assert back.projection.directions.tobytes() \
+            == pmap.directions.tobytes()
+        assert back.generator.entries.tobytes() \
+            == model.generator.entries.tobytes()
+        assert back.weights.tobytes() == model.weights.tobytes()
+
     def test_weights_stay_c_contiguous(self, tmp_path):
         # a Fortran-ordered weights array would change the summation order
         # of weights.mean(axis=1) and the .npy header
