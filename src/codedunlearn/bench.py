@@ -6,7 +6,8 @@ MSE (pre and post unlearn), train MSE of the aggregate model on the uncoded
 training split, retrain wall-times, and a machine-independent cost proxy.
 With a projection_dim, each run projects each split once through one
 frozen cosine map, before the learn timer starts.  The CSV columns are the
-record fields in order, TradeoffRecord.lam written as lambda.
+record fields in order, TradeoffRecord.lam written as lambda, and JSON
+records list their keys in the same order.
 
 All non-timing outputs are bit-reproducible under a fixed master seed; every
 sweep cell derives its own RNG streams so concurrency or cell order never
@@ -16,13 +17,15 @@ changes results.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import time
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
+from .coding import MINIMAL
 from .dataset import (
     Dataset,
     SyntheticSpec,
@@ -48,7 +51,7 @@ class SweepSpec:
     shard_counts: tuple[int, ...]
     runs: int = 20
     seed: int = 0
-    density: float | str = "minimal"
+    density: float | str = MINIMAL
     projection_dim: int | None = None
     dataset_label: str = "dataset"
 
@@ -72,12 +75,9 @@ class SweepSpec:
                     raise InvalidSpec(f"s={s} not divisible by rate tau={tau}")
 
     def cells(self):
-        idx = 0
-        for lam in self.lambdas:
-            for tau in self.rates:
-                for s in self.shard_counts:
-                    yield idx, s, s // tau, tau, lam
-                    idx += 1
+        grid = itertools.product(self.lambdas, self.rates, self.shard_counts)
+        return ((idx, s, s // tau, tau, lam)
+                for idx, (lam, tau, s) in enumerate(grid))
 
 
 @dataclass
@@ -111,9 +111,8 @@ class TradeoffRecord:
     error: str | None = None
 
     def row(self) -> dict:
-        d = asdict(self)
-        d["lambda"] = d.pop("lam")
-        return d
+        return {"lambda" if k == "lam" else k: v
+                for k, v in asdict(self).items()}
 
 
 @dataclass
@@ -132,10 +131,6 @@ class InfluenceRecord:
     def row(self) -> dict:
         return asdict(self)
 
-
-TRADEOFF_COLUMNS = ["lambda" if f.name == "lam" else f.name
-                    for f in fields(TradeoffRecord)]
-INFLUENCE_COLUMNS = [f.name for f in fields(InfluenceRecord)]
 
 # what a failed sweep cell records for every measurement it could not take
 _FAILED_CELL_METRICS = dict.fromkeys(
@@ -188,10 +183,8 @@ def _tradeoff_cell(spec: SweepSpec, ds: Dataset, cell_idx: int, s: int,
     """Shard size and mean metrics of one cell over spec.runs runs.  The
     model holds no map: predicting the projected rows gives the same bits
     as projecting inside learn and predict."""
-    pre_mses, post_mses, train_mses = [], [], []
-    unlearn_secs, learn_secs, affected = [], [], []
+    per_run = []    # one dict per run, keyed by the record's *_mean fields
     nbar = spec.n_train // s
-    width = None
     for run in range(spec.runs):
         split_seed, pick_seed = _run_seed(spec.seed, run).spawn(2)
         proj_seed, code_seed = _cell_seed(spec.seed, cell_idx, run).spawn(2)
@@ -205,27 +198,23 @@ def _tradeoff_cell(spec: SweepSpec, ds: Dataset, cell_idx: int, s: int,
         t0 = time.perf_counter()
         model, store, _ = learn(replace(train_n, features=X_train), s, r,
                                 spec.density, lam, seed=code_seed)
-        learn_secs.append((time.perf_counter() - t0) / r)
+        learn_seconds = (time.perf_counter() - t0) / r
         width = model.weights.shape[0]
-        pre_mses.append(mse(predict(model, X_test), test_n.response))
+        test_mse_pre = mse(predict(model, X_test), test_n.response)
         pick_rng = np.random.default_rng(pick_seed)
         victim = int(store.ids[pick_rng.integers(0, len(store.ids))])
         _, _, report = unlearn(model, store, [victim])
-        unlearn_secs.append(report.total_seconds)
-        affected.append(report.num_affected)
-        post_mses.append(mse(predict(model, X_test), test_n.response))
-        train_mses.append(mse(predict(model, X_train), train_n.response))
-    return dict(
-        shard_size=nbar,
-        test_mse_mean=float(np.mean(post_mses)),
-        test_mse_std=float(np.std(post_mses)),
-        train_mse_mean=float(np.mean(train_mses)),
-        unlearn_seconds_mean=float(np.mean(unlearn_secs)),
-        learn_seconds_mean=float(np.mean(learn_secs)),
-        affected_learners_mean=float(np.mean(affected)),
-        cost_proxy=float(np.mean(affected)) * nbar * width**2,
-        test_mse_pre_mean=float(np.mean(pre_mses)),
-    )
+        per_run.append(dict(
+            learn_seconds=learn_seconds, test_mse_pre=test_mse_pre,
+            unlearn_seconds=report.total_seconds,
+            affected_learners=report.num_affected,
+            test_mse=mse(predict(model, X_test), test_n.response),
+            train_mse=mse(predict(model, X_train), train_n.response)))
+    means = {f"{key}_mean": float(np.mean([run[key] for run in per_run]))
+             for key in per_run[0]}
+    post = [run["test_mse"] for run in per_run]
+    return dict(means, shard_size=nbar, test_mse_std=float(np.std(post)),
+                cost_proxy=means["affected_learners_mean"] * nbar * width**2)
 
 
 def influence_band(p: float, mode: str) -> float | None:
@@ -303,24 +292,23 @@ def run_influence(dataset, percentiles, runs: int, lam: float,
 
 
 def emit_results(records, path, fmt: str = "csv", config=None) -> None:
-    """Write records as CSV (stable column order; csv.writer writes floats
-    with repr, so numeric fields round-trip exactly, and None as an empty
-    field) or JSON (array of objects).  The
-    resolved configuration is echoed for provenance: as a leading comment
-    line in CSV, as a top-level field in JSON."""
+    """Write records as CSV (the keys of a record's row() are the columns,
+    in order; csv writes floats with repr, so numeric fields round-trip
+    exactly, and None as an empty field) or JSON (an array of objects with
+    the keys in the same order).  The resolved configuration is echoed for
+    provenance: as a leading comment line in CSV, as a top-level field in
+    JSON."""
     if not records:
         raise ValueError("no records to emit")
-    columns = TRADEOFF_COLUMNS if isinstance(records[0], TradeoffRecord) \
-        else INFLUENCE_COLUMNS
     rows = [rec.row() for rec in records]
     path = Path(path)
     if fmt == "csv":
         with path.open("w", newline="") as fh:
             if config is not None:
                 fh.write("# config: " + json.dumps(config, sort_keys=True) + "\n")
-            writer = csv.writer(fh)
-            writer.writerow(columns)
-            writer.writerows([row[c] for c in columns] for row in rows)
+            writer = csv.DictWriter(fh, list(rows[0]))
+            writer.writeheader()
+            writer.writerows(rows)
     elif fmt == "json":
         payload = {"config": config, "records": rows}
         path.write_text(json.dumps(payload, indent=2) + "\n")

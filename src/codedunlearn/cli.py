@@ -17,6 +17,7 @@ import click
 from click.core import ParameterSource
 
 from . import bench, ensemble
+from .coding import MINIMAL
 from .dataset import (
     SYNTHETIC_KINDS,
     SyntheticSpec,
@@ -122,7 +123,7 @@ def _config_defaults(ctx, param, path):
 @click.option("--s", "s", type=int, required=True)
 @click.option("--r", "r", type=int, default=None)
 @click.option("--tau", type=int, default=None, help="Rate; r = s / tau.")
-@click.option("--rho", default="minimal",
+@click.option("--rho", default=MINIMAL,
               help="Bernoulli density, or 'minimal' for one-hot rows.")
 @click.option("--lam", "--lambda", "lam", type=float, default=0.0)
 @click.option("--proj-dim", type=int, default=None)
@@ -148,7 +149,7 @@ def cmd_train(data, response_column, s, r, tau, rho, lam, proj_dim, seed,
         if s % tau:
             raise click.UsageError(f"s={s} not divisible by tau={tau}")
         r = s // tau
-    if rho != "minimal":
+    if rho != MINIMAL:
         rho = float(rho)
     if isinstance(response_column, str) and response_column.lstrip("-").isdigit():
         response_column = int(response_column)
@@ -269,7 +270,7 @@ _SPEC_FIELDS = {
                     ("a list of numbers", list_of(is_number))),
     "lambda": ("a number", is_number),
     "density": ('"minimal" or a number',
-                lambda v: v == "minimal" or is_number(v)),
+                lambda v: v == MINIMAL or is_number(v)),
     "projection_dim": ("an integer or null",
                        lambda v: v is None or is_int(v)),
     "band_columns": ("a list of integers or null",

@@ -167,9 +167,10 @@ def unlearn(model: EnsembleModel, store: CodedStore, ids,
 
     Zero first, re-derive on failure: weights change only once every
     solve has succeeded.  If a step raises, the forgotten rows (the one
-    copy kept) and alive are put back, and the same coded rows and, by the
-    same batched pass, the touched slices of the cache are re-derived from
-    them, bitwise as they were, before the error propagates.
+    copy kept) and alive are put back, and the step that derived the
+    touched coded rows and slices of the cache from the zeroed rows derives
+    them again from the restored ones, bitwise as they were, before the
+    error propagates.
     """
     marks = [time.perf_counter()]   # the start and the end of each phase
     ids = list(ids)
@@ -198,33 +199,33 @@ def unlearn(model: EnsembleModel, store: CodedStore, ids,
              if affected == list(range(lo, lo + len(affected))) else affected)
     marks.append(time.perf_counter())
 
-    def rebuild():
+    def rederive():
+        # the touched coded rows, then their slices of the cache, from the
+        # base rows as they stand: the commit's step and the rollback's
         for j in affected:
             X[j, rows_of[j]], y[j, rows_of[j]] = \
                 store.rebuild_coded_row(j, rows_of[j])
+        marks.append(time.perf_counter())
+        if cache is not None:
+            update_products(X, y, *cache, *touched)
+        marks.append(time.perf_counter())
 
     held = store.base_features[pos], store.base_response[pos]   # copies
     store.alive[pos] = False
     store.base_features[pos] = 0.0
     store.base_response[pos] = 0.0
     try:
-        rebuild()
-        marks.append(time.perf_counter())
+        rederive()
         if cache is not None:
-            update_products(X, y, *cache, *touched)
-            marks.append(time.perf_counter())
             fresh = solve_normal(cache[0][stack], cache[1][stack],
                                  store.shard_size, model.lam)
         else:
-            marks.append(time.perf_counter())
             fresh, _ = solve_stack(X[stack], y[stack], model.lam)
         marks.append(time.perf_counter())
     except BaseException:
         store.alive[pos] = True
         store.base_features[pos], store.base_response[pos] = held
-        rebuild()
-        if cache is not None:
-            update_products(X, y, *cache, *touched)
+        rederive()
         raise
     model.weights[:, stack] = fresh.T
     report = AffectedReport(

@@ -10,7 +10,8 @@ Layout:
     base_response-<h>.npy       set, their responses and their sample ids,
     ids-<h>.npy                 in shard order
     weights-<h>.npy             weak-learner weight columns
-    unlearn_log.jsonl           append-only audit of unlearn requests
+    unlearn_log.jsonl           append-only audit of unlearn requests,
+                                each line fsynced before the forget returns
     lock                        empty; writers hold an flock on it
 
 <h> is the first 12 hex digits of the file's sha256, so a save never
@@ -407,7 +408,8 @@ def load_session(directory) -> tuple[EnsembleModel, CodedStore, dict]:
 def unlearn_session(directory, ids) -> AffectedReport:
     """Forget the samples `ids` from the session at `directory`, as one
     transaction: under the session lock, load it, unlearn, save, and then
-    append the request to unlearn_log.jsonl.  A request unlearn refuses
+    append the request to unlearn_log.jsonl and fsync the log (and the
+    directory, when the append created the log).  A request unlearn refuses
     (an unknown or an already unlearned id) writes nothing, and a save
     interrupted before its manifest swap leaves the session as it was.  A
     directory that holds no session is refused before the lock is taken,
@@ -418,10 +420,16 @@ def unlearn_session(directory, ids) -> AffectedReport:
         model, store, config = load_session(directory)
         model, store, report = unlearn(model, store, ids)
         save_session(directory, model, store, config)
-        with (directory / "unlearn_log.jsonl").open("a") as fh:
+        log = directory / "unlearn_log.jsonl"
+        created = not log.exists()
+        with log.open("a") as fh:
             fh.write(json.dumps({
                 "ids": report.unlearned_ids,
                 "affected_learners": report.affected_learners,
                 "total_seconds": report.total_seconds,
             }) + "\n")
+            fh.flush()
+            os.fsync(fh.fileno())
+        if created:     # make the new log's directory entry durable too
+            _fsync_directory(directory)
     return report

@@ -23,7 +23,7 @@ from codedunlearn import (
     unlearn,
 )
 from codedunlearn import bench, ensemble
-from codedunlearn.bench import TRADEOFF_COLUMNS, influence_band, mse
+from codedunlearn.bench import influence_band, mse
 
 TIMING_FIELDS = ("unlearn_seconds_mean", "learn_seconds_mean")
 
@@ -176,7 +176,8 @@ def tradeoff_reference(spec):
     nbar = spec.n_train // s
     return {
         "dataset": spec.dataset_label, "s": s, "r": r, "tau": tau,
-        "rho_mode": f"bernoulli({spec.density})", "D": spec.projection_dim,
+        "rho_mode": f"bernoulli({spec.density})", "lambda": lam,
+        "D": spec.projection_dim,
         "n_train": spec.n_train, "shard_size": nbar, "runs": spec.runs,
         "test_mse_mean": float(np.mean(post)),
         "test_mse_std": float(np.std(post)),
@@ -186,7 +187,6 @@ def tradeoff_reference(spec):
         * spec.projection_dim**2,
         "test_mse_pre_mean": float(np.mean(pre)),
         "error": None,
-        "lambda": lam,
     }
 
 
@@ -348,7 +348,10 @@ class TestEmitResults:
         emit_results(tradeoff_records, out, "json", config={"seed": 7})
         payload = json.loads(out.read_text())
         assert payload["config"] == {"seed": 7}
-        assert set(payload["records"][0]) == set(TRADEOFF_COLUMNS)
+        emit_results(tradeoff_records, tmp_path / "results.csv", "csv")
+        with (tmp_path / "results.csv").open() as fh:
+            header = next(csv.reader(fh))
+        assert list(payload["records"][0]) == header
 
     def test_empty_records_rejected(self, tmp_path):
         with pytest.raises(ValueError):

@@ -1,8 +1,8 @@
-"""Every helper in the package has a caller: each module-level function and
-class, and each method, of `src/codedunlearn` is read by name somewhere in
-the package or in the benchmark (`perfbench/`, outside its tests), or is
-named in the benchmark tracer's TRACED.  Tests and demos do not count as
-callers, so a name only they use is one to delete."""
+"""Every helper in the package has a caller: each module-level function,
+class and constant, and each method, of `src/codedunlearn` is read by name
+somewhere in the package or in the benchmark (`perfbench/`, outside its
+tests), or is named in the benchmark tracer's TRACED.  Tests and demos do
+not count as callers, so a name only they use is one to delete."""
 
 import ast
 from pathlib import Path
@@ -24,17 +24,32 @@ def _is_click_command(node) -> bool:
                for dec in node.decorator_list)
 
 
-def definitions(tree: ast.Module) -> list[str]:
-    """The module-level functions and classes and the methods of a module,
-    as "name" or "Class.name", leaving out dunders and click commands."""
+def _is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
+def constants(tree: ast.Module) -> list[str]:
+    """The names a module assigns at its top level, leaving out dunders."""
     found = []
+    for node in tree.body:
+        targets = node.targets if isinstance(node, ast.Assign) \
+            else [node.target] if isinstance(node, ast.AnnAssign) else []
+        found += [name.id for target in targets for name in ast.walk(target)
+                  if isinstance(name, ast.Name) and not _is_dunder(name.id)]
+    return found
+
+
+def definitions(tree: ast.Module) -> list[str]:
+    """The module-level functions, classes and constants and the methods of
+    a module, as "name" or "Class.name", leaving out dunders and click
+    commands."""
+    found = constants(tree)
 
     def collect(nodes, prefix=""):
         for node in nodes:
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 continue
-            if node.name.startswith("__") and node.name.endswith("__") \
-                    or _is_click_command(node):
+            if _is_dunder(node.name) or _is_click_command(node):
                 continue
             found.append(prefix + node.name)
             if isinstance(node, ast.ClassDef) and not prefix:
@@ -45,10 +60,12 @@ def definitions(tree: ast.Module) -> list[str]:
 
 
 def names_read(tree: ast.AST) -> set[str]:
-    """Every name a tree reads, as an ast.Name or an ast.Attribute."""
+    """Every name a tree reads, as an ast.Name or an ast.Attribute; an
+    assignment to a name does not read it."""
     return {node.id if isinstance(node, ast.Name) else node.attr
             for node in ast.walk(tree)
-            if isinstance(node, (ast.Name, ast.Attribute))}
+            if isinstance(node, (ast.Name, ast.Attribute))
+            and isinstance(node.ctx, ast.Load)}
 
 
 def traced() -> set[str]:
@@ -112,3 +129,18 @@ class Store:
         "Store.traced_only", "Store.Inner"]
     assert uncalled(source, read, {"traced_only"}) == [
         "orphan", "Store.unused", "Store.Inner"]
+
+
+def test_detector_finds_unread_constants():
+    # an assignment is not a read, and dunders are left out
+    source = '''
+LIMIT = 3
+UNREAD: int = 4
+PAIR, (_LOW, HIGH) = 1, (2, 3)
+__version__ = "1"
+def helper(): return LIMIT + HIGH
+'''
+    read = names_read(ast.parse(source + "\nhelper()\n"))
+    assert definitions(ast.parse(source)) == [
+        "LIMIT", "UNREAD", "PAIR", "_LOW", "HIGH", "helper"]
+    assert uncalled(source, read, set()) == ["UNREAD", "PAIR", "_LOW"]

@@ -5,6 +5,7 @@ import pytest
 
 from codedunlearn import (
     AlreadyUnlearned,
+    CodedStore,
     Dataset,
     DimensionMismatch,
     EnsembleModel,
@@ -677,6 +678,75 @@ class TestSliceCache:
         _, _, report = unlearn(model, store, [victim])
         assert report.affected_learners == sorted(cols[b])
         assert verify_perfect_unlearning(model, store).max_discrepancy == 0.0
+
+    @staticmethod
+    def built(by):
+        # a Bernoulli(0.5) code: learn's store keeps a slice cache, and one
+        # encode built under a hand-built model keeps none
+        rng = np.random.default_rng(4)
+        ds = Dataset(rng.normal(size=(3600, 32)), rng.normal(size=3600),
+                     np.arange(3600))
+        if by == "learn":
+            model, store, _ = learn(ds, 12, 5, 0.5, 1e-3, seed=8)
+            return model, store
+        G = rand_matrix(12, 5, 0.5, 8)
+        store = encode(ds.features, ds.response, ds.ids, G)
+        weights = np.ascontiguousarray(
+            ridge_solve(store.coded_features, store.coded_response, 1e-3)[0].T)
+        return EnsembleModel(weights, 1e-3, G), store
+
+    @staticmethod
+    def fail_once(monkeypatch, owner, name, on_call):
+        # the on_call-th call does its work and then raises, so a step that
+        # updates in place has updated by the time the error comes
+        real, calls = getattr(owner, name), []
+
+        def failing(*args):
+            calls.append(1)
+            out = real(*args)
+            if len(calls) == on_call:
+                raise FloatingPointError("injected")
+            return out
+
+        monkeypatch.setattr(owner, name, failing)
+        return calls
+
+    def assert_rolled_back(self, monkeypatch, model, store, victims, before):
+        with pytest.raises(FloatingPointError, match="injected"):
+            unlearn(model, store, victims)
+        assert self.state(model, store) == before
+        if store.slice_stack is not None:
+            self.assert_cache_is_live(model, store)
+        monkeypatch.undo()
+        unlearn(model, store, victims)
+        assert verify_perfect_unlearning(model, store).max_discrepancy == 0.0
+
+    @pytest.mark.parametrize("by", ["learn", "encode"])
+    def test_failed_row_rebuild_leaves_state_untouched(self, monkeypatch, by):
+        # the second of a request's row rebuilds fails: the rollback's
+        # re-derive rebuilds every touched row, and the cache's slices
+        model, store = self.built(by)
+        assert (store.slice_stack is None) is (by == "encode")
+        unlearn(model, store, [7])
+        G, nbar = store.generator.entries, store.shard_size
+        b = next(b for b in range(12) if G[b].sum() >= 2)
+        victims = [int(v) for v in store.ids[[b * nbar + 150, b * nbar + 3]]]
+        before = self.state(model, store)
+        calls = self.fail_once(monkeypatch, CodedStore, "rebuild_coded_row",
+                               2)
+        self.assert_rolled_back(monkeypatch, model, store, victims, before)
+        assert len(calls) == 2 + G[b].sum()   # the rollback rebuilt them all
+
+    def test_failed_slice_update_leaves_state_untouched(self, monkeypatch):
+        # the first update of the touched slices fails after it has written
+        # them from the zeroed rows; the rollback's writes them back
+        model, store = self.built("learn")
+        unlearn(model, store, [7])
+        victims = [int(v) for v in store.ids[[400, 1500, 1501]]]
+        before = self.state(model, store)
+        calls = self.fail_once(monkeypatch, ensemble, "update_products", 1)
+        self.assert_rolled_back(monkeypatch, model, store, victims, before)
+        assert len(calls) == 2
 
 
 class TestDualUnlearn:

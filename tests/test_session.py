@@ -320,6 +320,33 @@ class TestCrashSafety:
         assert set(back_store.ids[~back_store.alive].tolist()) == {7, 30}
 
 
+class TestAuditLog:
+    def test_each_log_line_is_fsynced(self, tmp_path, monkeypatch):
+        # a forget returns only once its log line is on disk, like the
+        # manifest swap before it; the append that creates the log then
+        # fsyncs the directory, so the log's own entry is durable too
+        ds = make_train(80, 3)
+        model, store, _ = learn(ds, 4, 2, "minimal", 1e-3, seed=1)
+        save_session(tmp_path, model, store, {})
+        synced = []
+        real_fsync = os.fsync
+
+        def recording_fsync(fd):
+            synced.append(os.fstat(fd).st_ino)
+            real_fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", recording_fsync)
+        log = tmp_path / "unlearn_log.jsonl"
+        directory = os.stat(tmp_path).st_ino
+        unlearn_session(tmp_path, [5])
+        assert synced[-2:] == [os.stat(log).st_ino, directory]
+        synced.clear()
+        unlearn_session(tmp_path, [6])
+        assert synced[-2:] == [directory, os.stat(log).st_ino]
+        assert [json.loads(line)["ids"]
+                for line in log.read_text().splitlines()] == [[5], [6]]
+
+
 class TestConcurrentSave:
     """Readers take no lock, so a save may replace a generation while a
     load reads it."""
