@@ -34,6 +34,7 @@ from .session import (
     is_number,
     list_of,
     load_session,
+    refuse_existing,
     save_session,
     session_lock,
     unlearn_session,
@@ -131,7 +132,7 @@ def _config_defaults(ctx, param, path):
 @click.option("--session", "session_dir", required=True, type=click.Path())
 def cmd_train(data, response_column, s, r, tau, rho, lam, proj_dim, seed,
               session_dir):
-    """Train a coded ensemble on a CSV and persist the session directory."""
+    """Train a coded ensemble on a CSV into a new session directory."""
     if r is not None and tau is not None:
         # a flag beats the config's value of the other key; two values from
         # the same place contradict each other
@@ -153,6 +154,7 @@ def cmd_train(data, response_column, s, r, tau, rho, lam, proj_dim, seed,
         rho = float(rho)
     if isinstance(response_column, str) and response_column.lstrip("-").isdigit():
         response_column = int(response_column)
+    refuse_existing(session_dir)   # before the fit; the locked check decides
     ds = load_csv(data, response_column)
     pmap = (make_projection(ds.num_features, proj_dim, seed)
             if proj_dim is not None else None)
@@ -165,6 +167,7 @@ def cmd_train(data, response_column, s, r, tau, rho, lam, proj_dim, seed,
     directory = Path(session_dir)
     directory.mkdir(parents=True, exist_ok=True)
     with session_lock(directory):
+        refuse_existing(directory)
         save_session(directory, model, store, resolved)
     click.echo(f"trained {r} learners on {store.shard_size}-row coded shards; "
                f"session at {session_dir}")

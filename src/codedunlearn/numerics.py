@@ -2,25 +2,24 @@
 the thread blocks that spread array work over the available CPUs.
 
 Arrays are treated as immutable and never modified in place, except the
-slice products update_products is given.  Only numpy is used.  An
-unregularized ridge solve is refused when the condition number of the
-summed X'X, the ratio of its largest eigenvalue to its smallest, exceeds
-COND_LIMIT.
+slice products update_products is given.  Only numpy is used.  What a
+ridge solve refuses is stated once, in the docstring of _solve, the one
+step that solves both forms' systems.
 
 Every ridge solve is a solve of a stack of learners (solve_stack): an
 (r, n, d) X and an (r, n) y, one learner's (n, d) X and (n,) y being a
 stack of one.  With lam > 0 and fewer rows than columns (dual_form), the
 stack is solved in dual form, w = X'(XX' + n*lam*I)^{-1} y, the same
-minimizer from n x n systems: one batched np.matmul for the XX', one
-np.linalg.solve and one more np.matmul, with no slice products.  Otherwise
+minimizer from n x n systems: one batched np.matmul for the XX', _solve
+and one more np.matmul, with no slice products.  Otherwise
 (n >= d, or lam == 0), each learner's X'X and X'y are the ascending-order
 sum of per-slice products: slice b is rows [b*h, (b+1)*h) of its n x d X,
 the last one possibly partial, with h = 4d rows (at least 2**17 / d**2, see
 SLICE_MIN_WORK).  The products of all the full slices of the stack are one
 batched np.matmul, those of the partial last slices another
 (slice_products), and solve_normal sums them and solves the stack's d x d
-systems with one np.linalg.solve; each learner's bits are those of the same
-calls on it alone.  The products are returned with the weights, and
+systems with _solve; each learner's bits are those of the same calls on it
+alone.  The products are returned with the weights, and
 ensemble.learn keeps them as its slice cache; update_products recomputes
 in place the slices of them that changed rows touch, in any learners, with
 one gather and one batched np.matmul each for X'X and X'y, plus one pair
@@ -103,13 +102,10 @@ def ridge_solve(X, y, lam: float):
     (XX' + n*lam*I) alpha = y is solved by LU and w = X'alpha, with no
     products; otherwise the d x d system is solved by LU from the summed
     slice products (solve_normal).  The two forms agree to rounding (about
-    1e-12 relative at n = 20, d = 100).  Both refuse with ValueError an X
-    or y holding NaN or Inf, and products or weights that overflow.  With
-    lam == 0 the solve is refused (SingularSystem) unless d > 0 and the
-    summed X'X has eigenvalues min > 0 and max <= COND_LIMIT * min; the
-    normal equations then agree with least squares to about 1e-15 relative
-    on well-conditioned X, and to about 1e-4 near COND_LIMIT.  A learner
-    that cannot be solved fails the stack.
+    1e-12 relative at n = 20, d = 100).  Both refuse what _solve's
+    docstring lists.  At lam == 0 the normal equations agree with least
+    squares to about 1e-15 relative on well-conditioned X, and to about
+    1e-4 near COND_LIMIT.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -124,13 +120,26 @@ def solve_stack(X, y, lam: float):
     on the calling thread, each learner's bits those of a stack of it
     alone, and the slice_products pair they were solved from; it raises as
     ridge_solve does.  Learners that dual_form picks are solved in dual
-    form, and their products are None."""
-    _check_system(X, y, lam)
+    form, w = X'(XX' + n*lam*I)^{-1} y: K = XX' is one batched np.matmul,
+    _solve solves its systems for alpha, and X'alpha is one more; their
+    products are None."""
+    if X.ndim != 3 or X.shape[:-1] != y.shape:
+        raise DimensionMismatch(f"ridge_solve: X is {X.shape}, y is {y.shape}")
+    if not 0 <= lam < np.inf:   # NaN fails both comparisons
+        raise ValueError(f"lam must be nonnegative and finite, got {lam}")
     n, d = X.shape[1:]
-    if dual_form(n, d, lam):
-        return _solve_dual(X, y, lam), None
-    products = slice_products(X, y)
-    return solve_normal(*products, n, lam), products
+    if not dual_form(n, d, lam):
+        products = slice_products(X, y)
+        return solve_normal(*products, n, lam), products
+    Xt = X.swapaxes(-1, -2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        K = np.matmul(X, Xt)
+    alpha = _solve(K, y, n, lam)
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = np.matmul(Xt, alpha[..., None])[..., 0]
+    if not np.isfinite(w).all():
+        raise ValueError(_NON_FINITE)
+    return w, None
 
 
 def dual_form(n: int, d: int, lam: float) -> bool:
@@ -139,28 +148,6 @@ def dual_form(n: int, d: int, lam: float) -> bool:
     smaller than the d x d normal equations, and no slice products are
     formed or cached for them."""
     return lam > 0 and n < d
-
-
-def _solve_dual(X: np.ndarray, y: np.ndarray, lam: float) -> np.ndarray:
-    """w = X'(XX' + n*lam*I)^{-1} y for every learner of the (r, n, d) X
-    and (r, n) y, the minimizer the normal equations give: K = XX' is one
-    batched np.matmul, all the n x n systems one np.linalg.solve, and
-    X'alpha one more batched np.matmul.  Every entry of X is squared into
-    K's diagonal, so a finite K and y mean a finite input; a non-finite K
-    (NaN or Inf in X, or XX' overflowing) or y, or weights that overflow,
-    are refused with ValueError, and one such learner fails the stack."""
-    n = X.shape[-2]
-    Xt = X.swapaxes(-1, -2)
-    with np.errstate(over="ignore", invalid="ignore"):
-        K = np.matmul(X, Xt)
-    if not (np.isfinite(K).all() and np.isfinite(y).all()):
-        raise ValueError(_NON_FINITE)
-    K.reshape(K.shape[:-2] + (n * n,))[..., ::n + 1] += n * lam
-    with np.errstate(over="ignore", invalid="ignore"):
-        w = np.matmul(Xt, np.linalg.solve(K, y[..., None]))[..., 0]
-    if not np.isfinite(w).all():
-        raise ValueError(_NON_FINITE)
-    return w
 
 
 def update_products(X, y, grams: np.ndarray, rhs: np.ndarray,
@@ -196,15 +183,6 @@ def update_products(X, y, grams: np.ndarray, rhs: np.ndarray,
     if part:
         grams[part, full], rhs[part, full] = \
             _block_products(X[part, full * h:], y[part, full * h:, None])
-
-
-def _check_system(X: np.ndarray, y: np.ndarray, lam: float) -> None:
-    """Refuse an X that is not a stack (r, n, d), a y that is not X without
-    its column axis, and a lam outside 0 <= lam < inf."""
-    if X.ndim != 3 or X.shape[:-1] != y.shape:
-        raise DimensionMismatch(f"ridge_solve: X is {X.shape}, y is {y.shape}")
-    if not 0 <= lam < np.inf:   # NaN fails both comparisons
-        raise ValueError(f"lam must be nonnegative and finite, got {lam}")
 
 
 def _slice_height(d: int) -> int:
@@ -251,30 +229,50 @@ def _block_products(Xb: np.ndarray, yb: np.ndarray, grams=None, rhs=None,
 
 def solve_normal(grams: np.ndarray, rhs: np.ndarray, n: int,
                  lam: float) -> np.ndarray:
-    """Solve (X'X + n*lam*I) w = X'y by LU for every learner, with X'X and
-    X'y the sums of all the slice products of its n-row X ((..., k, d, d)
-    and (..., k, d), every slice in ascending order, as slice_products
-    and update_products lay them out); numpy reduces the slice axis one
-    slice after another, into new arrays, so the products are left as they
-    are.  An Inf or NaN anywhere in a learner's X or y makes its sums
-    non-finite, so the O(d**2) check below is the solve's one finiteness
-    check; it also refuses finite input whose products overflow.  With
-    lam == 0 the eigenvalues of every summed X'X (one batched eigvalsh)
-    must be min > 0 and max <= COND_LIMIT * min, or SingularSystem is
-    raised.  One learner that fails a check fails the whole stack."""
+    """Solve (X'X + n*lam*I) w = X'y for every learner (_solve), with X'X
+    and X'y the sums of all the slice products of its n-row X ((..., k,
+    d, d) and (..., k, d), every slice in ascending order, as
+    slice_products and update_products lay them out); numpy reduces the
+    slice axis one slice after another, into new arrays, so the products
+    are left as they are.  An Inf or NaN anywhere in a learner's X or y
+    makes its sums non-finite, so _solve's O(d**2) check is the solve's
+    one finiteness check."""
     with np.errstate(over="ignore", invalid="ignore"):
         A = grams.sum(axis=-3)
         b = rhs.sum(axis=-2)
+    return _solve(A, b, n, lam)
+
+
+def _solve(A: np.ndarray, b: np.ndarray, n: int, lam: float) -> np.ndarray:
+    """Solve (A + n*lam*I) x = b by LU for every system of the (..., m, m)
+    A and (..., m) b, with one batched np.linalg.solve, after adding n*lam
+    to A's diagonal in place: the ridge system of both forms, A being X'X
+    (solve_normal) or XX' (solve_stack's dual form).
+
+    These are the ridge solve's refusal rules, and one learner that breaks
+    one fails the whole stack:
+    - solve_stack refuses an X that is not (r, n, d) or a y that is not
+      (r, n) (DimensionMismatch), and a lam outside 0 <= lam < inf
+      (ValueError), before it forms any product;
+    - an A or b holding NaN or Inf is refused with ValueError: every entry
+      of X is squared into A's diagonal, so this is NaN or Inf in X or y,
+      or products that overflow;
+    - with lam == 0 every A must have eigenvalues (one batched eigvalsh)
+      min > 0 and max <= COND_LIMIT * min, or SingularSystem is raised,
+      and an empty system (m = 0) is refused too;
+    - solve_stack refuses dual-form weights X'x that overflow with the
+      same ValueError.
+    """
     if not (np.isfinite(A).all() and np.isfinite(b).all()):
         raise ValueError(_NON_FINITE)
-    d = A.shape[-1]
+    m = A.shape[-1]
     if lam == 0:
-        eig = np.linalg.eigvalsh(A).T if d else np.zeros(1)    # d = 0: refused
+        eig = np.linalg.eigvalsh(A).T if m else np.zeros(1)    # m = 0: refused
         with np.errstate(over="ignore"):
             if not ((eig[0] > 0) & (eig[-1] <= COND_LIMIT * eig[0])).all():
                 raise SingularSystem("X'X is numerically singular; "
                                      "use lam > 0 or a full-rank design")
-    A.reshape(A.shape[:-2] + (d * d,))[..., ::d + 1] += n * lam
+    A.reshape(A.shape[:-2] + (m * m,))[..., ::m + 1] += n * lam
     return np.linalg.solve(A, b[..., None])[..., 0]
 
 

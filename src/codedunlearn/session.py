@@ -22,10 +22,11 @@ files the new manifest does not name.  A save interrupted at any point
 leaves the previous session loadable; load_session refuses any file whose
 hash does not match the manifest.  Writers hold session_lock, which deletes
 what an interrupted save left unnamed before they act, and a forget is one
-transaction (unlearn_session).  Readers take no lock and delete nothing: a
-load whose files a concurrent save has replaced reads the new manifest and
-loads that generation, while a file that mismatches an unchanged manifest
-is refused.
+transaction (unlearn_session).  Train only creates sessions: under the
+lock it refuses a directory whose manifest reads (refuse_existing).
+Readers take no lock and delete nothing: a load whose files a concurrent
+save has replaced reads the new manifest and loads that generation, while
+a file that mismatches an unchanged manifest is refused.
 
 Version 2 sessions also load.  They name one more file, agg-<h>.npy, the
 aggregate weights; it is hash-checked like every file the manifest names
@@ -106,6 +107,19 @@ def session_lock(directory: Path):
         yield
     finally:
         os.close(fd)
+
+
+def refuse_existing(directory) -> None:
+    """Refuse with SessionError a directory whose manifest reads: it holds
+    a session, and train only creates sessions, since a retrain over one
+    would bring back the samples it forgot under a log that says they are
+    gone.  A directory whose manifest does not read stays trainable."""
+    try:
+        _read_manifest(Path(directory))
+    except SessionError:
+        return
+    raise SessionError(f"session {directory} already exists; train only "
+                       "creates sessions (unlearn changes one)")
 
 
 def _json_bytes(obj) -> bytes:

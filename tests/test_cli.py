@@ -13,9 +13,11 @@ from click.testing import CliRunner
 
 import codedunlearn
 from codedunlearn import SessionError, load_csv
+from codedunlearn import cli as cli_mod
 from codedunlearn import session as session_mod
 from codedunlearn.cli import main
-from codedunlearn.session import load_session, session_lock
+from codedunlearn.ensemble import learn
+from codedunlearn.session import load_session, save_session, session_lock
 
 
 @pytest.fixture
@@ -161,6 +163,16 @@ class TestSessionWorkflow:
         ])
         assert result.exit_code == 0, result.output
         assert len(out.read_text().splitlines()) == 6  # header + 5 rows
+        # without --out the same lines go to stdout: a header and one repr
+        # per row
+        result = runner.invoke(main, [
+            "predict", "--session", str(session), "--data", str(feats),
+        ])
+        assert result.exit_code == 0, result.output
+        assert result.output == out.read_text()
+        header, *rows = result.output.splitlines()
+        assert header == "prediction"
+        assert rows == [repr(float(row)) for row in rows]
 
     def test_stale_session_detected(self, tmp_path, runner, data_csv):
         session = train_session(runner, tmp_path, data_csv)
@@ -389,6 +401,70 @@ class TestSessionWorkflow:
         result = runner.invoke(main, ["verify", "--session", str(session)])
         assert result.exit_code == 0, result.output
 
+    def test_train_over_a_session_is_refused(self, tmp_path, runner,
+                                              data_csv):
+        # a retrain would bring back the forgotten sample 3 under a log that
+        # says it is gone: train only creates sessions
+        session = train_session(runner, tmp_path, data_csv)
+        result = runner.invoke(main, [
+            "unlearn", "--session", str(session), "--ids", "3",
+        ])
+        assert result.exit_code == 0, result.output
+        before = {p.name: p.read_bytes() for p in session.iterdir()}
+        result = runner.invoke(main, [
+            "train", "--data", str(data_csv), "--s", "4", "--r", "2",
+            "--lam", "0.001", "--seed", "3", "--session", str(session),
+        ])
+        assert result.exit_code == 3, result.output
+        assert result.output == (f"error: session {session} already exists; "
+                                 "train only creates sessions (unlearn "
+                                 "changes one)\n")
+        assert {p.name: p.read_bytes() for p in session.iterdir()} == before
+        result = runner.invoke(main, [
+            "unlearn", "--session", str(session), "--ids", "3",
+        ])
+        assert result.exit_code == 3, result.output
+        assert "already unlearned" in result.output
+
+    def test_session_made_during_the_fit_is_refused_under_the_lock(
+            self, tmp_path, runner, data_csv, monkeypatch):
+        # another train that saves while this one fits wins: the check under
+        # the lock, not the one before the fit, decides
+        session = tmp_path / "session"
+
+        def learn_while_another_saves(*args, **kwargs):
+            model, store, generator = learn(*args, **kwargs)
+            save_session(session, model, store, {"first": True})
+            return model, store, generator
+
+        monkeypatch.setattr(cli_mod, "learn", learn_while_another_saves)
+        result = runner.invoke(main, [
+            "train", "--data", str(data_csv), "--s", "4", "--r", "2",
+            "--session", str(session),
+        ])
+        assert result.exit_code == 3, result.output
+        assert "already exists" in result.output
+        manifest = json.loads((session / "manifest.json").read_text())
+        assert manifest["config"] == {"first": True}
+
+    def test_response_column_by_index(self, tmp_path, runner, data_csv):
+        # an integer names the column by position: 4 is data_csv's y
+        by_name = train_session(runner, tmp_path, data_csv)
+        args = ["train", "--data", str(data_csv), "--s", "4", "--r", "2",
+                "--rho", "minimal", "--lam", "0.001", "--seed", "3"]
+        by_index = tmp_path / "by-index"
+        result = runner.invoke(main, [*args, "--response-column", "4",
+                                      "--session", str(by_index)])
+        assert result.exit_code == 0, result.output
+        name, index = (json.loads((s / "manifest.json").read_text())
+                       for s in (by_name, by_index))
+        assert index["files"] == name["files"]
+        result = runner.invoke(main, [*args, "--response-column", "9",
+                                      "--session", str(tmp_path / "nine")])
+        assert result.exit_code == 3, result.output
+        assert result.output == \
+            f"error: {data_csv}: column index 9 out of range\n"
+
     def test_refused_unlearn_leaves_the_lock_free(self, tmp_path, runner,
                                                   data_csv):
         session = train_session(runner, tmp_path, data_csv)
@@ -504,6 +580,13 @@ class TestErrorBoundary:
          "-1.0 is not a nonnegative number"),
         (["verify", "--session", "{session}", "--tolerance", "-inf"], 2,
          "-inf is not a nonnegative number"),
+        (["train", "--data", "{data}", "--s", "4"], 2, "give --r or --tau"),
+        (["train", "--data", "{data}", "--s", "5", "--tau", "2"], 2,
+         "s=5 not divisible by tau=2"),
+        (["unlearn", "--session", "{session}", "--ids", "1", "--ids-file",
+          "{ids_five}"], 2, "give exactly one of --ids / --ids-file"),
+        (["unlearn", "--session", "{session}", "--ids", "5,5"], 3,
+         "duplicate ids in one unlearn request"),
     ], ids=["r-above-s", "r-above-one-shard", "negative-lam",
             "rho-not-a-number", "tau-zero", "rho-all-ones",
             "config-s-not-an-integer", "config-data-missing",
@@ -515,7 +598,9 @@ class TestErrorBoundary:
             "dataset-n-a-string", "dataset-widths-not-a-list",
             "n-train-a-string", "rates-not-a-list", "percentile-a-string",
             "runs-a-string", "lambdas-holds-a-string", "lambda-a-string",
-            "nan-tolerance", "negative-tolerance", "minus-inf-tolerance"])
+            "nan-tolerance", "negative-tolerance", "minus-inf-tolerance",
+            "neither-r-nor-tau", "tau-not-dividing-s", "ids-and-ids-file",
+            "ids-repeated"])
     def test_exit_code_and_message(self, tmp_path, runner, data_csv, args,
                                    code, message):
         dataset = {"kind": "gaussian-linear", "n": 200, "d": 3, "seed": 2}
@@ -567,10 +652,11 @@ class TestErrorBoundary:
         assert (f"error: {message}" if code == 3 else message) \
             in result.output
 
-    @pytest.mark.parametrize("request_args", REFUSED_REQUESTS,
-                             ids=REFUSED_REQUEST_NAMES)
+    @pytest.mark.parametrize("request_args,code", [
+        *[(request, 2) for request in REFUSED_REQUESTS],
+        (["--ids", "5,5"], 3)], ids=[*REFUSED_REQUEST_NAMES, "ids-repeated"])
     def test_refused_request_leaves_session_files_untouched(
-            self, tmp_path, runner, data_csv, request_args):
+            self, tmp_path, runner, data_csv, request_args, code):
         session = train_session(runner, tmp_path, data_csv)
         for name, text in REQUEST_FILES.items():
             (tmp_path / f"{name}.json").write_text(text)
@@ -583,7 +669,7 @@ class TestErrorBoundary:
             "unlearn", "--session", str(session),
             *[a.format(**{k: tmp_path / f"{k}.json" for k in REQUEST_FILES})
               for a in request_args]])
-        assert result.exit_code == 2, result.output
+        assert result.exit_code == code, result.output
         assert files() == before
 
 
@@ -843,6 +929,33 @@ class TestBenchCommands:
         assert result.exit_code == 3, result.output
         assert result.output == f"error: {bad}\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("command,keys,records", [
+        ("bench-tradeoff", {"lambdas": [0.001], "rates": [1],
+                            "shard_counts": [3]}, 1),
+        ("bench-influence", {"percentiles": [0, 10]}, 4),
+    ], ids=["tradeoff", "influence"])
+    def test_spec_dataset_from_a_csv_path(self, tmp_path, runner, data_csv,
+                                          command, keys, records):
+        # the response column is the spec's, and the records are labelled
+        # with the file's stem
+        head, body = data_csv.read_text().split("\n", 1)
+        csv = tmp_path / "wells.csv"
+        csv.write_text(head.replace(",y", ",target") + "\n" + body)
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({
+            "dataset": {"path": str(csv), "response_column": "target"},
+            "n_train": 90, "runs": 1, **keys,
+        }))
+        out = tmp_path / "records.json"
+        result = runner.invoke(main, [
+            command, "--spec", str(spec), "--out", str(out),
+            "--format", "json",
+        ])
+        assert result.exit_code == 0, result.output
+        rows = json.loads(out.read_text())["records"]
+        assert len(rows) == records
+        assert {row["dataset"] for row in rows} == {"wells"}
 
     def test_empty_sweep_is_usage_error(self, tmp_path, runner):
         spec = tmp_path / "sweep.json"

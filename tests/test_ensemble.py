@@ -632,6 +632,20 @@ class TestSliceCache:
         self.assert_cache_is_live(model, store)
         assert verify_perfect_unlearning(model, store).max_discrepancy == 0.0
 
+    def test_repeated_id_refused_before_anything_changes(self):
+        # one request naming an id twice is refused whole, so the id is
+        # still live and a request naming it once forgets it
+        model, store = self.unlearned("minimal")
+        assert store.alive[store.locate([5])].all()
+        before = self.state(model, store)
+        with pytest.raises(AlreadyUnlearned,
+                           match="^duplicate ids in one unlearn request$"):
+            unlearn(model, store, [5, 5])
+        assert self.state(model, store) == before
+        unlearn(model, store, [5])
+        self.assert_cache_is_live(model, store)
+        assert verify_perfect_unlearning(model, store).max_discrepancy == 0.0
+
     def test_unregularized_unlearn_that_empties_a_shard_is_refused(self):
         # lam = 0 and a permutation code (s = r, one-hot rows): forgetting
         # every row of shard 0 empties the one coded shard it feeds, whose
